@@ -6,7 +6,8 @@ Exit codes are part of the contract:
     1  usage error, malformed scenario or trace file
     2  infeasible design or a plant that violates its declared envelope
     3  simulation ran but the certificate is inconclusive
-    4  divergence (a partial trace is still written when samples exist)
+    4  divergence, including arithmetic errors in the plant or the control
+       law (a partial trace is still written when samples exist)
 
 Scenario files are JSON with four sections: ``plant``, ``controller``,
 ``sim``, and optional ``output``. Unknown keys anywhere are rejected so a
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -49,6 +51,7 @@ from .errors import (
     SingularityError,
     TraceFormatError,
 )
+from .linalg import _readonly
 from .plant import PlantSpec, builtin_plant, plant_from_expressions
 from .sim import SimConfig, SimTrace, sweep
 
@@ -280,15 +283,17 @@ def write_trace_csv(path: Path, trace: SimTrace) -> None:
     n = trace.states.shape[1]
     x0_norm = float(trace.metadata["x0_norm"])
     header = "t," + ",".join(f"x{i}" for i in range(1, n + 1)) + ",u,norm_x,lambda_bound"
+    columns = [
+        trace.times.tolist(),
+        *trace.states.T.tolist(),
+        trace.inputs.tolist(),
+        trace.norms.tolist(),
+        (x0_norm * trace.lambda_values).tolist(),
+    ]
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for k in range(trace.times.shape[0]):
-            cells = [_fmt(trace.times[k])]
-            cells.extend(_fmt(v) for v in trace.states[k])
-            cells.append(_fmt(trace.inputs[k]))
-            cells.append(_fmt(trace.norms[k]))
-            cells.append(_fmt(x0_norm * trace.lambda_values[k]))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(map(row.format, *columns))
 
 
 def _jsonable(value):
@@ -449,29 +454,29 @@ def cmd_table(args) -> int:
 def _read_trace_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise TraceFormatError(f"{path} is empty") from None
-            rows = list(reader)
+            n = _check_trace_header(path, header)
+            # The body streams from the handle into loadtxt; peeking at its
+            # first line turns an empty body into an error (loadtxt would
+            # only warn and return an empty array).
+            first = fh.readline()
+            if not first.strip():
+                raise TraceFormatError(f"{path} contains no data rows")
+            try:
+                data = np.loadtxt(
+                    itertools.chain([first], fh),
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=2,
+                )
+            except ValueError as exc:
+                raise TraceFormatError(f"{path} has a non-numeric cell: {exc}") from exc
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
-    if len(header) < 4 or header[0] != "t" or header[-3:] != ["u", "norm_x", "lambda_bound"]:
-        raise TraceFormatError(
-            f"{path} header must be t,x1..xn,u,norm_x,lambda_bound, got {header}"
-        )
-    n = len(header) - 4
-    if n < 1 or header[1 : 1 + n] != [f"x{i}" for i in range(1, n + 1)]:
-        raise TraceFormatError(
-            f"{path} state columns must be x1..xn in order, got {header[1:-3]}"
-        )
-    if not rows:
-        raise TraceFormatError(f"{path} contains no data rows")
-    try:
-        data = np.asarray([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise TraceFormatError(f"{path} has a non-numeric cell: {exc}") from exc
     if data.shape[1] != len(header):
         raise TraceFormatError(f"{path} has ragged rows")
     times = data[:, 0]
@@ -482,6 +487,20 @@ def _read_trace_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
         raise TraceFormatError(f"{path} times must be strictly increasing")
     return times, states, inputs, norms, lambda_bound
+
+
+def _check_trace_header(path: str, header: list[str]) -> int:
+    """Validate the CSV header and return the state dimension."""
+    if len(header) < 4 or header[0] != "t" or header[-3:] != ["u", "norm_x", "lambda_bound"]:
+        raise TraceFormatError(
+            f"{path} header must be t,x1..xn,u,norm_x,lambda_bound, got {header}"
+        )
+    n = len(header) - 4
+    if n < 1 or header[1 : 1 + n] != [f"x{i}" for i in range(1, n + 1)]:
+        raise TraceFormatError(
+            f"{path} state columns must be x1..xn in order, got {header[1:-3]}"
+        )
+    return n
 
 
 def _infer_tau_x0(times: np.ndarray, lambda_bound: np.ndarray) -> tuple[float, float]:
@@ -557,22 +576,16 @@ def cmd_verify(args) -> int:
     if mode is not None:
         metadata["mode"] = mode
     trace = SimTrace(
-        times=_as_readonly(times),
-        states=_as_readonly(states),
-        inputs=_as_readonly(inputs),
-        norms=_as_readonly(recomputed),
-        lambda_values=_as_readonly(lam),
+        times=_readonly(times),
+        states=_readonly(states),
+        inputs=_readonly(inputs),
+        norms=_readonly(recomputed),
+        lambda_values=_readonly(lam),
         metadata=MappingProxyType(metadata),
     )
     cert = certify(trace)
     _print_certificate(f"[{args.trace}]", cert)
     return EXIT_INCONCLUSIVE if cert.verdict == "inconclusive" else EXIT_OK
-
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import CapacityError
+from .linalg import _readonly
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -65,12 +66,6 @@ __all__ = [
 FloatArray = NDArray[np.float64]
 
 DEFAULT_MAX_ORDER = 20
-
-
-def _readonly(a: np.ndarray) -> FloatArray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -249,9 +244,14 @@ def _check_clock_args(alpha: float, tau: float) -> None:
 
 
 def mu_of_t(t: float, alpha: float, tau: float) -> float:
-    """Stretched clock ``mu(t) = tau * (1 - exp(-alpha t))``."""
+    """Stretched clock ``mu(t) = tau * (1 - exp(-alpha t))``.
+
+    Evaluated as ``-tau * expm1(-alpha t)``: for small ``alpha t`` the
+    difference ``1 - exp(-alpha t)`` cancels to few significant digits,
+    which ``kappa_of_mu`` (built on ``log1p``) would not round-trip.
+    """
     _check_clock_args(alpha, tau)
-    return tau * (1.0 - math.exp(-alpha * t))
+    return -tau * math.expm1(-alpha * t)
 
 
 def mu_dot_of_t(t: float, alpha: float, tau: float) -> float:

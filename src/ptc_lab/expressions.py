@@ -171,14 +171,18 @@ class _Parser:
 
 @dataclass(frozen=True)
 class ParsedExpression:
-    """A compiled expression; call with ``(x, u, t)`` to evaluate."""
+    """A compiled expression; call with ``(x, u, t)`` to evaluate.
+
+    ``func`` is the compiled function itself, for hot loops that cannot
+    afford the extra call through ``__call__``.
+    """
 
     text: str
     variables: frozenset[str]
-    _func: Callable[..., float]
+    func: Callable[[Sequence[float], float, float], float]
 
     def __call__(self, x: Sequence[float], u: float, t: float) -> float:
-        return self._func(x, u, t)
+        return self.func(x, u, t)
 
 
 def parse_expression(
@@ -213,5 +217,5 @@ def parse_expression(
         compile(f"lambda x, u, t: {code}", "<expression>", "eval"), namespace
     )
     return ParsedExpression(
-        text=text, variables=frozenset(parser.used), _func=func
+        text=text, variables=frozenset(parser.used), func=func
     )

@@ -36,6 +36,10 @@ FloatArray = NDArray[np.float64]
 
 
 def _readonly(a: np.ndarray) -> FloatArray:
+    """Contiguous float64 copy (or view) of ``a`` that rejects writes.
+
+    Shared by every module that hands arrays to callers.
+    """
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a

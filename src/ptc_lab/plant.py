@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +50,9 @@ class PlantSpec:
     f : callable
         Disturbance ``f(x, u, t) -> float``.
     g : callable
-        Input gain ``g(t) -> float``, nonzero for all t.
+        Input gain ``g(t) -> float``, nonzero for all t. It must be a
+        pure function of ``t``: the simulator evaluates it once per
+        distinct stage time and reuses the value across stages.
     gamma : float
         True input-gain scale; hidden from the controller.
     gamma_min : float
@@ -126,7 +130,8 @@ def check_assumption(
     not satisfy, so any certificate built on them would be vacuous.
     """
     fv = spec.f(x, u, t) if f_value is None else f_value
-    norm = math.sqrt(math.fsum(float(v) * float(v) for v in x))
+    xs = list(map(float, x))
+    norm = math.sqrt(math.fsum(map(mul, xs, xs)))
     limit = spec.phi * norm + spec.phi0 + AUDIT_SLACK
     if abs(fv) > limit:
         raise AssumptionViolationError(
@@ -179,7 +184,7 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
         weights = tuple(float(w) for w in rng.uniform(-1e-3, 1e-3, 4))
 
         def f3(x: Sequence[float], u: float, t: float) -> float:
-            return math.fsum(w * float(v) for w, v in zip(weights, x))
+            return math.fsum(map(mul, weights, map(float, x)))
 
         return PlantSpec(
             n=4,
@@ -217,17 +222,10 @@ def plant_from_expressions(
     """
     f_expr = parse_expression(f_text, n, allow_u=True, allow_state=True)
     g_expr = parse_expression(g_text, n, allow_u=False, allow_state=False)
-
-    def g_func(t: float) -> float:
-        return g_expr((), 0.0, t)
-
-    def f_func(x: Sequence[float], u: float, t: float) -> float:
-        return f_expr(x, u, t)
-
     return PlantSpec(
         n=n,
-        f=f_func,
-        g=g_func,
+        f=f_expr.func,
+        g=partial(g_expr.func, (), 0.0),
         gamma=gamma,
         gamma_min=gamma_min,
         phi=phi,

@@ -12,13 +12,16 @@ RK4 inside its stability region, because the closed-loop poles scale like
 -1/(alpha*(tau - t)) and for small alpha the plain (tau - t)/shrink cap
 leaves h*|pole| far above the RK4 stability limit. The disturbance
 envelope declared by the plant is audited at every step start.
+
+A step has three distinct stage times, t, t + h/2 (stages 2 and 3) and
+t + h, and the powers of (tau - t) and the input gain g(t) are computed
+once for each; the values at t + h serve the next step's first stage.
+The plant's g must therefore be a pure function of t.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -28,17 +31,12 @@ from numpy.typing import NDArray
 
 from .controller import ControllerDesign, build_gain_schedule, design_controller
 from .errors import DivergenceError
+from .linalg import _readonly
 from .plant import PlantSpec, check_assumption
 
 __all__ = ["SimConfig", "SimTrace", "run", "sweep"]
 
 FloatArray = NDArray[np.float64]
-
-
-def _readonly(a: np.ndarray) -> FloatArray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,10 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     ------
     DivergenceError
         If any state component or the input leaves the finite box
-        ``|v| <= divergence_threshold``; the partial trace recorded so far
-        is attached to the exception.
+        ``|v| <= divergence_threshold``, or if plant or gain arithmetic
+        fails (an ``ArithmeticError`` such as a ``g(t)`` of exactly 0 or
+        an overflow in ``f``); the partial trace recorded so far is
+        attached to the exception.
     AssumptionViolationError
         If the plant's declared disturbance envelope fails along the
         trajectory.
@@ -172,6 +172,10 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
 
     schedule = build_gain_schedule(design)
     q = list(schedule.coefficients)
+    # Term i of the gain sum divides by (tau - t)**(n - i); the sum runs
+    # from i = n - 1 down to 0, the order every trace was produced with.
+    order = range(n - 1, -1, -1)
+    higher = order[1:]
     gamma_min = design.gamma_min
     gamma = plant.gamma
     g = plant.g
@@ -179,17 +183,31 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     threshold = cfg.divergence_threshold
     stride = cfg.record_stride
 
-    def stage(x: list[float], t: float) -> tuple[list[float], float, float]:
-        d = tau - t
-        acc = 0.0
+    def at(s: float) -> tuple[list[float], float, float]:
+        """Factors shared by the stages at time s: the powers of tau - s
+        indexed like q, ``gamma_min * g(s)`` and ``gamma * g(s)``."""
+        d = tau - s
+        pows = [d] * n
         pw = d
-        for i in range(n - 1, -1, -1):
-            acc += q[i] * x[i] / pw
+        for i in higher:
             pw *= d
-        gt = g(t)
-        u = acc / (gamma_min * gt)
-        fx = f(x, u, t)
-        return x[1:] + [fx + gamma * gt * u], u, fx
+            pows[i] = pw
+        gs = g(s)
+        return pows, gamma_min * gs, gamma * gs
+
+    def stage(
+        x: list[float], s: float, factors: tuple[list[float], float, float]
+    ) -> tuple[list[float], float, float]:
+        pows, den, gain = factors
+        # Starting from 0.0 keeps u = +0.0 when every term is -0.0.
+        acc = 0.0
+        for i in order:
+            acc += q[i] * x[i] / pows[i]
+        u = acc / den
+        fx = f(x, u, s)
+        k = x[1:]
+        k.append(fx + gain * u)
+        return k, u, fx
 
     times: list[float] = []
     states: list[tuple[float, ...]] = []
@@ -226,75 +244,73 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     u_max = 0.0
     x_max = 0.0
     stiff_cap = cfg.stiffness_safety * design.alpha
+    dt_base = cfg.dt_base
+    shrink_divisor = cfg.shrink_divisor
+    stop = t_end - 1e-12 * tau
 
-    while t < t_end - 1e-12 * tau:
-        k1, u1, f1 = stage(x, t)
-        amp = max(abs(v) for v in x)
-        # "not <=" also catches NaN, which fails every comparison.
-        if not (amp <= threshold) or not (abs(u1) <= threshold):
-            raise DivergenceError(
-                f"state or input left |v| <= {threshold:.3g} at t={t:.6g} "
-                f"(|x|max={amp:.3g}, |u|={abs(u1):.3g})",
-                trace=partial(),
-            )
-        check_assumption(plant, x, u1, t, f_value=f1)
-        if amp > x_max:
-            x_max = amp
-        if abs(u1) > u_max:
-            u_max = abs(u1)
-        if step_index % stride == 0:
-            times.append(t)
-            states.append(tuple(x))
-            inputs.append(u1)
+    try:
+        now = at(t)
+        while True:
+            # The loop ends with one last sample at t_end, after the final
+            # step or once the next step start falls within roundoff of it.
+            last = not t < stop
+            if last:
+                t = t_end
+                now = at(t)
+            k1, u1, f1 = stage(x, t, now)
+            amp = max(map(abs, x))
+            # "not <=" also catches NaN, which fails every comparison.
+            if not (amp <= threshold) or not (abs(u1) <= threshold):
+                raise DivergenceError(
+                    f"state or input left |v| <= {threshold:.3g} at t={t:.6g} "
+                    f"(|x|max={amp:.3g}, |u|={abs(u1):.3g})",
+                    trace=partial(),
+                )
+            check_assumption(plant, x, u1, t, f_value=f1)
+            if amp > x_max:
+                x_max = amp
+            if abs(u1) > u_max:
+                u_max = abs(u1)
+            if last or step_index % stride == 0:
+                times.append(t)
+                states.append(tuple(x))
+                inputs.append(u1)
+            if last:
+                break
 
-        d = tau - t
-        h = min(cfg.dt_base, d / cfg.shrink_divisor, stiff_cap * d)
-        clamped = h >= t_end - t
-        if clamped:
-            h = t_end - t
-        half = 0.5 * h
-        k2, _, _ = stage([xi + half * ki for xi, ki in zip(x, k1)], t + half)
-        k3, _, _ = stage([xi + half * ki for xi, ki in zip(x, k2)], t + half)
-        k4, _, _ = stage([xi + h * ki for xi, ki in zip(x, k3)], t + h)
-        sixth = h / 6.0
-        x = [
-            xi + sixth * (a + 2.0 * (b + c) + e)
-            for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
-        ]
-        t = t_end if clamped else t + h
-        step_index += 1
-
-    _, u_final, f_final = stage(x, t_end)
-    amp = max(abs(v) for v in x)
-    if not (amp <= threshold) or not (abs(u_final) <= threshold):
+            d = tau - t
+            h = min(dt_base, d / shrink_divisor, stiff_cap * d)
+            clamped = h >= t_end - t
+            if clamped:
+                h = t_end - t
+            half = 0.5 * h
+            t_mid = t + half
+            t_next = t + h
+            mid = at(t_mid)
+            now = at(t_next)
+            k2 = stage([xi + half * ki for xi, ki in zip(x, k1)], t_mid, mid)[0]
+            k3 = stage([xi + half * ki for xi, ki in zip(x, k2)], t_mid, mid)[0]
+            k4 = stage([xi + h * ki for xi, ki in zip(x, k3)], t_next, now)[0]
+            sixth = h / 6.0
+            x = [
+                xi + sixth * (a + 2.0 * (b + c) + e)
+                for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
+            ]
+            # A clamped step lands on t_end and ends the loop, which then
+            # evaluates t_end afresh; otherwise now already holds t_next.
+            t = t_end if clamped else t_next
+            step_index += 1
+    except ArithmeticError as exc:
         raise DivergenceError(
-            f"state or input left |v| <= {threshold:.3g} at t={t_end:.6g} "
-            f"(|x|max={amp:.3g}, |u|={abs(u_final):.3g})",
+            f"plant or control arithmetic failed at t={t:.6g}: "
+            f"{type(exc).__name__}: {exc}",
             trace=partial(),
-        )
-    check_assumption(plant, x, u_final, t_end, f_value=f_final)
-    if amp > x_max:
-        x_max = amp
-    if abs(u_final) > u_max:
-        u_max = abs(u_final)
-    times.append(t_end)
-    states.append(tuple(x))
-    inputs.append(u_final)
+        ) from exc
 
     metadata["steps_total"] = step_index
     metadata["u_max"] = u_max
     metadata["x_max"] = x_max
     return _build_trace(times, states, inputs, tau, metadata)
-
-
-def _sweep_workers() -> int:
-    raw = os.environ.get("PTC_LAB_THREADS", "")
-    if raw.strip() == "":
-        return 1
-    workers = int(raw)
-    if workers < 1:
-        raise ValueError(f"PTC_LAB_THREADS must be >= 1, got {raw!r}")
-    return workers
 
 
 def sweep(
@@ -308,14 +324,10 @@ def sweep(
     """Run one simulation per deadline with a shared design template.
 
     Every run uses the same coefficients, initial state, and plant
-    (including its frozen random draws); only ``tau`` varies. Runs are
-    independent, so when the ``PTC_LAB_THREADS`` environment variable is
-    set above 1 they execute in a thread pool; results keep the input
-    order either way.
+    (including its frozen random draws); only ``tau`` varies. Runs execute
+    one after another and results keep the input order.
     """
     deadlines = [float(v) for v in taus]
-    if not deadlines:
-        return []
     designs = [
         design_controller(
             c,
@@ -328,8 +340,4 @@ def sweep(
         )
         for tau in deadlines
     ]
-    workers = _sweep_workers()
-    if workers == 1 or len(designs) == 1:
-        return [run(plant, d, cfg) for d in designs]
-    with ThreadPoolExecutor(max_workers=min(workers, len(designs))) as pool:
-        return list(pool.map(lambda d: run(plant, d, cfg), designs))
+    return [run(plant, d, cfg) for d in designs]

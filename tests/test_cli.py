@@ -289,3 +289,77 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["design"]) == 1
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json")]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def _custom_plant_scenario(tmp_path, f, g, x0):
+    return _write_scenario(
+        tmp_path,
+        {
+            "plant": {
+                "n": 2, "f": f, "g": g, "gamma": 1.0, "gamma_min": 1.0,
+                "phi": 1.0, "phi0": 1.0,
+            },
+            "controller": {"c": [-1, -2], "tau": 10, "alpha": 0.0214},
+            "sim": {"x0": x0},
+            "output": {"directory": str(tmp_path / "out"), "stem": "arith"},
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "f, g, x0",
+    [
+        ("0", "0*t", [1, 1]),  # u = acc / (gamma_min * g) divides by zero
+        ("exp(x1*x1*1000)*0", "1", [10, 10]),  # exp overflows
+    ],
+    ids=["zero-gain", "overflow"],
+)
+def test_simulate_plant_arithmetic_error_is_divergence(tmp_path, capsys, f, g, x0):
+    scenario = _custom_plant_scenario(tmp_path, f, g, x0)
+    assert main(["simulate", "--scenario", scenario]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "t=0" in errors[0]
+
+
+def _verify_text(tmp_path, text, name="trace.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return main(["verify", str(path), "--tau", "10", "--x0-norm", "5"])
+
+
+TRIANGLE_HEADER = "t,x1,u,norm_x,lambda_bound\n"
+# x1 = 5(1 - t/10) riding its envelope up to t = 9.5.
+TRIANGLE_ROWS = [f"{k / 2:g},{v:g},0,{v:g},{v:g}\n" for k, v in ((k, 5 - k / 4) for k in range(20))]
+
+
+def test_verify_accepts_quoted_cells(tmp_path, capsys):
+    plain = _verify_text(tmp_path, TRIANGLE_HEADER + "".join(TRIANGLE_ROWS), "plain.csv")
+    plain_out = capsys.readouterr().out.split("verdict", 1)[1]
+    quoted_rows = ['"0","5",0,5,"5"\n'] + TRIANGLE_ROWS[1:]
+    quoted = _verify_text(tmp_path, TRIANGLE_HEADER + "".join(quoted_rows), "quoted.csv")
+    assert quoted == plain == 0
+    assert capsys.readouterr().out.split("verdict", 1)[1] == plain_out
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "contains no data rows"),
+        ("0,5,0,5,5\n1,4.5,0,4.5\n", "non-numeric cell"),  # column count changes
+        ("0,5,0,5\n1,4.5,0,4.5\n", "has ragged rows"),  # every row one short
+        ("0,5,0,5,5\n1,four,0,4.5,4.5\n", "non-numeric cell"),
+        ("1_0,5,0,5,5\n", "non-numeric cell"),  # float() would accept this
+    ],
+    ids=["empty-body", "column-count-changes", "short-rows", "non-numeric", "underscore-literal"],
+)
+def test_verify_rejects_malformed_body(tmp_path, capsys, body, message):
+    assert _verify_text(tmp_path, TRIANGLE_HEADER + body) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_verify_header_error_wins_over_body_error(tmp_path, capsys):
+    assert _verify_text(tmp_path, "t,y1,u,norm_x,lambda_bound\nnot,a,number\n") == 1
+    assert "state columns must be x1..xn" in capsys.readouterr().err

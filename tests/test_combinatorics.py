@@ -81,6 +81,16 @@ def test_clock_round_trip():
     assert pl.kappa_of_mu(0.0, alpha, tau) == 0.0
 
 
+def test_clock_round_trip_tiny_rate():
+    # With alpha*t far below machine epsilon, 1 - exp(-alpha*t) keeps only
+    # a few significant digits; the clock must still invert exactly.
+    alpha, tau = 1e-12, 10.0
+    for t in (1e-3, 0.5, 7.0, 123.0):
+        mu = pl.mu_of_t(t, alpha, tau)
+        assert mu == pytest.approx(tau * alpha * t, rel=1e-9)
+        assert pl.kappa_of_mu(mu, alpha, tau) == pytest.approx(t, rel=1e-14)
+
+
 def test_rate_product_is_one():
     alpha, tau = 0.3, 5.0
     for t in (0.0, 0.7, 2.0, 4.0, 4.9):

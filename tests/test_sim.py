@@ -104,30 +104,6 @@ def test_sweep_empty():
     assert pl.sweep(plant, (-1.0, -2.0), (), cfg, alpha=0.0214) == []
 
 
-def test_sweep_parallel_matches_sequential(monkeypatch):
-    plant = pl.builtin_plant("example3", seed=6)
-    cfg = pl.SimConfig(x0=(1.0, 1.0, 1.0, 1.0), dt_base=0.05, record_stride=100)
-    taus = (8.0, 10.0, 12.0)
-    monkeypatch.delenv("PTC_LAB_THREADS", raising=False)
-    sequential = pl.sweep(plant, (-1.0, -4.0, -6.0, -4.0), taus, cfg)
-    monkeypatch.setenv("PTC_LAB_THREADS", "3")
-    parallel = pl.sweep(plant, (-1.0, -4.0, -6.0, -4.0), taus, cfg)
-    assert len(sequential) == len(parallel) == 3
-    for seq, par, tau in zip(sequential, parallel, taus):
-        assert seq.metadata["tau"] == par.metadata["tau"] == tau
-        assert np.array_equal(seq.states, par.states)
-        assert np.array_equal(seq.times, par.times)
-        assert np.array_equal(seq.inputs, par.inputs)
-
-
-def test_thread_count_validation(monkeypatch):
-    plant = pl.builtin_plant("example2")
-    cfg = pl.SimConfig(x0=(1.0, 1.0))
-    monkeypatch.setenv("PTC_LAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        pl.sweep(plant, (-1.0, -2.0), (10.0,), cfg, alpha=0.0214)
-
-
 def test_divergence_carries_partial_trace():
     # A tiny threshold trips on the very first input spike; the partial
     # trace attached to the error must still start at t = 0.

@@ -1,0 +1,335 @@
+"""Bitwise oracles for the simulator's and the CSV writer's fast paths.
+
+``reference_run`` is the stage-by-stage RK4 loop ``ptc_lab.sim.run`` used
+before its step was fused (every stage recomputed the powers of
+``tau - t`` and called ``g``), and ``reference_write_trace_csv`` the
+cell-by-cell writer. Both are kept verbatim as references: the fast paths
+must reproduce them bit for bit, not within a tolerance.
+"""
+
+import math
+from types import MappingProxyType, SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ptc_lab as pl
+from ptc_lab.cli import write_trace_csv
+from ptc_lab.controller import build_gain_schedule
+from ptc_lab.plant import check_assumption
+
+
+def reference_run(plant, design, cfg):
+    """Returns (times, states, inputs, metadata) as ``run`` recorded them."""
+    n = plant.n
+    tau = design.tau
+    t_end = tau * (1.0 - cfg.epsilon_fraction)
+    schedule = build_gain_schedule(design)
+    q = list(schedule.coefficients)
+    gamma_min = design.gamma_min
+    gamma = plant.gamma
+    g = plant.g
+    f = plant.f
+    threshold = cfg.divergence_threshold
+    stride = cfg.record_stride
+
+    def stage(x, t):
+        d = tau - t
+        acc = 0.0
+        pw = d
+        for i in range(n - 1, -1, -1):
+            acc += q[i] * x[i] / pw
+            pw *= d
+        gt = g(t)
+        u = acc / (gamma_min * gt)
+        fx = f(x, u, t)
+        return x[1:] + [fx + gamma * gt * u], u, fx
+
+    times, states, inputs = [], [], []
+    metadata = {
+        "plant": plant.describe(),
+        "plant_seed": plant.seed,
+        "phi": plant.phi,
+        "phi0": plant.phi0,
+        "gamma_min": gamma_min,
+        "c": design.c,
+        "alpha": design.alpha,
+        "tau": tau,
+        "mode": design.mode,
+        "eps_guard": design.eps_guard,
+        "x0": tuple(float(v) for v in cfg.x0),
+        "x0_norm": math.sqrt(math.fsum(float(v) ** 2 for v in cfg.x0)),
+        "dt_base": cfg.dt_base,
+        "epsilon_fraction": cfg.epsilon_fraction,
+        "shrink_divisor": cfg.shrink_divisor,
+        "stiffness_safety": cfg.stiffness_safety,
+        "record_stride": stride,
+        "divergence_threshold": threshold,
+    }
+
+    x = [float(v) for v in cfg.x0]
+    t = 0.0
+    step_index = 0
+    u_max = 0.0
+    x_max = 0.0
+    stiff_cap = cfg.stiffness_safety * design.alpha
+
+    while t < t_end - 1e-12 * tau:
+        k1, u1, f1 = stage(x, t)
+        amp = max(abs(v) for v in x)
+        if not (amp <= threshold) or not (abs(u1) <= threshold):
+            raise pl.DivergenceError("diverged", trace=(times, states, inputs))
+        check_assumption(plant, x, u1, t, f_value=f1)
+        if amp > x_max:
+            x_max = amp
+        if abs(u1) > u_max:
+            u_max = abs(u1)
+        if step_index % stride == 0:
+            times.append(t)
+            states.append(tuple(x))
+            inputs.append(u1)
+
+        d = tau - t
+        h = min(cfg.dt_base, d / cfg.shrink_divisor, stiff_cap * d)
+        clamped = h >= t_end - t
+        if clamped:
+            h = t_end - t
+        half = 0.5 * h
+        k2, _, _ = stage([xi + half * ki for xi, ki in zip(x, k1)], t + half)
+        k3, _, _ = stage([xi + half * ki for xi, ki in zip(x, k2)], t + half)
+        k4, _, _ = stage([xi + h * ki for xi, ki in zip(x, k3)], t + h)
+        sixth = h / 6.0
+        x = [
+            xi + sixth * (a + 2.0 * (b + c) + e)
+            for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
+        ]
+        t = t_end if clamped else t + h
+        step_index += 1
+
+    _, u_final, f_final = stage(x, t_end)
+    amp = max(abs(v) for v in x)
+    if not (amp <= threshold) or not (abs(u_final) <= threshold):
+        raise pl.DivergenceError("diverged", trace=(times, states, inputs))
+    check_assumption(plant, x, u_final, t_end, f_value=f_final)
+    if amp > x_max:
+        x_max = amp
+    if abs(u_final) > u_max:
+        u_max = abs(u_final)
+    times.append(t_end)
+    states.append(tuple(x))
+    inputs.append(u_final)
+
+    metadata["steps_total"] = step_index
+    metadata["u_max"] = u_max
+    metadata["x_max"] = x_max
+    return times, states, inputs, metadata
+
+
+def reference_write_trace_csv(path, trace):
+    n = trace.states.shape[1]
+    x0_norm = float(trace.metadata["x0_norm"])
+    header = "t," + ",".join(f"x{i}" for i in range(1, n + 1)) + ",u,norm_x,lambda_bound"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for k in range(trace.times.shape[0]):
+            cells = [format(float(trace.times[k]), ".17g")]
+            cells.extend(format(float(v), ".17g") for v in trace.states[k])
+            cells.append(format(float(trace.inputs[k]), ".17g"))
+            cells.append(format(float(trace.norms[k]), ".17g"))
+            cells.append(format(float(x0_norm * trace.lambda_values[k]), ".17g"))
+            fh.write(",".join(cells) + "\n")
+
+
+def _stand_in_design(c, tau, alpha, gamma_min):
+    """A design with an arbitrary rate.
+
+    ``design_controller`` only admits rates below the feasibility bound,
+    which for orders 4 and 5 means millions of steps. The oracle compares
+    arithmetic, not feasibility, so it uses the fields ``run`` reads.
+    """
+    return SimpleNamespace(
+        n=len(c), c=tuple(c), tau=tau, alpha=alpha, mode="attractive",
+        eps_guard=0.0, gamma_min=gamma_min,
+    )
+
+
+def _hurwitz_coefficients(poles):
+    # The companion row holds c with x_n' = c . x, so c_k is minus the
+    # coefficient of s^(k-1) in prod(s - p).
+    return tuple(float(-v) for v in np.poly(poles)[1:][::-1])
+
+
+def _assert_same_run(plant, design, cfg):
+    try:
+        expected = reference_run(plant, design, cfg)
+    except (pl.DivergenceError, pl.AssumptionViolationError, ArithmeticError) as exc:
+        with pytest.raises((pl.DivergenceError, pl.AssumptionViolationError)) as err:
+            pl.run(plant, design, cfg)
+        if isinstance(exc, pl.AssumptionViolationError):
+            assert isinstance(err.value, pl.AssumptionViolationError)
+            assert str(err.value) == str(exc)
+        else:
+            assert isinstance(err.value, pl.DivergenceError)
+        if isinstance(exc, pl.DivergenceError) and exc.trace[0]:
+            times, states, inputs = exc.trace
+            partial = err.value.trace
+            assert partial.times.tobytes() == np.asarray(times).tobytes()
+            assert partial.states.tobytes() == np.asarray(states).tobytes()
+            assert partial.inputs.tobytes() == np.asarray(inputs).tobytes()
+        return None
+    times, states, inputs, metadata = expected
+    trace = pl.run(plant, design, cfg)
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.states, states)
+    assert np.array_equal(trace.inputs, inputs)
+    # array_equal treats -0.0 as 0.0; the CSV does not, so compare bits too.
+    for got, want in ((trace.times, times), (trace.states, states), (trace.inputs, inputs)):
+        assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+    assert dict(trace.metadata) == metadata
+    assert trace.metadata["steps_total"] == metadata["steps_total"]
+    return trace
+
+
+def _last_step_clamped(design, cfg):
+    """Replays the step-size rule: did the final step land on t_end by clamp?"""
+    tau = design.tau
+    t_end = tau * (1.0 - cfg.epsilon_fraction)
+    t = 0.0
+    clamped = False
+    while t < t_end - 1e-12 * tau:
+        d = tau - t
+        h = min(cfg.dt_base, d / cfg.shrink_divisor, cfg.stiffness_safety * design.alpha * d)
+        clamped = h >= t_end - t
+        t = t_end if clamped else t + h
+    return clamped
+
+
+GAINS = ("1", "1 + 0.5*sin(t)", "2 - cos(3*t)")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    poles=st.lists(st.floats(-2.0, -0.5), min_size=5, max_size=5),
+    tau=st.floats(1.0, 4.0),
+    alpha=st.floats(0.05, 0.3),
+    x0=st.lists(
+        st.one_of(st.floats(-10.0, 10.0), st.just(-0.0), st.just(0.0)),
+        min_size=5,
+        max_size=5,
+    ),
+    stride=st.sampled_from((1, 7, 50)),
+    builtin=st.booleans(),
+    g_text=st.sampled_from(GAINS),
+    eps=st.floats(0.02, 0.3),
+    dt_base=st.floats(0.01, 0.2),
+)
+def test_run_matches_reference_loop(
+    n, poles, tau, alpha, x0, stride, builtin, g_text, eps, dt_base
+):
+    c = _hurwitz_coefficients(poles[:n])
+    if builtin and n in (2, 4):
+        plant = pl.builtin_plant("example2" if n == 2 else "example3", seed=3)
+    else:
+        plant = pl.plant_from_expressions(
+            n,
+            "0.01*x1*cos(t) + 0.5*sin(u)",
+            g_text,
+            gamma=1.2,
+            gamma_min=1.0,
+            phi=0.01,
+            phi0=0.5,
+        )
+    design = _stand_in_design(c, tau, alpha, plant.gamma_min)
+    cfg = pl.SimConfig(
+        x0=tuple(x0[:n]),
+        dt_base=dt_base,
+        epsilon_fraction=eps,
+        shrink_divisor=10.0,
+        record_stride=stride,
+    )
+    _assert_same_run(plant, design, cfg)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 50])
+@pytest.mark.parametrize(
+    "plant",
+    [
+        pl.builtin_plant("example2"),
+        pl.plant_from_expressions(
+            2, "50*cos(u) + cos(t)*x1 + exp(sin(x1))*x2", "1 + 0.5*sin(t)",
+            gamma=1.1, gamma_min=1.0, phi=math.e, phi0=50.0,
+        ),
+    ],
+    ids=["builtin", "expression-time-varying-g"],
+)
+def test_example2_matches_reference_with_clamped_final_step(plant, stride):
+    design = pl.design_controller(
+        (-1.0, -2.0), 10.0, alpha=0.0214, phi=plant.phi, phi0=plant.phi0
+    )
+    cfg = pl.SimConfig(x0=(10.0, 10.0), dt_base=5e-3, record_stride=stride)
+    assert _last_step_clamped(design, cfg)
+    trace = _assert_same_run(plant, design, cfg)
+    assert trace is not None and trace.times[-1] == 10.0 * (1.0 - 1e-3)
+
+
+def test_example3_prefix_matches_reference():
+    # A cut-down example3 (auto alpha, stiffness cap on every step).
+    plant = pl.builtin_plant("example3", seed=6)
+    design = pl.design_controller(
+        (-1.0, -4.0, -6.0, -4.0), 10.0, phi=plant.phi, phi0=plant.phi0,
+        eps_guard_fraction=0.9,
+    )
+    cfg = pl.SimConfig(
+        x0=(10.0, 10.0, 10.0, 10.0), epsilon_fraction=0.9, record_stride=50
+    )
+    assert _last_step_clamped(design, cfg)
+    _assert_same_run(plant, design, cfg)
+
+
+def _trace(times, states, inputs, x0_norm, tau):
+    states = np.asarray(states, dtype=np.float64).reshape(len(times), -1)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(states * states, axis=1))
+    return pl.SimTrace(
+        times=np.asarray(times, dtype=np.float64),
+        states=states,
+        inputs=np.asarray(inputs, dtype=np.float64),
+        norms=norms,
+        lambda_values=np.maximum(1.0 - np.asarray(times) / tau, 0.0),
+        metadata=MappingProxyType({"x0_norm": x0_norm}),
+    )
+
+
+_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -1e308, 1e-300, 0.1, 1.0 / 3.0]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 40),
+    n=st.integers(1, 5),
+    x0_norm=st.floats(0.0, 1e6),
+    tau=st.floats(0.5, 100.0),
+)
+def test_csv_writer_bytes_match_reference(tmp_path_factory, data, rows, n, x0_norm, tau):
+    times = sorted(set(data.draw(st.lists(st.floats(0.0, 200.0), min_size=rows, max_size=rows))))
+    m = len(times)
+    states = data.draw(st.lists(_cells, min_size=m * n, max_size=m * n))
+    inputs = data.draw(st.lists(_cells, min_size=m, max_size=m))
+    trace = _trace(times, states, inputs, x0_norm, tau)
+    out = tmp_path_factory.mktemp("csv")
+    write_trace_csv(out / "new.csv", trace)
+    reference_write_trace_csv(out / "old.csv", trace)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def test_csv_writer_bytes_match_reference_on_run(tmp_path, example2_trace):
+    write_trace_csv(tmp_path / "new.csv", example2_trace)
+    reference_write_trace_csv(tmp_path / "old.csv", example2_trace)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -6,147 +6,27 @@ loop up to the controller's terminal singularity, and certifies the
 resulting traces against triangular stability and attractivity envelopes.
 """
 
-from .analysis import (
-    InputBoundednessReport,
-    MappingReport,
-    StabilityCertificate,
-    certify,
-    check_input_boundedness,
-    triangular_fn,
-    verify_mapping,
-)
-from .combinatorics import (
-    CombinatoricsTable,
-    TransformMatrices,
-    alternating_toeplitz,
-    bell_number,
-    build_transform_matrices,
-    first_kind_matrix,
-    kappa_derivative,
-    kappa_of_mu,
-    kappa_prime_of_mu,
-    mu_derivative,
-    mu_dot_of_t,
-    mu_of_t,
-    second_kind_matrix,
-    stirling_first,
-    stirling_second,
-    stirling_second_explicit,
-)
-from .controller import (
-    AlphaSelection,
-    ControllerDesign,
-    GainRow,
-    GainSchedule,
-    GainTerm,
-    build_gain_schedule,
-    control_input,
-    design_controller,
-    numeric_rows,
-    pi_double_sum,
-    select_alpha,
-    structural_rows,
-    symbolic_rows,
-)
-from .errors import (
-    AssumptionViolationError,
-    CapacityError,
-    DivergenceError,
-    InfeasibleDesignError,
-    PtcLabError,
-    ScenarioError,
-    SingularityError,
-    TraceFormatError,
-)
-from .expressions import ParsedExpression, parse_expression
-from .linalg import (
-    CompanionMatrix,
-    LyapunovSolution,
-    companion_matrix,
-    is_hurwitz,
-    solve_lyapunov,
-    spectral_norm,
-)
-from .plant import (
-    PlantSpec,
-    builtin_plant,
-    check_assumption,
-    derivative,
-    plant_from_expressions,
-)
-from .sim import SimConfig, SimTrace, run, sweep
+from . import analysis, combinatorics, controller, errors, expressions, linalg, plant, sim
+from .analysis import *
+from .combinatorics import *
+from .controller import *
+from .errors import *
+from .expressions import *
+from .linalg import *
+from .plant import *
+from .sim import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is its public API; the package re-exports them all.
 __all__ = [
     "__version__",
-    # errors
-    "PtcLabError",
-    "CapacityError",
-    "InfeasibleDesignError",
-    "SingularityError",
-    "AssumptionViolationError",
-    "DivergenceError",
-    "ScenarioError",
-    "TraceFormatError",
-    # combinatorics
-    "CombinatoricsTable",
-    "TransformMatrices",
-    "stirling_first",
-    "stirling_second",
-    "stirling_second_explicit",
-    "bell_number",
-    "first_kind_matrix",
-    "second_kind_matrix",
-    "alternating_toeplitz",
-    "mu_of_t",
-    "mu_dot_of_t",
-    "mu_derivative",
-    "kappa_of_mu",
-    "kappa_prime_of_mu",
-    "kappa_derivative",
-    "build_transform_matrices",
-    # linalg
-    "CompanionMatrix",
-    "LyapunovSolution",
-    "companion_matrix",
-    "is_hurwitz",
-    "solve_lyapunov",
-    "spectral_norm",
-    # controller
-    "GainTerm",
-    "GainRow",
-    "GainSchedule",
-    "AlphaSelection",
-    "ControllerDesign",
-    "structural_rows",
-    "build_gain_schedule",
-    "symbolic_rows",
-    "numeric_rows",
-    "select_alpha",
-    "design_controller",
-    "control_input",
-    "pi_double_sum",
-    # expressions
-    "ParsedExpression",
-    "parse_expression",
-    # plant
-    "PlantSpec",
-    "derivative",
-    "check_assumption",
-    "builtin_plant",
-    "plant_from_expressions",
-    # sim
-    "SimConfig",
-    "SimTrace",
-    "run",
-    "sweep",
-    # analysis
-    "StabilityCertificate",
-    "MappingReport",
-    "InputBoundednessReport",
-    "triangular_fn",
-    "certify",
-    "verify_mapping",
-    "check_input_boundedness",
+    *errors.__all__,
+    *combinatorics.__all__,
+    *linalg.__all__,
+    *controller.__all__,
+    *expressions.__all__,
+    *plant.__all__,
+    *sim.__all__,
+    *analysis.__all__,
 ]

@@ -3,7 +3,8 @@
 Exit codes are part of the contract:
 
     0  success (stable or attractive certificate where one is expected)
-    1  usage error, malformed scenario or trace file
+    1  usage error, malformed scenario, trace or sidecar file, or a file
+       that cannot be read or written
     2  infeasible design or a plant that violates its declared envelope
     3  simulation ran but the certificate is inconclusive
     4  divergence, including arithmetic errors in the plant or the control
@@ -29,6 +30,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -36,24 +38,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import certify
-from .controller import (
-    ControllerDesign,
-    design_controller,
-    numeric_rows,
-    symbolic_rows,
-)
+from .controller import ControllerDesign, numeric_rows, symbolic_rows
 from .errors import (
     AssumptionViolationError,
     DivergenceError,
     InfeasibleDesignError,
     PtcLabError,
     ScenarioError,
-    SingularityError,
     TraceFormatError,
 )
 from .linalg import _readonly
 from .plant import PlantSpec, builtin_plant, plant_from_expressions
-from .sim import SimConfig, SimTrace, sweep
+from .sim import SimConfig, SimTrace, plant_design, sweep
 
 __all__ = ["main"]
 
@@ -62,6 +58,13 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_DIVERGENCE = 4
+
+# Exit code per error that main() catches; the first matching row wins and
+# every other error, OSError included, is a usage error.
+_ERROR_EXIT_CODES = (
+    (DivergenceError, EXIT_DIVERGENCE),
+    ((InfeasibleDesignError, AssumptionViolationError), EXIT_INFEASIBLE),
+)
 
 _CSV_REL_TOL = 1e-12
 
@@ -87,13 +90,25 @@ def _check_keys(
         raise ScenarioError(f"missing key(s) {missing} in {section} section")
 
 
+def _finite(v) -> float | None:
+    """``v`` as a float when it is a finite JSON number, else None."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _number(section: str, data: Mapping, key: str, default=None) -> float:
     if key not in data:
         return default
     v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{section}.{key} must be a number, got {v!r}")
-    return float(v)
+    x = _finite(v)
+    if x is None:
+        raise ScenarioError(f"{section}.{key} must be a finite number, got {v!r}")
+    return x
 
 
 def _integer(section: str, data: Mapping, key: str, default=None):
@@ -111,11 +126,12 @@ def _number_list(section: str, data: Mapping, key: str) -> tuple[float, ...]:
         raise ScenarioError(f"{section}.{key} must be a nonempty list of numbers")
     out = []
     for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
+        x = _finite(item)
+        if x is None:
             raise ScenarioError(
-                f"{section}.{key} must contain numbers only, got {item!r}"
+                f"{section}.{key} must contain finite numbers only, got {item!r}"
             )
-        out.append(float(item))
+        out.append(x)
     return tuple(out)
 
 
@@ -129,7 +145,7 @@ def _string(section: str, data: Mapping, key: str, default=None):
 
 
 def _build_plant(section: Mapping, seed_override: int | None) -> PlantSpec:
-    if "builtin" in section:
+    if isinstance(section, dict) and "builtin" in section:
         _check_keys("plant", section, {"builtin", "seed"}, {"builtin"})
         name = _string("plant", section, "builtin")
         seed = _integer("plant", section, "seed", 0)
@@ -160,6 +176,41 @@ def _build_plant(section: Mapping, seed_override: int | None) -> PlantSpec:
             seed=seed,
             label=_string("plant", section, "label", "custom"),
         )
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
+_SIM_FIELDS = fields(SimConfig)
+# A field without a default (x0) is a list of numbers.
+_SIM_PARSERS = {int: _integer, float: _number, type(MISSING): _number_list}
+
+
+def _build_sim_config(section: Mapping, plant: PlantSpec, args) -> SimConfig:
+    """The ``sim`` section is the ``SimConfig`` schema: one key per field,
+    required when the field has no default, parsed after the type of the
+    default; omitted keys keep ``SimConfig``'s own defaults."""
+    _check_keys(
+        "sim",
+        section,
+        {f.name for f in _SIM_FIELDS},
+        {f.name for f in _SIM_FIELDS if f.default is MISSING},
+    )
+    values = {
+        f.name: _SIM_PARSERS[type(f.default)]("sim", section, f.name)
+        for f in _SIM_FIELDS
+        if f.name in section
+    }
+    if len(values["x0"]) != plant.n:
+        raise ScenarioError(
+            f"sim.x0 has length {len(values['x0'])} but the plant order is {plant.n}"
+        )
+    overrides = {
+        "epsilon_fraction": getattr(args, "epsilon", None),
+        "dt_base": getattr(args, "dt", None),
+    }
+    values.update((k, v) for k, v in overrides.items() if v is not None)
+    try:
+        return SimConfig(**values)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -200,53 +251,13 @@ def _load_scenario(path: str, args) -> dict:
     if not taus:
         raise ScenarioError("no tau given: set controller.tau/taus or pass --tau")
     for tau in taus:
-        if tau <= 0:
+        if not tau > 0:  # also rejects a NaN from --tau
             raise ScenarioError(f"tau must be positive, got {tau}")
     alpha = _number("controller", ctrl, "alpha")
 
     sim_cfg = None
     if "sim" in raw:
-        simsec = raw["sim"]
-        _check_keys(
-            "sim",
-            simsec,
-            {
-                "x0",
-                "dt_base",
-                "epsilon_fraction",
-                "shrink_divisor",
-                "stiffness_safety",
-                "record_stride",
-                "divergence_threshold",
-            },
-            {"x0"},
-        )
-        x0 = _number_list("sim", simsec, "x0")
-        if len(x0) != plant.n:
-            raise ScenarioError(
-                f"sim.x0 has length {len(x0)} but the plant order is {plant.n}"
-            )
-        epsilon = _number("sim", simsec, "epsilon_fraction", 1e-3)
-        if getattr(args, "epsilon", None) is not None:
-            epsilon = args.epsilon
-        dt_base = _number("sim", simsec, "dt_base", 0.01)
-        if getattr(args, "dt", None) is not None:
-            dt_base = args.dt
-        stride = _integer("sim", simsec, "record_stride", 1)
-        try:
-            sim_cfg = SimConfig(
-                x0=x0,
-                dt_base=dt_base,
-                epsilon_fraction=epsilon,
-                shrink_divisor=_number("sim", simsec, "shrink_divisor", 50.0),
-                stiffness_safety=_number("sim", simsec, "stiffness_safety", 1.0),
-                record_stride=stride,
-                divergence_threshold=_number(
-                    "sim", simsec, "divergence_threshold", 1e18
-                ),
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        sim_cfg = _build_sim_config(raw["sim"], plant, args)
 
     out_dir = "."
     stem = None
@@ -296,32 +307,14 @@ def write_trace_csv(path: Path, trace: SimTrace) -> None:
         fh.writelines(map(row.format, *columns))
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def write_sidecar(path: Path, trace: SimTrace, certificate=None) -> None:
     """Write the JSON sidecar carrying metadata and the certificate."""
     payload: dict = {
-        "metadata": {k: _jsonable(v) for k, v in trace.metadata.items()},
+        "metadata": dict(trace.metadata),
         "rows": int(trace.times.shape[0]),
     }
     if certificate is not None:
-        payload["certificate"] = {
-            "verdict": certificate.verdict,
-            "sigma": certificate.sigma,
-            "varsigma": certificate.varsigma,
-            "t0": certificate.t0,
-            "margin": certificate.margin,
-            "final_norm": certificate.final_norm,
-            "x0_norm": certificate.x0_norm,
-            "tau": certificate.tau,
-            "samples_used": certificate.samples_used,
-        }
+        payload["certificate"] = asdict(certificate)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -330,23 +323,6 @@ def write_sidecar(path: Path, trace: SimTrace, certificate=None) -> None:
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
-
-def _design_for(
-    scenario: dict, tau: float
-) -> ControllerDesign:
-    plant: PlantSpec = scenario["plant"]
-    sim_cfg: SimConfig | None = scenario["sim"]
-    eps_fraction = sim_cfg.epsilon_fraction if sim_cfg is not None else 1e-3
-    return design_controller(
-        scenario["c"],
-        tau,
-        alpha=scenario["alpha"],
-        phi=plant.phi,
-        phi0=plant.phi0,
-        gamma_min=plant.gamma_min,
-        eps_guard_fraction=eps_fraction,
-    )
-
 
 def _print_design(design: ControllerDesign) -> None:
     lyap = design.lyapunov
@@ -371,10 +347,13 @@ def _print_design(design: ControllerDesign) -> None:
 def cmd_design(args) -> int:
     scenario = _load_scenario(args.scenario, args)
     plant: PlantSpec = scenario["plant"]
+    sim_cfg: SimConfig | None = scenario["sim"]
+    eps_fraction = (sim_cfg or SimConfig).epsilon_fraction
     print(f"plant: {plant.describe()}")
     for tau in scenario["taus"]:
-        design = _design_for(scenario, tau)
-        _print_design(design)
+        _print_design(
+            plant_design(plant, scenario["c"], tau, scenario["alpha"], eps_fraction)
+        )
     return EXIT_OK
 
 
@@ -479,6 +458,8 @@ def _read_trace_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
     if data.shape[1] != len(header):
         raise TraceFormatError(f"{path} has ragged rows")
+    if not np.all(np.isfinite(data)):
+        raise TraceFormatError(f"{path} has a non-finite cell")
     times = data[:, 0]
     states = data[:, 1 : 1 + n]
     inputs = data[:, 1 + n]
@@ -520,6 +501,28 @@ def _infer_tau_x0(times: np.ndarray, lambda_bound: np.ndarray) -> tuple[float, f
     return tau, x0_norm
 
 
+def _sidecar_metadata(path: Path, payload) -> Mapping:
+    """The sidecar's ``metadata`` object, checked where ``verify`` reads it:
+    ``tau`` and ``x0_norm`` finite numbers, ``mode`` a design mode."""
+    meta = payload.get("metadata", {}) if isinstance(payload, dict) else None
+    if not isinstance(meta, dict):
+        raise TraceFormatError(
+            f"sidecar {path} must hold a JSON object with a metadata object"
+        )
+    for key in ("tau", "x0_norm"):
+        v = meta.get(key)
+        if v is not None and _finite(v) is None:
+            raise TraceFormatError(
+                f"sidecar {path} metadata.{key} must be a finite number, got {v!r}"
+            )
+    mode = meta.get("mode")
+    if mode not in (None, "attractive", "stable"):
+        raise TraceFormatError(
+            f"sidecar {path} metadata.mode must be attractive or stable, got {mode!r}"
+        )
+    return meta
+
+
 def cmd_verify(args) -> int:
     times, states, inputs, norms, lambda_bound = _read_trace_csv(args.trace)
 
@@ -537,9 +540,10 @@ def cmd_verify(args) -> int:
     if sidecar.exists():
         try:
             with open(sidecar, "r", encoding="utf-8") as fh:
-                meta = json.load(fh).get("metadata", {})
+                payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise TraceFormatError(f"cannot read sidecar {sidecar}: {exc}") from exc
+        meta = _sidecar_metadata(sidecar, payload)
         if tau is None:
             tau = meta.get("tau")
         if x0_norm is None:
@@ -551,7 +555,7 @@ def cmd_verify(args) -> int:
         tau = inferred_tau
         if x0_norm is None:
             x0_norm = inferred_x0
-    if tau <= 0:
+    if not tau > 0:
         raise TraceFormatError(f"tau must be positive, got {tau}")
     if x0_norm is None:
         lam_first = np.maximum(1.0 - times / tau, 0.0)
@@ -566,7 +570,8 @@ def cmd_verify(args) -> int:
     lam = np.maximum(1.0 - times / tau, 0.0)
     expected = x0_norm * lam
     scale = np.maximum(1.0, np.abs(lambda_bound))
-    if np.max(np.abs(expected - lambda_bound) / scale) > 1e-9:
+    # "not <=" also catches a NaN from --x0-norm nan.
+    if not np.max(np.abs(expected - lambda_bound) / scale) <= 1e-9:
         raise TraceFormatError(
             "lambda_bound column disagrees with x0_norm*max(1 - t/tau, 0); "
             "check --tau/--x0-norm or the sidecar"
@@ -660,24 +665,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ScenarioError, TraceFormatError) as exc:
+    except (PtcLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InfeasibleDesignError, AssumptionViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except SingularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PtcLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(
+            (code for types, code in _ERROR_EXIT_CODES if isinstance(exc, types)),
+            EXIT_USAGE,
+        )
 
 
 if __name__ == "__main__":

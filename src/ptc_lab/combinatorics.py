@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,7 +45,6 @@ from .errors import CapacityError
 from .linalg import _readonly
 
 __all__ = [
-    "DEFAULT_MAX_ORDER",
     "CombinatoricsTable",
     "TransformMatrices",
     "stirling_first",
@@ -189,24 +189,23 @@ def stirling_second_explicit(n: int, k: int) -> int:
     return q
 
 
-def first_kind_matrix(n: int, table: CombinatoricsTable | None = None) -> FloatArray:
-    """Lower-triangular matrix with entries ``[i-1, j-1]`` (1-indexed)."""
-    tab = table or _default_table()
+def _lower_triangular(n: int, entry: Callable[[int, int], float]) -> FloatArray:
+    """Read-only ``n x n`` matrix with ``entry(i, j)`` on and below the diagonal."""
     m = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1):
-            m[i, j] = tab.stirling_first(i, j)
+            m[i, j] = entry(i, j)
     return _readonly(m)
+
+
+def first_kind_matrix(n: int, table: CombinatoricsTable | None = None) -> FloatArray:
+    """Lower-triangular matrix with entries ``[i-1, j-1]`` (1-indexed)."""
+    return _lower_triangular(n, (table or _default_table()).stirling_first)
 
 
 def second_kind_matrix(n: int, table: CombinatoricsTable | None = None) -> FloatArray:
     """Lower-triangular matrix with entries ``{i-1, j-1}`` (1-indexed)."""
-    tab = table or _default_table()
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            m[i, j] = tab.stirling_second(i, j)
-    return _readonly(m)
+    return _lower_triangular(n, (table or _default_table()).stirling_second)
 
 
 def alternating_toeplitz(n: int, alpha: float) -> FloatArray:
@@ -217,19 +216,11 @@ def alternating_toeplitz(n: int, alpha: float) -> FloatArray:
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            m[i, j] = (-alpha) ** (i - j)
-    return _readonly(m)
+    return _lower_triangular(n, lambda i, j: (-alpha) ** (i - j))
 
 
 def _unsigned_toeplitz(n: int, alpha: float) -> FloatArray:
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            m[i, j] = alpha ** (i - j)
-    return _readonly(m)
+    return _lower_triangular(n, lambda i, j: alpha ** (i - j))
 
 
 # ---------------------------------------------------------------------------

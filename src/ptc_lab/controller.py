@@ -43,7 +43,6 @@ __all__ = [
     "select_alpha",
     "design_controller",
     "control_input",
-    "pi_double_sum",
 ]
 
 # Relative shave applied to strict upper bounds so the selected alpha, and
@@ -132,12 +131,6 @@ class GainSchedule:
     rows: tuple[GainRow, ...]
     coefficients: tuple[float, ...]
 
-    def pairs(self) -> tuple[tuple[tuple[float, int], ...], ...]:
-        """Coefficient table: per state, (scalar, power of tau - t) pairs."""
-        return tuple(
-            ((q, row.power),) for q, row in zip(self.coefficients, self.rows)
-        )
-
     def evaluate(self, x: Sequence[float], t: float, tau: float) -> float:
         """Evaluate ``pi(x, t, tau)`` by the collapsed per-state form."""
         if len(x) != self.n:
@@ -220,43 +213,6 @@ def numeric_rows(
     return tuple((q, row.power) for q, row in zip(values, rows))
 
 
-def pi_double_sum(
-    c: Sequence[float],
-    alpha: float,
-    tau: float,
-    x: Sequence[float],
-    t: float,
-    table: CombinatoricsTable | None = None,
-) -> float:
-    """Reference evaluation of ``pi`` as the literal double sum.
-
-    This walks every ``(j, i)`` term separately instead of collapsing per
-    state, so it shares no code path with :meth:`GainSchedule.evaluate`;
-    the two must agree to near machine precision on any input.
-    """
-    n = len(c)
-    if len(x) != n:
-        raise ValueError(f"state has length {len(x)}, expected {n}")
-    tab = table or (_default_table() if n <= 20 else CombinatoricsTable.build(n))
-    d = tau - t
-    acc = 0.0
-    for j in range(1, n + 1):
-        for i in range(1, j + 1):
-            acc += (
-                tab.stirling_second(j - 1, i - 1)
-                * (c[j - 1] / alpha ** (n - j + 1))
-                * ((-1) ** (j - i) / d ** (n - i + 1))
-                * float(x[i - 1])
-            )
-    for j in range(2, n + 1):
-        acc -= (
-            tab.stirling_second(n, j - 1)
-            * ((-1) ** (n - j + 1) / d ** (n - j + 1))
-            * float(x[j - 1])
-        )
-    return acc
-
-
 @dataclass(frozen=True)
 class AlphaSelection:
     """Outcome of the time-scale rate selection.
@@ -295,6 +251,7 @@ def select_alpha(
     also applies (non-strict) and the selection is the smaller of the two;
     the design is then in ``stable`` mode. With ``phi0 > 0`` only
     attractivity can be certified and ``phi`` does not enter the selection.
+    A ``lam_max**2`` beyond the float range raises InfeasibleDesignError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -305,11 +262,18 @@ def select_alpha(
     lam_min = lyap.lambda_min
     lam_max = lyap.lambda_max
     nfac = math.factorial(n)
+    try:
+        lam_max_sq = lam_max ** 2
+    except OverflowError as exc:
+        raise InfeasibleDesignError(
+            f"lambda_max(P)={lam_max:.3e} is too large for the rate bounds; "
+            "rescale c"
+        ) from exc
     bound_attractive = min(
-        lam_min / (n * lam_max * lam_min + nfac * lam_max ** 2), 1.0 / tau
+        lam_min / (n * lam_max * lam_min + nfac * lam_max_sq), 1.0 / tau
     )
     if phi0 == 0.0:
-        bound_stable = lam_min / (lam_min + nfac * lam_max ** 2 * (tau * phi + 1.0))
+        bound_stable = lam_min / (lam_min + nfac * lam_max_sq * (tau * phi + 1.0))
         alpha = min(bound_attractive * (1.0 - STRICTNESS_DELTA), bound_stable)
         return AlphaSelection(
             alpha=alpha,

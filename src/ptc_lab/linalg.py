@@ -24,7 +24,6 @@ from numpy.typing import NDArray
 from .errors import InfeasibleDesignError
 
 __all__ = [
-    "CompanionMatrix",
     "LyapunovSolution",
     "companion_matrix",
     "is_hurwitz",
@@ -55,32 +54,20 @@ def _validate_coefficients(c: tuple[float, ...]) -> tuple[float, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """Companion matrix in controllable canonical (bottom-row) form.
-
-    ``matrix`` has ones on the superdiagonal and ``c_1, ..., c_n`` along
-    the last row, so the state equation ``z' = E z`` chains each state into
-    the next and closes the loop through the coefficient row.
-    """
-
-    coefficients: tuple[float, ...]
-    matrix: FloatArray
-
-    @classmethod
-    def from_coefficients(cls, c: tuple[float, ...]) -> "CompanionMatrix":
-        coeffs = _validate_coefficients(c)
-        n = len(coeffs)
-        m = np.zeros((n, n))
-        for i in range(n - 1):
-            m[i, i + 1] = 1.0
-        m[n - 1, :] = coeffs
-        return cls(coefficients=coeffs, matrix=_readonly(m))
-
-
 def companion_matrix(c: tuple[float, ...]) -> FloatArray:
-    """Companion matrix of ``c`` as a plain array."""
-    return CompanionMatrix.from_coefficients(c).matrix
+    """Companion matrix of ``c`` in controllable canonical (bottom-row) form.
+
+    The read-only array has ones on the superdiagonal and ``c_1, ..., c_n``
+    along the last row, so the state equation ``z' = E z`` chains each
+    state into the next and closes the loop through the coefficient row.
+    """
+    coeffs = _validate_coefficients(c)
+    n = len(coeffs)
+    m = np.zeros((n, n))
+    for i in range(n - 1):
+        m[i, i + 1] = 1.0
+    m[n - 1, :] = coeffs
+    return _readonly(m)
 
 
 def is_hurwitz(c: tuple[float, ...], tol: float = 1e-9) -> bool:

@@ -61,17 +61,18 @@ class SimConfig:
     def __post_init__(self) -> None:
         if len(self.x0) < 1:
             raise ValueError("x0 must be non-empty")
-        if self.dt_base <= 0:
+        # "not > 0" also rejects NaN, which fails every comparison.
+        if not self.dt_base > 0:
             raise ValueError(f"dt_base must be positive, got {self.dt_base}")
         if not 0.0 < self.epsilon_fraction < 1.0:
             raise ValueError(
                 f"epsilon_fraction must lie in (0, 1), got {self.epsilon_fraction}"
             )
-        if self.shrink_divisor <= 0:
+        if not self.shrink_divisor > 0:
             raise ValueError(
                 f"shrink_divisor must be positive, got {self.shrink_divisor}"
             )
-        if self.stiffness_safety <= 0:
+        if not self.stiffness_safety > 0:
             raise ValueError(
                 f"stiffness_safety must be positive, got {self.stiffness_safety}"
             )
@@ -79,7 +80,7 @@ class SimConfig:
             raise ValueError(
                 f"record_stride must be >= 1, got {self.record_stride}"
             )
-        if self.divergence_threshold <= 0:
+        if not self.divergence_threshold > 0:
             raise ValueError(
                 f"divergence_threshold must be positive, got "
                 f"{self.divergence_threshold}"
@@ -212,26 +213,7 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     times: list[float] = []
     states: list[tuple[float, ...]] = []
     inputs: list[float] = []
-    metadata: dict[str, object] = {
-        "plant": plant.describe(),
-        "plant_seed": plant.seed,
-        "phi": plant.phi,
-        "phi0": plant.phi0,
-        "gamma_min": gamma_min,
-        "c": design.c,
-        "alpha": design.alpha,
-        "tau": tau,
-        "mode": design.mode,
-        "eps_guard": design.eps_guard,
-        "x0": tuple(float(v) for v in cfg.x0),
-        "x0_norm": math.sqrt(math.fsum(float(v) ** 2 for v in cfg.x0)),
-        "dt_base": cfg.dt_base,
-        "epsilon_fraction": cfg.epsilon_fraction,
-        "shrink_divisor": cfg.shrink_divisor,
-        "stiffness_safety": cfg.stiffness_safety,
-        "record_stride": stride,
-        "divergence_threshold": threshold,
-    }
+    t = 0.0
 
     def partial() -> SimTrace | None:
         if not times:
@@ -239,7 +221,6 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
         return _build_trace(times, states, inputs, tau, metadata)
 
     x = [float(v) for v in cfg.x0]
-    t = 0.0
     step_index = 0
     u_max = 0.0
     x_max = 0.0
@@ -249,6 +230,27 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     stop = t_end - 1e-12 * tau
 
     try:
+        # Inside the guard: the norm of a huge x0 overflows.
+        metadata: dict[str, object] = {
+            "plant": plant.describe(),
+            "plant_seed": plant.seed,
+            "phi": plant.phi,
+            "phi0": plant.phi0,
+            "gamma_min": gamma_min,
+            "c": design.c,
+            "alpha": design.alpha,
+            "tau": tau,
+            "mode": design.mode,
+            "eps_guard": design.eps_guard,
+            "x0": tuple(float(v) for v in cfg.x0),
+            "x0_norm": math.sqrt(math.fsum(float(v) ** 2 for v in cfg.x0)),
+            "dt_base": cfg.dt_base,
+            "epsilon_fraction": cfg.epsilon_fraction,
+            "shrink_divisor": cfg.shrink_divisor,
+            "stiffness_safety": cfg.stiffness_safety,
+            "record_stride": stride,
+            "divergence_threshold": threshold,
+        }
         now = at(t)
         while True:
             # The loop ends with one last sample at t_end, after the final
@@ -327,17 +329,28 @@ def sweep(
     (including its frozen random draws); only ``tau`` varies. Runs execute
     one after another and results keep the input order.
     """
-    deadlines = [float(v) for v in taus]
     designs = [
-        design_controller(
-            c,
-            tau,
-            alpha=alpha,
-            phi=plant.phi,
-            phi0=plant.phi0,
-            gamma_min=plant.gamma_min,
-            eps_guard_fraction=cfg.epsilon_fraction,
-        )
-        for tau in deadlines
+        plant_design(plant, c, float(tau), alpha, cfg.epsilon_fraction)
+        for tau in taus
     ]
     return [run(plant, d, cfg) for d in designs]
+
+
+def plant_design(
+    plant: PlantSpec,
+    c: Sequence[float],
+    tau: float,
+    alpha: float | None,
+    epsilon_fraction: float,
+) -> ControllerDesign:
+    """The design for ``plant`` at one deadline: its envelope and input-gain
+    bound enter the rate selection, and the guard band is the halt gap."""
+    return design_controller(
+        c,
+        tau,
+        alpha=alpha,
+        phi=plant.phi,
+        phi0=plant.phi0,
+        gamma_min=plant.gamma_min,
+        eps_guard_fraction=epsilon_fraction,
+    )

@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ptc_lab import SimConfig
 from ptc_lab.cli import main
 
 EX2_HEADER = "t,x1,x2,u,norm_x,lambda_bound"
@@ -351,8 +358,12 @@ def test_verify_accepts_quoted_cells(tmp_path, capsys):
         ("0,5,0,5\n1,4.5,0,4.5\n", "has ragged rows"),  # every row one short
         ("0,5,0,5,5\n1,four,0,4.5,4.5\n", "non-numeric cell"),
         ("1_0,5,0,5,5\n", "non-numeric cell"),  # float() would accept this
+        ("0,5,0,5,5\n1,inf,0,inf,4.5\n", "non-finite cell"),
     ],
-    ids=["empty-body", "column-count-changes", "short-rows", "non-numeric", "underscore-literal"],
+    ids=[
+        "empty-body", "column-count-changes", "short-rows", "non-numeric",
+        "underscore-literal", "non-finite",
+    ],
 )
 def test_verify_rejects_malformed_body(tmp_path, capsys, body, message):
     assert _verify_text(tmp_path, TRIANGLE_HEADER + body) == 1
@@ -363,3 +374,199 @@ def test_verify_rejects_malformed_body(tmp_path, capsys, body, message):
 def test_verify_header_error_wins_over_body_error(tmp_path, capsys):
     assert _verify_text(tmp_path, "t,y1,u,norm_x,lambda_bound\nnot,a,number\n") == 1
     assert "state columns must be x1..xn" in capsys.readouterr().err
+
+
+def _error_lines(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.fixture(scope="module")
+def ex2_run_files(tmp_path_factory):
+    """CSV text and sidecar of one example2 run at tau = 10."""
+    tmp = tmp_path_factory.mktemp("ex2")
+    scenario = _ex2_scenario(tmp, controller={"c": [-1, -2], "tau": 10, "alpha": 0.0214})
+    assert main(["simulate", "--scenario", scenario]) == 0
+    out = tmp / "out"
+    sidecar = json.loads((out / "example2_tau10.json").read_text())
+    return (out / "example2_tau10.csv").read_text(), sidecar
+
+
+def _edit_metadata(**changes):
+    return lambda sidecar: {**sidecar, "metadata": {**sidecar["metadata"], **changes}}
+
+
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        (_edit_metadata(tau="10"), 1, "metadata.tau must be a finite number"),
+        (_edit_metadata(x0_norm="abc"), 1, "metadata.x0_norm must be a finite number"),
+        (lambda sidecar: [sidecar], 1, "must hold a JSON object"),
+        (_edit_metadata(mode=3), 1, "metadata.mode must be attractive or stable"),
+        (
+            {
+                "plant": {
+                    "n": 2, "f": "0", "g": "1", "gamma": 1, "gamma_min": 1,
+                    "phi": 0, "phi0": 0, "label": "a/b",
+                },
+                "output": None,
+            },
+            1,
+            "No such file or directory",
+        ),
+        ({"sim": {"x0": [1e200, 1e200]}}, 4, "OverflowError"),
+        ({"controller": {"c": [-1, -2], "tau": 10**400}}, 1, "tau must be a finite number"),
+        ({"controller": {"c": [-2.7e154, -2], "tau": 10}}, 2, "too large for the rate bounds"),
+    ],
+    ids=[
+        "sidecar-tau-string", "sidecar-x0-norm-string", "sidecar-list",
+        "sidecar-mode-number", "label-with-slash", "x0-norm-overflows",
+        "integer-beyond-float-range", "rate-bound-overflows",
+    ],
+)
+def test_bad_inputs_exit_with_one_error_line(
+    tmp_path, monkeypatch, capsys, ex2_run_files, case, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    if callable(case):
+        csv_text, sidecar = ex2_run_files
+        trace = tmp_path / "trace.csv"
+        trace.write_text(csv_text)
+        trace.with_suffix(".json").write_text(json.dumps(case(sidecar)))
+        argv = ["verify", str(trace)]
+    else:
+        argv = ["simulate", "--scenario", _ex2_scenario(tmp_path, **case)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1
+    assert message in err
+
+
+def test_sim_section_is_the_simconfig_schema(tmp_path, capsys):
+    every_field = {f.name: f.default for f in fields(SimConfig) if f.name != "x0"}
+    every_field["x0"] = [10, 10]
+    scenario = _ex2_scenario(tmp_path, sim=every_field)
+    assert main(["design", "--scenario", scenario]) == 0
+    capsys.readouterr()
+    for sim, message in [
+        ({"dt_base": 0.01}, "missing key(s) ['x0'] in sim section"),
+        ({"x0": [10, 10], "oops": 1}, "unknown key(s) ['oops'] in sim section"),
+        ({"x0": [10, 10], "dt": 0.01}, "unknown key(s) ['dt'] in sim section"),
+        ({"x0": [10, 10], "record_stride": 1.5}, "sim.record_stride must be an integer, got 1.5"),
+        ({"x0": [10, 10], "dt_base": "0.01"}, "sim.dt_base must be a finite number, got '0.01'"),
+        ({"x0": [10]}, "sim.x0 has length 1 but the plant order is 2"),
+        ({"x0": [10, 10], "dt_base": -1}, "dt_base must be positive, got -1.0"),
+    ]:
+        scenario = _ex2_scenario(tmp_path, sim=sim)
+        assert main(["design", "--scenario", scenario]) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_sim_defaults_come_from_simconfig(tmp_path):
+    controller = {"c": [-1, -2], "tau": 10, "alpha": 0.0214}
+    scenario = _ex2_scenario(tmp_path, controller=controller, sim={"x0": [10, 10]})
+    assert main(["simulate", "--scenario", scenario]) == 0
+    meta = json.loads((tmp_path / "out" / "example2_tau10.json").read_text())["metadata"]
+    defaults = SimConfig(x0=(10.0, 10.0))
+    for f in fields(SimConfig):
+        want = getattr(defaults, f.name)
+        assert meta[f.name] == (list(want) if f.name == "x0" else want)
+    assert main(["simulate", "--scenario", scenario, "--dt", "0.02", "--epsilon", "0.002"]) == 0
+    meta = json.loads((tmp_path / "out" / "example2_tau10.json").read_text())["metadata"]
+    assert (meta["dt_base"], meta["epsilon_fraction"]) == (0.02, 0.002)
+
+
+EXAMPLE2 = json.loads(
+    (Path(__file__).resolve().parents[1] / "scenarios" / "example2.json").read_text()
+)
+# The builtin example2 plant spelled out as expressions, so that the fuzz
+# also reaches the custom-plant keys, label among them.
+EXAMPLE2_EXPRESSIONS = {
+    "n": 2, "f": "50*cos(u) + cos(t)*x1 + exp(sin(x1))*x2", "g": "1",
+    "gamma": 1.1, "gamma_min": 1.0, "phi": math.e, "phi0": 50.0, "label": "example2",
+}
+
+
+def _key_paths(node, prefix=()):
+    """Every (container path, key) pair inside a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.just([]), st.just({}),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+)
+BAD_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=-0.0, allow_nan=False, allow_infinity=False),
+    st.integers(max_value=-1),
+)
+# A slash after a plain first component, so a path can only point below
+# the output directory.
+SLASHED_NAMES = st.tuples(
+    st.text("ab", min_size=1, max_size=3), st.text("ab./", max_size=4)
+).map("/".join)
+
+
+@st.composite
+def mutated_example2(draw):
+    scenario = json.loads(json.dumps(EXAMPLE2))
+    if draw(st.booleans()):
+        scenario["plant"] = dict(EXAMPLE2_EXPRESSIONS)
+    for _ in range(draw(st.integers(1, 3))):
+        path, key = draw(st.sampled_from(list(_key_paths(scenario))))
+        parent = _at(scenario, path)
+        action = draw(st.sampled_from(["retype", "bad-number", "delete", "unknown", "slash"]))
+        if action == "retype":
+            parent[key] = draw(WRONG_TYPES)
+        elif action == "bad-number":
+            parent[key] = draw(BAD_NUMBERS)
+        elif action == "delete" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "unknown" and isinstance(parent, dict):
+            parent["zz_" + draw(st.text("xyz", max_size=3))] = 1
+        elif action == "slash":
+            section = draw(st.sampled_from(["plant", "output"]))
+            if isinstance(scenario.get(section), dict):
+                scenario[section]["label" if section == "plant" else "stem"] = draw(SLASHED_NAMES)
+            if section == "plant" and isinstance(scenario.get("output"), dict):
+                scenario["output"].pop("stem", None)  # so the label names the files
+    return scenario
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=mutated_example2())
+def test_cli_contract_under_mutated_scenarios(tmp_path_factory, scenario):
+    # Relative output paths (the bundled "out", or "." once the directory
+    # key is gone) land in a fresh directory per example.
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for command in ("design", "simulate"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ) as err:
+                code = main([command, "--scenario", str(path)])
+            assert code in {0, 1, 2, 3, 4}
+            assert len(_error_lines(err.getvalue())) <= 1
+    finally:
+        os.chdir(cwd)

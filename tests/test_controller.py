@@ -1,9 +1,11 @@
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 import ptc_lab as pl
+from ptc_lab.combinatorics import CombinatoricsTable, _default_table
 from ptc_lab.controller import GainRow, GainTerm
 
 # Frozen gain scalars for the fourth-order example design (auto-selected
@@ -17,6 +19,43 @@ Q_EX3 = (
 ALPHA_EX3 = 1.681008956380443e-05
 U0_EX2 = -310.8176259935366
 BOUND_EX2 = 0.021446609406726245
+
+
+def pi_double_sum(
+    c: Sequence[float],
+    alpha: float,
+    tau: float,
+    x: Sequence[float],
+    t: float,
+    table: CombinatoricsTable | None = None,
+) -> float:
+    """Reference evaluation of ``pi`` as the literal double sum.
+
+    This walks every ``(j, i)`` term separately instead of collapsing per
+    state, so it shares no code path with :meth:`GainSchedule.evaluate`;
+    the two must agree to near machine precision on any input.
+    """
+    n = len(c)
+    if len(x) != n:
+        raise ValueError(f"state has length {len(x)}, expected {n}")
+    tab = table or (_default_table() if n <= 20 else CombinatoricsTable.build(n))
+    d = tau - t
+    acc = 0.0
+    for j in range(1, n + 1):
+        for i in range(1, j + 1):
+            acc += (
+                tab.stirling_second(j - 1, i - 1)
+                * (c[j - 1] / alpha ** (n - j + 1))
+                * ((-1) ** (j - i) / d ** (n - i + 1))
+                * float(x[i - 1])
+            )
+    for j in range(2, n + 1):
+        acc -= (
+            tab.stirling_second(n, j - 1)
+            * ((-1) ** (n - j + 1) / d ** (n - j + 1))
+            * float(x[j - 1])
+        )
+    return acc
 
 
 def test_fourth_order_gain_structure_exact():
@@ -79,7 +118,7 @@ def test_schedule_matches_double_sum():
             coeffs = tuple(q for q, _ in pl.numeric_rows(c, alpha))
             schedule = pl.GainSchedule(n=n, rows=rows, coefficients=coeffs)
             via_schedule = schedule.evaluate(x, t, tau)
-            direct = pl.pi_double_sum(c, alpha, tau, x, t)
+            direct = pi_double_sum(c, alpha, tau, x, t)
             assert abs(via_schedule - direct) <= 1e-12 * (1.0 + abs(direct))
 
 
@@ -90,7 +129,7 @@ def test_control_input_example2_frozen():
     schedule = pl.build_gain_schedule(design)
     u0 = pl.control_input(design, schedule, (10.0, 10.0), 0.0, 1.0)
     assert u0 == pytest.approx(U0_EX2, rel=1e-13)
-    direct = pl.pi_double_sum(design.c, design.alpha, 10.0, (10.0, 10.0), 0.0)
+    direct = pi_double_sum(design.c, design.alpha, 10.0, (10.0, 10.0), 0.0)
     assert u0 == pytest.approx(direct / (design.gamma_min * 1.0), rel=1e-12)
 
 
@@ -229,12 +268,3 @@ def test_design_controller_validation():
         pl.design_controller((-1.0,), 10.0, eps_guard_fraction=2.0)
     with pytest.raises(pl.InfeasibleDesignError):
         pl.design_controller((1.0, 1.0), 10.0)
-
-
-def test_schedule_pairs_shape():
-    design = pl.design_controller((-1.0, -2.0), 10.0, alpha=0.02, phi0=1.0)
-    schedule = pl.build_gain_schedule(design)
-    pairs = schedule.pairs()
-    assert len(pairs) == 2
-    assert pairs[0] == ((schedule.coefficients[0], 2),)
-    assert pairs[1] == ((schedule.coefficients[1], 1),)

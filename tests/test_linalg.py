@@ -111,6 +111,6 @@ def test_spectral_norm_matches_svd():
 
 
 def test_companion_matrix_read_only():
-    cm = pl.CompanionMatrix.from_coefficients((-1.0, -2.0))
+    e = pl.companion_matrix((-1.0, -2.0))
     with pytest.raises(ValueError):
-        cm.matrix[0, 0] = 9.0
+        e[0, 0] = 9.0

@@ -183,6 +183,10 @@ def test_sim_config_validation():
         pl.SimConfig(x0=(1.0,), record_stride=0)
     with pytest.raises(ValueError):
         pl.SimConfig(x0=(1.0,), divergence_threshold=0.0)
+    for name in ("dt_base", "epsilon_fraction", "shrink_divisor", "stiffness_safety",
+                 "divergence_threshold"):
+        with pytest.raises(ValueError):
+            pl.SimConfig(x0=(1.0,), **{name: math.nan})
 
 
 def test_trace_arrays_read_only(example2_trace):
@@ -190,3 +194,40 @@ def test_trace_arrays_read_only(example2_trace):
         example2_trace.states[0, 0] = 99.0
     with pytest.raises(ValueError):
         example2_trace.times[0] = -1.0
+
+
+def _assert_inputs_follow_control_input(plant, trace):
+    # run() keeps its own inlined copy of the gain law for speed; every
+    # recorded input must equal control_input bit for bit.
+    meta = trace.metadata
+    design = pl.design_controller(
+        meta["c"],
+        meta["tau"],
+        alpha=meta["alpha"],
+        phi=plant.phi,
+        phi0=plant.phi0,
+        gamma_min=plant.gamma_min,
+        eps_guard_fraction=meta["epsilon_fraction"],
+    )
+    schedule = pl.build_gain_schedule(design)
+    expected = [
+        pl.control_input(design, schedule, x, t, plant.g(t))
+        for t, x in zip(trace.times.tolist(), trace.states.tolist())
+    ]
+    assert np.array_equal(trace.inputs, expected)
+
+
+def test_inline_gain_law_matches_control_input(example2_trace, example3_trace):
+    _assert_inputs_follow_control_input(pl.builtin_plant("example2"), example2_trace)
+    _assert_inputs_follow_control_input(
+        pl.builtin_plant("example3", seed=6), example3_trace
+    )
+    plant = pl.plant_from_expressions(
+        2, "50*cos(u) + cos(t)*x1 + exp(sin(x1))*x2", "1 + 0.5*sin(t)",
+        gamma=1.1, gamma_min=1.0, phi=math.e, phi0=50.0,
+    )
+    design = pl.design_controller(
+        (-1.0, -2.0), 10.0, alpha=0.0214, phi=plant.phi, phi0=plant.phi0
+    )
+    cfg = pl.SimConfig(x0=(10.0, 10.0), dt_base=5e-3)
+    _assert_inputs_follow_control_input(plant, pl.run(plant, design, cfg))

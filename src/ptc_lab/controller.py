@@ -151,11 +151,24 @@ class GainSchedule:
 def _numeric_coefficients(
     rows: tuple[GainRow, ...], c: tuple[float, ...], alpha: float
 ) -> tuple[float, ...]:
+    """The scalars ``q_i`` for ``c`` and ``alpha``.
+
+    Raises InfeasibleDesignError when one is not a finite float: a rate
+    so small (or large) that a power of it leaves the float range.
+    """
     out = []
     for row in rows:
         q = float(row.constant)
-        for term in row.c_terms:
-            q += term.coefficient * c[term.j - 1] / alpha ** term.alpha_power
+        try:
+            for term in row.c_terms:
+                q += term.coefficient * c[term.j - 1] / alpha ** term.alpha_power
+        except ArithmeticError:  # alpha ** power underflowed to 0 or overflowed
+            q = math.nan
+        if not math.isfinite(q):
+            raise InfeasibleDesignError(
+                f"c={c} and alpha={alpha} put gain coefficient q{row.state} "
+                "beyond the float range"
+            )
         out.append(q)
     return tuple(out)
 

@@ -10,11 +10,13 @@ Scenario files describe the disturbance ``f(x, u, t)`` and the input gain
     function = "sin" | "cos" | "exp" | "abs" ;
     variable = "x1" .. "xN" | "u" | "t" ;
 
-Numbers are decimal with optional exponent. Unknown names, out-of-range
-state indices, and uses of ``u`` where it is not allowed are rejected at
-parse time, not at evaluation time, so a typo in a scenario fails before
-any simulation starts. Parsed expressions are compiled once to a plain
-Python function and are safe to call from multiple threads.
+Numbers are decimal with optional exponent. Numbers beyond the float
+range, expressions nested too deeply or too long for Python to compile,
+unknown names, out-of-range state indices, and uses of ``u`` where it is
+not allowed are rejected at parse time, not at evaluation time, so a typo
+in a scenario fails before any simulation starts. Parsed expressions are
+compiled once to a plain Python function and are safe to call from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -99,25 +101,22 @@ class _Parser:
             raise self.fail(f"unexpected trailing {value!r}", position)
         return code
 
-    def expr(self) -> str:
-        code = self.term()
+    def chain(self, operand: Callable[[], str], ops: str) -> str:
+        """A left-associative chain ``a op b op c`` in one pair of
+        parentheses; Python groups it as ``(a op b) op c``."""
+        parts = [operand()]
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                code = f"({code} {value} {self.term()})"
-            else:
-                return code
+            if kind != "op" or value not in ops:
+                return parts[0] if len(parts) == 1 else f"({' '.join(parts)})"
+            self.advance()
+            parts += (value, operand())
+
+    def expr(self) -> str:
+        return self.chain(self.term, "+-")
 
     def term(self) -> str:
-        code = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                code = f"({code} {value} {self.factor()})"
-            else:
-                return code
+        return self.chain(self.factor, "*/")
 
     def factor(self) -> str:
         kind, value, _ = self.peek()
@@ -130,7 +129,10 @@ class _Parser:
     def primary(self) -> str:
         kind, value, position = self.advance()
         if kind == "number":
-            return repr(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise self.fail(f"number {value!r} is out of float range", position)
+            return repr(number)
         if kind == "op" and value == "(":
             code = self.expr()
             self.expect_op(")")
@@ -204,18 +206,27 @@ def parse_expression(
     Raises
     ------
     ScenarioError
-        On any syntax error, unknown name, or out-of-range state index.
+        On any syntax error, unknown name, out-of-range state index or
+        number, or an expression nested too deeply or too long to compile.
     """
     if not isinstance(text, str) or text.strip() == "":
         raise ScenarioError("expression must be a nonempty string")
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     parser = _Parser(text, n_states, allow_u, allow_state)
-    code = parser.parse()
     namespace = {f"_fn_{name}": fn for name, fn in _FUNCTIONS.items()}
-    func = eval(  # noqa: S307 - source is generated from validated tokens only
-        compile(f"lambda x, u, t: {code}", "<expression>", "eval"), namespace
-    )
+    try:
+        code = parser.parse()
+        func = eval(  # noqa: S307 - source is generated from validated tokens only
+            compile(f"lambda x, u, t: {code}", "<expression>", "eval"), namespace
+        )
+    except (RecursionError, SyntaxError):
+        # The recursive-descent parser and Python's compiler both have
+        # depth limits; valid tokens compile to valid source otherwise.
+        raise ScenarioError(
+            f"expression of {len(text)} characters is nested too deeply or "
+            "too long to compile"
+        ) from None
     return ParsedExpression(
         text=text, variables=frozenset(parser.used), func=func
     )

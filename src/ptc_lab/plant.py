@@ -48,7 +48,9 @@ class PlantSpec:
     n : int
         Chain length.
     f : callable
-        Disturbance ``f(x, u, t) -> float``.
+        Disturbance ``f(x, u, t) -> float``. It must be a pure function
+        of ``(x, u, t)`` that does not mutate ``x``: once the state rests
+        at exactly +0.0, the simulator evaluates coinciding stages once.
     g : callable
         Input gain ``g(t) -> float``, nonzero for all t. It must be a
         pure function of ``t``: the simulator evaluates it once per

@@ -16,7 +16,15 @@ envelope declared by the plant is audited at every step start.
 A step has three distinct stage times, t, t + h/2 (stages 2 and 3) and
 t + h, and the powers of (tau - t) and the input gain g(t) are computed
 once for each; the values at t + h serve the next step's first stage.
-The plant's g must therefore be a pure function of t.
+
+Once the controller has driven the state to exactly +0.0 in every
+component, a step whose first-stage derivative is 0.0 is a rest step: all
+four stage states are +0.0, stages 2 and 3 coincide, and the step leaves
+the state unchanged. The loop then calls f once at t + h/2 and once at
+t + h instead of running four stages, and leaves rest, by taking the
+general step, as soon as a derivative is nonzero. Both paths produce the
+same bits. The plant's g must therefore be a pure function of t, and f a
+pure function of (x, u, t) that does not mutate x.
 """
 
 from __future__ import annotations
@@ -140,6 +148,11 @@ def _build_trace(
     )
 
 
+def _positive_zero(x: list[float]) -> bool:
+    """Every component is +0.0; a -0.0 keeps the step on the general path."""
+    return all(v == 0.0 and math.copysign(1.0, v) > 0.0 for v in x)
+
+
 def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     """Integrate the closed loop and return the recorded trace.
 
@@ -184,16 +197,16 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     threshold = cfg.divergence_threshold
     stride = cfg.record_stride
 
-    def at(s: float) -> tuple[list[float], float, float]:
-        """Factors shared by the stages at time s: the powers of tau - s
-        indexed like q, ``gamma_min * g(s)`` and ``gamma * g(s)``."""
+    def at(s: float, gs: float) -> tuple[list[float], float, float]:
+        """Factors shared by the stages at time s, given ``gs = g(s)``: the
+        powers of tau - s indexed like q, ``gamma_min * gs`` and
+        ``gamma * gs``."""
         d = tau - s
         pows = [d] * n
         pw = d
         for i in higher:
             pw *= d
             pows[i] = pw
-        gs = g(s)
         return pows, gamma_min * gs, gamma * gs
 
     def stage(
@@ -209,6 +222,23 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
         k = x[1:]
         k.append(fx + gain * u)
         return k, u, fx
+
+    # From the state +0.0 a stage sums only zeros, so acc = +0.0 and
+    # u = 0.0 / den, when every q is finite (build_gain_schedule ensures
+    # it) and no power of tau - s is 0. The stage times of a step that is
+    # not clamped lie at or before t_end, and the powers shrink with
+    # tau - s, so the powers at t_end settle that for the whole run
+    # (pows[0] is the n-th power, the smallest when tau - t_end < 1).
+    can_rest = at(t_end, 1.0)[0][0] != 0.0
+
+    def rest_stage(s: float, gs: float) -> tuple[float, float] | None:
+        """``(u, k_n)`` of a stage at s, given ``gs = g(s)``, whose state
+        is +0.0 when its derivative k_n is 0.0, else None. A zero divisor
+        raises the same ZeroDivisionError in the same step as the general
+        stage's ``acc / den``."""
+        u = 0.0 / (gamma_min * gs)
+        k = f([0.0] * n, u, s) + gamma * gs * u
+        return (u, k) if k == 0.0 else None
 
     times: list[float] = []
     states: list[tuple[float, ...]] = []
@@ -251,28 +281,41 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
             "record_stride": stride,
             "divergence_threshold": threshold,
         }
-        now = at(t)
+        now = at(t, g(t))
+        # While the state rests at +0.0, k_rest holds the last component of
+        # the step's first-stage derivative (the others are x[1:], all
+        # +0.0); it is None whenever the step takes the general path.
+        k_rest: float | None = None
         while True:
             # The loop ends with one last sample at t_end, after the final
             # step or once the next step start falls within roundoff of it.
             last = not t < stop
             if last:
                 t = t_end
-                now = at(t)
-            k1, u1, f1 = stage(x, t, now)
-            amp = max(map(abs, x))
-            # "not <=" also catches NaN, which fails every comparison.
-            if not (amp <= threshold) or not (abs(u1) <= threshold):
-                raise DivergenceError(
-                    f"state or input left |v| <= {threshold:.3g} at t={t:.6g} "
-                    f"(|x|max={amp:.3g}, |u|={abs(u1):.3g})",
-                    trace=partial(),
-                )
-            check_assumption(plant, x, u1, t, f_value=f1)
-            if amp > x_max:
-                x_max = amp
-            if abs(u1) > u_max:
-                u_max = abs(u1)
+                now = at(t, g(t))
+                k_rest = None
+            # A resting step skips the divergence check and the envelope
+            # audit, which both pass: x = +0.0 and u = +-0.0, so |v| = 0 <=
+            # threshold; k_n = f + gain*u == 0.0 with gain*u either +-0.0
+            # or NaN forces f = 0.0, so |f| = 0 <= phi*0 + phi0 +
+            # AUDIT_SLACK; and neither peak can grow from 0.
+            if k_rest is None:
+                k1, u1, f1 = stage(x, t, now)
+                amp = max(map(abs, x))
+                # "not <=" also catches NaN, which fails every comparison.
+                if not (amp <= threshold) or not (abs(u1) <= threshold):
+                    raise DivergenceError(
+                        f"state or input left |v| <= {threshold:.3g} at "
+                        f"t={t:.6g} (|x|max={amp:.3g}, |u|={abs(u1):.3g})",
+                        trace=partial(),
+                    )
+                check_assumption(plant, x, u1, t, f_value=f1)
+                if amp > x_max:
+                    x_max = amp
+                if abs(u1) > u_max:
+                    u_max = abs(u1)
+                if k1[-1] == 0.0 and can_rest and _positive_zero(x):
+                    k_rest = k1[-1]
             if last or step_index % stride == 0:
                 times.append(t)
                 states.append(tuple(x))
@@ -288,8 +331,25 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
             half = 0.5 * h
             t_mid = t + half
             t_next = t + h
-            mid = at(t_mid)
-            now = at(t_next)
+            g_mid = g(t_mid)
+            g_next = g(t_next)
+            if k_rest is not None:
+                # From rest, stages 2 and 3 are the same call and stage 4's
+                # values at t_next are the next step's first stage. A
+                # clamped step ends the loop, which evaluates t_end afresh.
+                rest = None if clamped else (
+                    rest_stage(t_mid, g_mid) and rest_stage(t_next, g_next)
+                )
+                if rest is not None:
+                    u1, k_rest = rest
+                    t = t_next
+                    step_index += 1
+                    continue
+                k1 = x[1:]
+                k1.append(k_rest)
+                k_rest = None
+            mid = at(t_mid, g_mid)
+            now = at(t_next, g_next)
             k2 = stage([xi + half * ki for xi, ki in zip(x, k1)], t_mid, mid)[0]
             k3 = stage([xi + half * ki for xi, ki in zip(x, k2)], t_mid, mid)[0]
             k4 = stage([xi + h * ki for xi, ki in zip(x, k3)], t_next, now)[0]

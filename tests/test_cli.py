@@ -225,6 +225,13 @@ def test_table_numeric_output(capsys):
     assert values["p2"] == pytest.approx(-2.0 / 0.0214 + 1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-160", "1e300"])
+def test_table_rejects_rates_with_non_finite_gains(capsys, alpha):
+    assert main(["table", "2", "--c=-1,-2", "--alpha", alpha]) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and "beyond the float range" in err
+
+
 def test_table_rejects_bad_order(capsys):
     assert main(["table", "0"]) == 1
     assert main(["table", "21"]) == 1
@@ -396,6 +403,10 @@ def _edit_metadata(**changes):
     return lambda sidecar: {**sidecar, "metadata": {**sidecar["metadata"], **changes}}
 
 
+def _expression_plant(f_text):
+    return {"n": 2, "f": f_text, "g": "1", "gamma": 1.1, "gamma_min": 1, "phi": 3, "phi0": 50}
+
+
 @pytest.mark.parametrize(
     "case, code, message",
     [
@@ -417,11 +428,21 @@ def _edit_metadata(**changes):
         ({"sim": {"x0": [1e200, 1e200]}}, 4, "OverflowError"),
         ({"controller": {"c": [-1, -2], "tau": 10**400}}, 1, "tau must be a finite number"),
         ({"controller": {"c": [-2.7e154, -2], "tau": 10}}, 2, "too large for the rate bounds"),
+        ({"plant": _expression_plant("1e999*x1")}, 1, "number '1e999' is out of float range"),
+        ({"plant": _expression_plant("-" * 5000 + "x1")}, 1, "nested too deeply"),
+        (
+            {"controller": {"c": [-1, -2], "tau": 10, "alpha": 5e-324}},
+            2,
+            "alpha=5e-324 put gain coefficient q1 beyond the float range",
+        ),
+        ({"controller": {"c": [-1, -2], "tau": 1e300}}, 2, "beyond the float range"),
     ],
     ids=[
         "sidecar-tau-string", "sidecar-x0-norm-string", "sidecar-list",
         "sidecar-mode-number", "label-with-slash", "x0-norm-overflows",
         "integer-beyond-float-range", "rate-bound-overflows",
+        "literal-beyond-float-range", "unary-minus-chain", "rate-underflows-gains",
+        "deadline-underflows-gains",
     ],
 )
 def test_bad_inputs_exit_with_one_error_line(
@@ -518,11 +539,27 @@ SLASHED_NAMES = st.tuples(
 ).map("/".join)
 
 
+# Expression text: short strings over the grammar's alphabet, and
+# literals and nestings that exceed what floats or Python's compiler hold.
+EXPRESSIONS = st.one_of(
+    st.text("x12ut+-*/(). e9sincoab", max_size=12),
+    st.sampled_from([
+        "1e999", "-" * 5000 + "x1", "(" * 300 + "x1" + ")" * 300,
+        "+".join(["x1"] * 5000), "sin(" * 200 + "t" + ")" * 200, "x3", "u",
+    ]),
+)
+
+
 @st.composite
 def mutated_example2(draw):
     scenario = json.loads(json.dumps(EXAMPLE2))
     if draw(st.booleans()):
         scenario["plant"] = dict(EXAMPLE2_EXPRESSIONS)
+        if draw(st.booleans()):
+            # New expression text and nothing else, so that it reaches
+            # the parser.
+            scenario["plant"][draw(st.sampled_from(["f", "g"]))] = draw(EXPRESSIONS)
+            return scenario
     for _ in range(draw(st.integers(1, 3))):
         path, key = draw(st.sampled_from(list(_key_paths(scenario))))
         parent = _at(scenario, path)

@@ -103,6 +103,42 @@ def test_numeric_gains_example3_frozen():
         assert q == pytest.approx(expected, rel=1e-12)
 
 
+def _reference_coefficients(rows, c, alpha):
+    # The gain-scalar loop as it was before non-finite results were rejected.
+    out = []
+    for row in rows:
+        q = float(row.constant)
+        for term in row.c_terms:
+            q += term.coefficient * c[term.j - 1] / alpha ** term.alpha_power
+        out.append(q)
+    return tuple(out)
+
+
+def test_gain_scalars_are_unchanged_or_rejected():
+    # Rates from 1e-90 to 1e90: where every scalar is a finite float it is
+    # the same float as before; otherwise the design is infeasible, not a
+    # ZeroDivisionError, OverflowError or an infinite gain.
+    rng = np.random.Generator(np.random.PCG64(17))
+    rejected = 0
+    for n in range(1, 9):
+        rows = pl.structural_rows(n)
+        for _ in range(40):
+            c = tuple(map(float, rng.uniform(-3.0, 3.0, n)))
+            alpha = float(10.0 ** rng.uniform(-90.0, 90.0))
+            try:
+                want = _reference_coefficients(rows, c, alpha)
+            except ArithmeticError:
+                want = (math.inf,)
+            if all(map(math.isfinite, want)):
+                got = tuple(q for q, _ in pl.numeric_rows(c, alpha))
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+            else:
+                rejected += 1
+                with pytest.raises(pl.InfeasibleDesignError, match="beyond the float range"):
+                    pl.numeric_rows(c, alpha)
+    assert 0 < rejected < 320
+
+
 def test_schedule_matches_double_sum():
     # 50 random draws per order; the collapsed per-state form and the
     # literal double sum must agree to near machine precision.

@@ -7,6 +7,7 @@ cell-by-cell writer. Both are kept verbatim as references: the fast paths
 must reproduce them bit for bit, not within a tolerance.
 """
 
+import dataclasses
 import math
 from types import MappingProxyType, SimpleNamespace
 
@@ -333,3 +334,112 @@ def test_csv_writer_bytes_match_reference_on_run(tmp_path, example2_trace):
     write_trace_csv(tmp_path / "new.csv", example2_trace)
     reference_write_trace_csv(tmp_path / "old.csv", example2_trace)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# A vanishing disturbance the controller drives to exactly +0.0 in every
+# component within about 2,300 steps, after which ``run`` takes its rest
+# path: two f calls per step instead of four.
+VANISHING = "0.001*x1*cos(t)"
+COEFFICIENTS = {1: (-1.0,), 2: (-1.0, -2.0)}
+
+
+def _f_calls(plant, design, cfg):
+    """The number of f calls one ``run`` makes, and its step count."""
+    calls = 0
+
+    def counted(x, u, t):
+        nonlocal calls
+        calls += 1
+        return plant.f(x, u, t)
+
+    trace = pl.run(dataclasses.replace(plant, f=counted), design, cfg)
+    return calls, trace.metadata["steps_total"]
+
+
+def _assert_same_run_at_rest(plant, design, cfg):
+    """``_assert_same_run``, and the rest path saved f calls."""
+    trace = _assert_same_run(plant, design, cfg)
+    calls, steps = _f_calls(plant, design, cfg)
+    assert calls < 4 * steps
+    return trace
+
+
+def _vanishing_plant(n, g_text="1 + 0.5*sin(t)"):
+    return pl.plant_from_expressions(
+        n, VANISHING, g_text, gamma=1.2, gamma_min=1.0, phi=0.001, phi0=0.0
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 7, 50])
+@pytest.mark.parametrize("alpha", [0.003, 0.005])
+@pytest.mark.parametrize("n", [1, 2])
+def test_rest_path_matches_reference(n, alpha, stride):
+    design = _stand_in_design(COEFFICIENTS[n], 2.0, alpha, 1.0)
+    cfg = pl.SimConfig(x0=(10.0,) * n, record_stride=stride)
+    trace = _assert_same_run_at_rest(_vanishing_plant(n), design, cfg)
+    assert not trace.states[-1].any()
+
+
+@pytest.mark.parametrize(
+    "x0", [(0.0,), (0.0, 0.0), (-0.0,), (0.0, -0.0)],
+    ids=["zero-1", "zero-2", "negative-zero-1", "negative-zero-2"],
+)
+def test_rest_path_from_a_zero_start(x0):
+    # A -0.0 component keeps the first step on the general path, which
+    # turns it into +0.0.
+    n = len(x0)
+    design = _stand_in_design(COEFFICIENTS[n], 2.0, 0.005, 1.0)
+    cfg = pl.SimConfig(x0=x0, record_stride=7)
+    _assert_same_run_at_rest(_vanishing_plant(n), design, cfg)
+
+
+def test_rest_path_records_negative_zero_input():
+    # g = cos(t) turns negative past t = pi/2, so u = 0.0 / (gamma_min * g)
+    # is -0.0 there; the CSV keeps that sign.
+    design = _stand_in_design(COEFFICIENTS[1], 2.0, 0.005, 1.0)
+    cfg = pl.SimConfig(x0=(10.0,))
+    trace = _assert_same_run_at_rest(_vanishing_plant(1, "cos(t)"), design, cfg)
+    assert (np.signbit(trace.inputs) & (trace.inputs == 0.0)).any()
+
+
+@pytest.mark.parametrize("phi0", [0.1, 0.0])
+def test_rest_path_leaves_rest(phi0):
+    # f is exactly x1 up to t = 1 and then picks up a ramp: the state
+    # leaves +0.0, which phi0 > 0 admits and phi0 = 0 rejects at the first
+    # audited step start after t = 1.
+    plant = pl.plant_from_expressions(
+        2, "x1 + 1e-3*(t - 1 + abs(t - 1))", "1 + 0.5*sin(t)",
+        gamma=1.2, gamma_min=1.0, phi=1.0, phi0=phi0,
+    )
+    design = _stand_in_design(COEFFICIENTS[2], 2.0, 0.005, 1.0)
+    cfg = pl.SimConfig(x0=(0.0, 0.0), record_stride=7)
+    if phi0 > 0.0:
+        trace = _assert_same_run_at_rest(plant, design, cfg)
+        assert trace.states[-1].any()
+    else:
+        with pytest.raises(pl.AssumptionViolationError, match=r"at t=1\.0"):
+            reference_run(plant, design, cfg)
+        _assert_same_run(plant, design, cfg)
+
+
+def test_rest_path_powers_that_underflow():
+    # (tau - t)**2 underflows to 0 before t_end, so a general stage divides
+    # 0.0 by 0.0: the run must fail in that step, as it did before the rest
+    # path existed, and not rest through it.
+    tau = 1e-160
+    design = _stand_in_design(COEFFICIENTS[2], tau, 0.005, 1.0)
+    cfg = pl.SimConfig(x0=(0.0, 0.0), dt_base=1.0)
+    plant = _vanishing_plant(2)
+    with pytest.raises(ZeroDivisionError):
+        reference_run(plant, design, cfg)
+    _assert_same_run(plant, design, cfg)
+    # The first step with a stage time whose power underflows.
+    t = 0.0
+    while True:
+        h = 0.005 * (tau - t)
+        if not all((tau - s) * (tau - s) for s in (t + 0.5 * h, t + h)):
+            break
+        t += h
+    with pytest.raises(pl.DivergenceError) as err:
+        pl.run(plant, design, cfg)
+    assert err.value.trace.times[-1] == t

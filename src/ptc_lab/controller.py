@@ -383,8 +383,9 @@ def design_controller(
     Raises
     ------
     InfeasibleDesignError
-        If ``c`` is not Hurwitz or the requested ``alpha`` violates its
-        bound.
+        If ``c`` is not Hurwitz, the requested ``alpha`` violates its
+        bound, or the chosen rate puts a gain coefficient ``q_i`` beyond
+        the float range.
     """
     coeffs = tuple(float(v) for v in c)
     n = len(coeffs)
@@ -410,6 +411,9 @@ def design_controller(
             mode = "stable"
         else:
             mode = "attractive"
+    # The same check build_gain_schedule makes, so a design whose gains
+    # cannot be evaluated is refused here and not only at simulation.
+    _numeric_coefficients(structural_rows(n), coeffs, chosen)
     return ControllerDesign(
         n=n,
         c=coeffs,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from math import fsum
 from operator import mul
 from typing import Callable, Sequence
 
@@ -162,11 +163,8 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
     """
     if name == "example2":
         def f2(x: Sequence[float], u: float, t: float) -> float:
-            return (
-                50.0 * math.cos(u)
-                + math.cos(t) * float(x[0])
-                + math.exp(math.sin(float(x[0]))) * float(x[1])
-            )
+            x1, x2 = x
+            return 50.0 * math.cos(u) + math.cos(t) * x1 + math.exp(math.sin(x1)) * x2
 
         return PlantSpec(
             n=2,
@@ -185,8 +183,11 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
         rng = np.random.Generator(np.random.PCG64(seed))
         weights = tuple(float(w) for w in rng.uniform(-1e-3, 1e-3, 4))
 
+        w1, w2, w3, w4 = weights
+
         def f3(x: Sequence[float], u: float, t: float) -> float:
-            return math.fsum(map(mul, weights, map(float, x)))
+            x1, x2, x3, x4 = x
+            return fsum((w1 * x1, w2 * x2, w3 * x3, w4 * x4))
 
         return PlantSpec(
             n=4,

@@ -14,23 +14,36 @@ leaves h*|pole| far above the RK4 stability limit. The disturbance
 envelope declared by the plant is audited at every step start.
 
 A step has three distinct stage times, t, t + h/2 (stages 2 and 3) and
-t + h, and the powers of (tau - t) and the input gain g(t) are computed
-once for each; the values at t + h serve the next step's first stage.
+t + h. The input gain g is called once for each, and g(t + h) serves the
+next step's first stage.
+
+The arithmetic of a step is straight-line code generated from the chain
+order n alone (``_kernel_source``) and compiled once per order, on first
+use. State components are scalar locals; each power of (tau - s) is the
+one above it times d = tau - s; each gain sum is the left-to-right
+expression ``0.0 + q[n-1]*y[n-1]/p[n-1] + ... + q[0]*y[0]/p[0]``; and each
+stage state and the update are the same per-component expressions the
+loop always evaluated. The generated code performs the same IEEE
+operations on the same operands in the same order as the list-based loop
+it replaced, so traces are bitwise identical, and the divisions and plant
+calls that can raise do so in the same stage of the same step.
 
 Once the controller has driven the state to exactly +0.0 in every
 component, a step whose first-stage derivative is 0.0 is a rest step: all
 four stage states are +0.0, stages 2 and 3 coincide, and the step leaves
 the state unchanged. The loop then calls f once at t + h/2 and once at
-t + h instead of running four stages, and leaves rest, by taking the
-general step, as soon as a derivative is nonzero. Both paths produce the
-same bits. The plant's g must therefore be a pure function of t, and f a
-pure function of (x, u, t) that does not mutate x.
+t + h, on the resting state itself, instead of running four stages, and
+leaves rest, by taking the general step, as soon as a derivative is
+nonzero. Both paths produce the same bits. The plant's g must therefore
+be a pure function of t, and f a pure function of (x, u, t) that does not
+mutate x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -153,6 +166,121 @@ def _positive_zero(x: list[float]) -> bool:
     return all(v == 0.0 and math.copysign(1.0, v) > 0.0 for v in x)
 
 
+# Runs the step rule predicts to need more steps than this are refused: at
+# a few microseconds a step, 10**8 steps already take minutes.
+MAX_STEPS = 10**8
+
+
+def _predicted_steps(tau: float, alpha: float, cfg: SimConfig) -> float:
+    """The number of steps ``run`` takes, from the closed form of its caps.
+
+    With ``r = min(1/shrink_divisor, stiffness_safety*alpha)`` a step is
+    ``min(dt_base, r*(tau - t))``. While ``dt_base`` binds the count grows
+    linearly in t; below the gap ``d1 = dt_base/r`` each step shrinks the
+    gap by the factor ``1 - r`` until it reaches ``epsilon_fraction*tau``.
+    """
+    r = min(1.0 / cfg.shrink_divisor, cfg.stiffness_safety * alpha)
+    if r == 0.0:  # the product underflowed: every step has h = 0
+        return math.inf
+    # The smallest positive float stands in for a gap that underflows.
+    gap = max(cfg.epsilon_fraction * tau, math.ulp(0.0))
+    d1 = min(cfg.dt_base / r, tau)
+    if d1 <= gap:
+        return (tau - gap) / cfg.dt_base
+    # r >= 1: the first relative step overshoots and is clamped to t_end.
+    shrink = math.log(d1 / gap) / -math.log1p(-r) if r < 1.0 else 1.0
+    return (tau - d1) / cfg.dt_base + shrink
+
+
+def _kernel_source(n: int) -> str:
+    """Source of the factory of the order-``n`` RK4 kernel.
+
+    The factory ``make(q, tau, gamma_min, gamma, f)`` returns ``first(x,
+    s, gs)``, the first stage at the step start s given ``gs = g(s)``, as
+    ``(u, f, k1)`` with k1 the last derivative component, and ``step(x,
+    k1, half, h, t_mid, t_next, g_mid, g_next)``, stages 2-4 and the
+    update, which returns the new state. Only ``n`` and fixed names enter
+    the text; the values of a run are the factory's arguments.
+    """
+    idx = range(n)
+    top = n - 1
+    states = "xabc"  # the state of stage j is states[j - 1]; x is stage 1's
+
+    def k(j: int, i: int) -> str:
+        # Component i of stage j's derivative: the next state component,
+        # or the plant's last-component value k{j}.
+        return f"{states[j - 1]}{i + 1}" if i < top else f"k{j}"
+
+    def powers(p: str, s: str) -> list[str]:
+        # Term i divides by (tau - s)**(n - i); each power is the one
+        # above it times d, the order the loop has always used.
+        lines = [f"d = tau - {s}", f"{p}{top} = d"]
+        lines += [f"{p}{i} = {p}{i + 1} * d" for i in range(top - 1, -1, -1)]
+        return lines
+
+    def control(y: str, p: str) -> str:
+        # Starting from 0.0 keeps u = +0.0 when every term is -0.0.
+        terms = "".join(f" + q{i} * {y}{i} / {p}{i}" for i in range(top, -1, -1))
+        return f"u = (0.0{terms}) / den"
+
+    def stage(j: int, scale: str, p: str, s: str) -> list[str]:
+        y = states[j - 1]
+        row = ", ".join(f"{y}{i}" for i in idx)
+        return [
+            *(f"{y}{i} = x{i} + {scale} * {k(j - 1, i)}" for i in idx),
+            control(y, p),
+            f"k{j} = f([{row}], u, {s}) + gain * u",
+        ]
+
+    unpack = f"{', '.join(f'x{i}' for i in idx)}, = x"
+    first = [
+        unpack,
+        *powers("p", "s"),
+        "den = gamma_min * gs",
+        control("x", "p"),
+        "fx = f(x, u, s)",
+        "return u, fx, fx + gamma * gs * u",
+    ]
+    update = ", ".join(
+        f"x{i} + sixth * ({k(1, i)} + 2.0 * ({k(2, i)} + {k(3, i)}) + {k(4, i)})"
+        for i in idx
+    )
+    step = [
+        unpack,
+        *powers("m", "t_mid"),
+        "den = gamma_min * g_mid",
+        "gain = gamma * g_mid",
+        *stage(2, "half", "m", "t_mid"),
+        *stage(3, "half", "m", "t_mid"),
+        *powers("p", "t_next"),
+        "den = gamma_min * g_next",
+        "gain = gamma * g_next",
+        *stage(4, "h", "p", "t_next"),
+        "sixth = h / 6.0",
+        f"return [{update}]",
+    ]
+    return "\n".join(
+        [
+            "def make(q, tau, gamma_min, gamma, f):",
+            f"    {', '.join(f'q{i}' for i in idx)}, = q",
+            "    def first(x, s, gs):",
+            *(f"        {line}" for line in first),
+            "    def step(x, k1, half, h, t_mid, t_next, g_mid, g_next):",
+            *(f"        {line}" for line in step),
+            "    return first, step",
+            "",
+        ]
+    )
+
+
+@lru_cache(maxsize=None)
+def _kernel(n: int):
+    """The order-``n`` kernel factory, compiled on first use."""
+    namespace: dict[str, object] = {}
+    exec(compile(_kernel_source(n), f"<ptc_lab.sim kernel n={n}>", "exec"), namespace)
+    return namespace["make"]
+
+
 def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     """Integrate the closed loop and return the recorded trace.
 
@@ -168,8 +296,9 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
         If the plant's declared disturbance envelope fails along the
         trajectory.
     ValueError
-        On dimension mismatches or a design whose guard band extends past
-        the halt time ``tau * (1 - epsilon_fraction)``.
+        On dimension mismatches, a design whose guard band extends past
+        the halt time ``tau * (1 - epsilon_fraction)``, or a run the step
+        rule predicts to need more than ``MAX_STEPS`` steps.
     """
     n = plant.n
     if design.n != n:
@@ -185,60 +314,31 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
         )
 
     schedule = build_gain_schedule(design)
-    q = list(schedule.coefficients)
-    # Term i of the gain sum divides by (tau - t)**(n - i); the sum runs
-    # from i = n - 1 down to 0, the order every trace was produced with.
-    order = range(n - 1, -1, -1)
-    higher = order[1:]
+    steps = _predicted_steps(tau, design.alpha, cfg)
+    if not steps <= MAX_STEPS:
+        raise ValueError(
+            f"tau={tau:g} and alpha={design.alpha:g} need about {steps:.3g} "
+            f"integration steps, more than the limit of {MAX_STEPS:,}"
+        )
     gamma_min = design.gamma_min
     gamma = plant.gamma
     g = plant.g
     f = plant.f
+    first, step = _kernel(n)(schedule.coefficients, tau, gamma_min, gamma, f)
     threshold = cfg.divergence_threshold
     stride = cfg.record_stride
 
-    def at(s: float, gs: float) -> tuple[list[float], float, float]:
-        """Factors shared by the stages at time s, given ``gs = g(s)``: the
-        powers of tau - s indexed like q, ``gamma_min * gs`` and
-        ``gamma * gs``."""
-        d = tau - s
-        pows = [d] * n
-        pw = d
-        for i in higher:
-            pw *= d
-            pows[i] = pw
-        return pows, gamma_min * gs, gamma * gs
-
-    def stage(
-        x: list[float], s: float, factors: tuple[list[float], float, float]
-    ) -> tuple[list[float], float, float]:
-        pows, den, gain = factors
-        # Starting from 0.0 keeps u = +0.0 when every term is -0.0.
-        acc = 0.0
-        for i in order:
-            acc += q[i] * x[i] / pows[i]
-        u = acc / den
-        fx = f(x, u, s)
-        k = x[1:]
-        k.append(fx + gain * u)
-        return k, u, fx
-
-    # From the state +0.0 a stage sums only zeros, so acc = +0.0 and
-    # u = 0.0 / den, when every q is finite (build_gain_schedule ensures
-    # it) and no power of tau - s is 0. The stage times of a step that is
-    # not clamped lie at or before t_end, and the powers shrink with
-    # tau - s, so the powers at t_end settle that for the whole run
-    # (pows[0] is the n-th power, the smallest when tau - t_end < 1).
-    can_rest = at(t_end, 1.0)[0][0] != 0.0
-
-    def rest_stage(s: float, gs: float) -> tuple[float, float] | None:
-        """``(u, k_n)`` of a stage at s, given ``gs = g(s)``, whose state
-        is +0.0 when its derivative k_n is 0.0, else None. A zero divisor
-        raises the same ZeroDivisionError in the same step as the general
-        stage's ``acc / den``."""
-        u = 0.0 / (gamma_min * gs)
-        k = f([0.0] * n, u, s) + gamma * gs * u
-        return (u, k) if k == 0.0 else None
+    # From the state +0.0 a stage sums only zeros, so the gain sum is +0.0
+    # and u = 0.0 / (gamma_min * g), when every q is finite
+    # (build_gain_schedule ensures it) and no power of tau - s is 0. The
+    # stage times of a step that is not clamped lie at or before t_end,
+    # and the powers shrink with tau - s, so the n-th power at t_end, the
+    # smallest when tau - t_end < 1, settles that for the whole run.
+    d_end = tau - t_end
+    pw = d_end
+    for _ in range(n - 1):
+        pw *= d_end
+    can_rest = pw != 0.0
 
     times: list[float] = []
     states: list[tuple[float, ...]] = []
@@ -281,87 +381,86 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
             "record_stride": stride,
             "divergence_threshold": threshold,
         }
-        now = at(t, g(t))
-        # While the state rests at +0.0, k_rest holds the last component of
-        # the step's first-stage derivative (the others are x[1:], all
-        # +0.0); it is None whenever the step takes the general path.
-        k_rest: float | None = None
+        g_now = g(t)
         while True:
             # The loop ends with one last sample at t_end, after the final
             # step or once the next step start falls within roundoff of it.
             last = not t < stop
             if last:
                 t = t_end
-                now = at(t, g(t))
-                k_rest = None
-            # A resting step skips the divergence check and the envelope
-            # audit, which both pass: x = +0.0 and u = +-0.0, so |v| = 0 <=
-            # threshold; k_n = f + gain*u == 0.0 with gain*u either +-0.0
-            # or NaN forces f = 0.0, so |f| = 0 <= phi*0 + phi0 +
-            # AUDIT_SLACK; and neither peak can grow from 0.
-            if k_rest is None:
-                k1, u1, f1 = stage(x, t, now)
-                amp = max(map(abs, x))
-                # "not <=" also catches NaN, which fails every comparison.
-                if not (amp <= threshold) or not (abs(u1) <= threshold):
-                    raise DivergenceError(
-                        f"state or input left |v| <= {threshold:.3g} at "
-                        f"t={t:.6g} (|x|max={amp:.3g}, |u|={abs(u1):.3g})",
-                        trace=partial(),
-                    )
-                check_assumption(plant, x, u1, t, f_value=f1)
-                if amp > x_max:
-                    x_max = amp
-                if abs(u1) > u_max:
-                    u_max = abs(u1)
-                if k1[-1] == 0.0 and can_rest and _positive_zero(x):
-                    k_rest = k1[-1]
+                g_now = g(t)
+            u1, f1, k1 = first(x, t, g_now)
+            amp = max(map(abs, x))
+            # "not <=" also catches NaN, which fails every comparison.
+            if not (amp <= threshold) or not (abs(u1) <= threshold):
+                raise DivergenceError(
+                    f"state or input left |v| <= {threshold:.3g} at "
+                    f"t={t:.6g} (|x|max={amp:.3g}, |u|={abs(u1):.3g})",
+                    trace=partial(),
+                )
+            check_assumption(plant, x, u1, t, f_value=f1)
+            if amp > x_max:
+                x_max = amp
+            if abs(u1) > u_max:
+                u_max = abs(u1)
             if last or step_index % stride == 0:
                 times.append(t)
                 states.append(tuple(x))
                 inputs.append(u1)
             if last:
                 break
-
-            d = tau - t
-            h = min(dt_base, d / shrink_divisor, stiff_cap * d)
-            clamped = h >= t_end - t
-            if clamped:
-                h = t_end - t
-            half = 0.5 * h
-            t_mid = t + half
-            t_next = t + h
-            g_mid = g(t_mid)
-            g_next = g(t_next)
-            if k_rest is not None:
-                # From rest, stages 2 and 3 are the same call and stage 4's
-                # values at t_next are the next step's first stage. A
-                # clamped step ends the loop, which evaluates t_end afresh.
-                rest = None if clamped else (
-                    rest_stage(t_mid, g_mid) and rest_stage(t_next, g_next)
-                )
-                if rest is not None:
-                    u1, k_rest = rest
-                    t = t_next
-                    step_index += 1
-                    continue
-                k1 = x[1:]
-                k1.append(k_rest)
-                k_rest = None
-            mid = at(t_mid, g_mid)
-            now = at(t_next, g_next)
-            k2 = stage([xi + half * ki for xi, ki in zip(x, k1)], t_mid, mid)[0]
-            k3 = stage([xi + half * ki for xi, ki in zip(x, k2)], t_mid, mid)[0]
-            k4 = stage([xi + h * ki for xi, ki in zip(x, k3)], t_next, now)[0]
-            sixth = h / 6.0
-            x = [
-                xi + sixth * (a + 2.0 * (b + c) + e)
-                for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
-            ]
-            # A clamped step lands on t_end and ends the loop, which then
-            # evaluates t_end afresh; otherwise now already holds t_next.
-            t = t_end if clamped else t_next
-            step_index += 1
+            resting = k1 == 0.0 and can_rest and _positive_zero(x)
+            # Rest steps, if any, then one general step; a rest step that
+            # reaches the stop time leaves for the last sample instead.
+            while True:
+                d = tau - t
+                h = dt_base
+                cap = d / shrink_divisor
+                if cap < h:
+                    h = cap
+                cap = stiff_cap * d
+                if cap < h:
+                    h = cap
+                clamped = h >= t_end - t
+                if clamped:
+                    h = t_end - t
+                half = 0.5 * h
+                t_mid = t + half
+                t_next = t + h
+                g_mid = g(t_mid)
+                g_next = g(t_next)
+                # From rest, stages 2 and 3 are the same call on the state
+                # +0.0 (x itself), and stage 4's values at t_next are the
+                # next step's first stage. A resting step skips the
+                # divergence check and the envelope audit, which both pass:
+                # x = +0.0 and u = +-0.0, so |v| = 0 <= threshold; k = f +
+                # gain*u == 0.0 with gain*u either +-0.0 or NaN forces
+                # f = 0.0, so |f| = 0 <= phi*0 + phi0 + AUDIT_SLACK; and
+                # neither peak can grow from 0. A clamped step ends the
+                # loop, which evaluates t_end afresh.
+                if resting and not clamped:
+                    u = 0.0 / (gamma_min * g_mid)
+                    if f(x, u, t_mid) + gamma * g_mid * u == 0.0:
+                        u = 0.0 / (gamma_min * g_next)
+                        k = f(x, u, t_next) + gamma * g_next * u
+                        if k == 0.0:
+                            k1 = k
+                            t = t_next
+                            step_index += 1
+                            if not t < stop:
+                                break
+                            if step_index % stride == 0:
+                                times.append(t)
+                                states.append(tuple(x))
+                                inputs.append(u)
+                            continue
+                x = step(x, k1, half, h, t_mid, t_next, g_mid, g_next)
+                g_now = g_next
+                # A clamped step lands on t_end and ends the loop, which
+                # then evaluates t_end afresh.
+                t = t_end if clamped else t_next
+                step_index += 1
+                break
     except ArithmeticError as exc:
         raise DivergenceError(
             f"plant or control arithmetic failed at t={t:.6g}: "

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -436,13 +437,29 @@ def _expression_plant(f_text):
             "alpha=5e-324 put gain coefficient q1 beyond the float range",
         ),
         ({"controller": {"c": [-1, -2], "tau": 1e300}}, 2, "beyond the float range"),
+        (
+            ("design", {"controller": {"c": [-1, -2], "tau": 10, "alpha": 5e-324}}),
+            2,
+            "alpha=5e-324 put gain coefficient q1 beyond the float range",
+        ),
+        (
+            ("design", {"controller": {"c": [-1, -2], "tau": 1e300}}),
+            2,
+            "beyond the float range",
+        ),
+        (
+            {"controller": {"c": [-1, -2], "tau": 1e100}},
+            1,
+            "integration steps, more than the limit of 100,000,000",
+        ),
     ],
     ids=[
         "sidecar-tau-string", "sidecar-x0-norm-string", "sidecar-list",
         "sidecar-mode-number", "label-with-slash", "x0-norm-overflows",
         "integer-beyond-float-range", "rate-bound-overflows",
         "literal-beyond-float-range", "unary-minus-chain", "rate-underflows-gains",
-        "deadline-underflows-gains",
+        "deadline-underflows-gains", "design-rate-underflows-gains",
+        "design-deadline-underflows-gains", "deadline-needs-too-many-steps",
     ],
 )
 def test_bad_inputs_exit_with_one_error_line(
@@ -456,8 +473,12 @@ def test_bad_inputs_exit_with_one_error_line(
         trace.with_suffix(".json").write_text(json.dumps(case(sidecar)))
         argv = ["verify", str(trace)]
     else:
-        argv = ["simulate", "--scenario", _ex2_scenario(tmp_path, **case)]
+        command, overrides = case if isinstance(case, tuple) else ("simulate", case)
+        argv = [command, "--scenario", _ex2_scenario(tmp_path, **overrides)]
+    start = time.perf_counter()
     assert main(argv) == code
+    # A refused run is refused up front, not after integrating for a while.
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert len(_error_lines(err)) == 1
     assert message in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ptc_lab as pl
+from ptc_lab.sim import _predicted_steps
 
 # First-order closed loop with f = 0 follows x0*(1 - t/tau)^(1/alpha)
 # exactly, which exercises the step controller near the deadline.
@@ -166,6 +167,27 @@ def test_guard_wider_than_halt_gap_rejected():
     cfg = pl.SimConfig(x0=(1.0,), epsilon_fraction=1e-3)
     with pytest.raises(ValueError):
         pl.run(plant, design, cfg)
+
+
+@pytest.mark.parametrize("tau", [5.0, 10.0, 17.5, 30.0, 45.0])
+def test_predicted_steps_match_example2(tau):
+    # The dt_base cap binds early on, the shrink cap near the deadline.
+    plant = pl.builtin_plant("example2")
+    design = pl.design_controller(
+        (-1.0, -2.0), tau, alpha=0.0214, phi=plant.phi, phi0=plant.phi0
+    )
+    cfg = pl.SimConfig(x0=(10.0, 10.0), dt_base=5e-3)
+    steps = pl.run(plant, design, cfg).metadata["steps_total"]
+    assert abs(_predicted_steps(tau, design.alpha, cfg) - steps) <= 2
+
+
+def test_predicted_steps_match_example3(example3_trace):
+    # The stiffness cap binds on every step but the clamped last one.
+    meta = example3_trace.metadata
+    keys = ("x0", "dt_base", "epsilon_fraction", "shrink_divisor", "stiffness_safety")
+    cfg = pl.SimConfig(**{key: meta[key] for key in keys})
+    predicted = _predicted_steps(meta["tau"], meta["alpha"], cfg)
+    assert abs(predicted - meta["steps_total"]) <= 2
 
 
 def test_sim_config_validation():

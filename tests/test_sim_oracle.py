@@ -8,7 +8,10 @@ must reproduce them bit for bit, not within a tolerance.
 """
 
 import dataclasses
+import hashlib
 import math
+import struct
+from operator import mul
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ptc_lab as pl
+from ptc_lab import sim
 from ptc_lab.cli import write_trace_csv
 from ptc_lab.controller import build_gain_schedule
 from ptc_lab.plant import check_assumption
@@ -193,33 +197,45 @@ def _assert_same_run(plant, design, cfg):
     return trace
 
 
-def _last_step_clamped(design, cfg):
-    """Replays the step-size rule: did the final step land on t_end by clamp?"""
+def _step_times(design, cfg):
+    """Replays the step-size rule: (t, t + h/2, t + h, clamped) per step."""
     tau = design.tau
     t_end = tau * (1.0 - cfg.epsilon_fraction)
     t = 0.0
-    clamped = False
+    out = []
     while t < t_end - 1e-12 * tau:
         d = tau - t
         h = min(cfg.dt_base, d / cfg.shrink_divisor, cfg.stiffness_safety * design.alpha * d)
         clamped = h >= t_end - t
+        if clamped:
+            h = t_end - t
+        out.append((t, t + 0.5 * h, t + h, clamped))
         t = t_end if clamped else t + h
-    return clamped
+    return out
+
+
+def _last_step_clamped(design, cfg):
+    """Did the final step land on t_end by clamp?"""
+    return _step_times(design, cfg)[-1][3]
 
 
 GAINS = ("1", "1 + 0.5*sin(t)", "2 - cos(3*t)")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+# The orders design-map covers; each has its own generated kernel.
+ORDERS = range(1, 9)
+
+
+@pytest.mark.parametrize("n", ORDERS)
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    poles=st.lists(st.floats(-2.0, -0.5), min_size=5, max_size=5),
+    poles=st.lists(st.floats(-2.0, -0.5), min_size=8, max_size=8),
     tau=st.floats(1.0, 4.0),
     alpha=st.floats(0.05, 0.3),
     x0=st.lists(
         st.one_of(st.floats(-10.0, 10.0), st.just(-0.0), st.just(0.0)),
-        min_size=5,
-        max_size=5,
+        min_size=8,
+        max_size=8,
     ),
     stride=st.sampled_from((1, 7, 50)),
     builtin=st.booleans(),
@@ -288,6 +304,146 @@ def test_example3_prefix_matches_reference():
     )
     assert _last_step_clamped(design, cfg)
     _assert_same_run(plant, design, cfg)
+
+
+def test_kernel_compiled_once_per_order(monkeypatch):
+    compiled = []
+    source = sim._kernel_source
+    monkeypatch.setattr(sim, "_kernel_source", lambda n: compiled.append(n) or source(n))
+    sim._kernel.cache_clear()
+    for n in (*ORDERS, *ORDERS):
+        plant = _vanishing_plant(n)
+        design = _stand_in_design((-1.0,) * n, 1.0, 0.1, 1.0)
+        pl.run(plant, design, pl.SimConfig(x0=(1.0,) * n, epsilon_fraction=0.5))
+    assert compiled == list(ORDERS)
+
+
+# SHA-256 of the times, states and inputs bytes and of repr(dict(metadata))
+# of full runs, recorded with the list-based loop before the generated
+# kernel replaced it. example3 at seed 30 spends about 118k steps in
+# subnormal states; seed 6 rests for most of its 410,926 steps.
+FULL_RUN_PINS = {
+    "example2": (
+        "3ddcca8c415440963527de5421c7d923536407b2c58d24ad485ed4447bd74b0d",
+        "2bc9e7af915bfe39dca3d25d93ffb8950d6a2469bd6197c84e1197be22c6a05a",
+        "14e91db776c3cf633be932ec5b413378d9ffead5c42ebab3424fcf2375eb68fc",
+        "8983949928b0638482aaa67df7602c3ad9eeb81d9504f949f3a551b74a1d94d1",
+    ),
+    "example3-seed6": (
+        "28dc54828aa40d331dad09c1e0d94a4b0ab0f182fe83b5572c248ff46ad048d7",
+        "2391c5dc676618e6bdc6cddcdc14f483630d7f9c5350048652db7703c8956af8",
+        "a095df9f6b6db96b06b51b11bc6eef7fd44d6bd7348538f97e2cf48d48dcd4c8",
+        "9ed99d8838fbce1b87b164116fe8d4a6e4b0e2f75299ed87c621089b5b6f25ff",
+    ),
+    "example3-seed30": (
+        "28dc54828aa40d331dad09c1e0d94a4b0ab0f182fe83b5572c248ff46ad048d7",
+        "c688d0435edec02107d6537e70de08647d5f207ff15b7b274992ed18cd6294c4",
+        "50faa9cae1214e6053cafd490b698dfc354aff34e15245b9f9c683bdb295d938",
+        "7c2219fe2af8e0ac00c2b8030156bd8ff455b8b99e890309314af6ee07b3ae73",
+    ),
+}
+
+
+def _digests(trace):
+    blobs = (
+        trace.times.tobytes(),
+        trace.states.tobytes(),
+        trace.inputs.tobytes(),
+        repr(dict(trace.metadata)).encode(),
+    )
+    return tuple(hashlib.sha256(b).hexdigest() for b in blobs)
+
+
+def test_full_runs_match_pins(example2_trace, example3_trace):
+    assert _digests(example2_trace) == FULL_RUN_PINS["example2"]
+    assert _digests(example3_trace) == FULL_RUN_PINS["example3-seed6"]
+    meta = example3_trace.metadata
+    plant = pl.builtin_plant("example3", seed=30)
+    design = pl.design_controller(meta["c"], meta["tau"], phi=plant.phi, phi0=plant.phi0)
+    cfg = pl.SimConfig(x0=meta["x0"], dt_base=meta["dt_base"], record_stride=50)
+    assert _digests(pl.run(plant, design, cfg)) == FULL_RUN_PINS["example3-seed30"]
+
+
+@pytest.mark.parametrize("phase", ["general", "rest"])
+@pytest.mark.parametrize("fault", ["g-zero-at-mid-stage", "f-overflow-at-stage-4"])
+def test_faults_raise_in_the_same_stage(phase, fault):
+    # A fault at one stage time of step k: the run must fail in step k, with
+    # the message, t and partial trace of the loop the kernel replaced,
+    # whose trace is the unfaulted run's up to step k.
+    plant = _vanishing_plant(2)
+    design = _stand_in_design(COEFFICIENTS[2], 2.0, 0.005, 1.0)
+    cfg = pl.SimConfig(x0=(10.0, 10.0))
+    steps = _step_times(design, cfg)
+    k = 5 if phase == "general" else len(steps) - 10
+    t_k, t_mid, t_next, _ = steps[k]
+    times, states, inputs, _ = reference_run(plant, design, cfg)
+    assert any(states[k]) == (phase == "general")
+    if fault == "g-zero-at-mid-stage":
+        g = plant.g
+        faulty = dataclasses.replace(plant, g=lambda t: 0.0 if t == t_mid else g(t))
+        error = "ZeroDivisionError: float division by zero"
+    else:
+        f = plant.f
+        faulty = dataclasses.replace(
+            plant, f=lambda x, u, t: math.exp(1e3) if t == t_next else f(x, u, t)
+        )
+        error = "OverflowError: math range error"
+    with pytest.raises(pl.DivergenceError) as err:
+        pl.run(faulty, design, cfg)
+    assert str(err.value) == f"plant or control arithmetic failed at t={t_k:.6g}: {error}"
+    partial = err.value.trace
+    assert partial.times.tobytes() == np.asarray(times[: k + 1]).tobytes()
+    assert partial.states.tobytes() == np.asarray(states[: k + 1]).tobytes()
+    assert partial.inputs.tobytes() == np.asarray(inputs[: k + 1]).tobytes()
+
+
+def old_f2(x, u, t):
+    return (
+        50.0 * math.cos(u)
+        + math.cos(t) * float(x[0])
+        + math.exp(math.sin(float(x[0]))) * float(x[1])
+    )
+
+
+def old_f3(weights):
+    def f3(x, u, t):
+        return math.fsum(map(mul, weights, map(float, x)))
+
+    return f3
+
+
+_plant_inputs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308, 0.1, -3.5]),
+)
+
+
+def _bits(v):
+    return struct.pack("<d", float(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(_plant_inputs, min_size=4, max_size=4),
+    u=_plant_inputs,
+    t=_plant_inputs,
+    seed=st.integers(0, 200),
+)
+def test_builtin_disturbances_match_old_formulas(x, u, t, seed):
+    example2 = pl.builtin_plant("example2")
+    example3 = pl.builtin_plant("example3", seed=seed)
+    old3 = old_f3(example3.disturbance_weights)
+    assert _bits(example2.f(x[:2], u, t)) == _bits(old_f2(x[:2], u, t))
+    assert _bits(example3.f(x, u, t)) == _bits(old3(x, u, t))
+    # derivative hands f a numpy array, whose items are numpy scalars:
+    # the values agree bit for bit, but numpy arithmetic warns on overflow
+    # where Python floats do not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for plant, old in ((example2, old_f2), (example3, old3)):
+            state = np.array(x[: plant.n])
+            new = pl.derivative(plant, state, u, t)
+            want = pl.derivative(dataclasses.replace(plant, f=old), state, u, t)
+            assert new.tobytes() == want.tobytes()
 
 
 def _trace(times, states, inputs, x0_norm, tau):

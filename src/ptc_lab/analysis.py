@@ -19,8 +19,8 @@ the final norm rejects traces that never actually shrink.
 Traces produced by this package carry their design mode in metadata. A
 design built with a nonzero disturbance offset can only promise
 attractivity, so such traces are never upgraded to a stable verdict even
-when the numbers would pass; external traces without metadata are graded
-on the numbers alone.
+when the numbers would pass; traces without a mode, such as a bare CSV,
+are graded on the numbers alone.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "StabilityCertificate",
     "MappingReport",
     "InputBoundednessReport",
-    "triangular_fn",
     "certify",
     "verify_mapping",
     "check_input_boundedness",
@@ -90,39 +89,12 @@ class StabilityCertificate:
     samples_used: int
 
 
-def triangular_fn(s: float) -> float:
-    """Triangular envelope ``max(1 - s, 0)``."""
-    return max(1.0 - s, 0.0)
-
-
-def _resolve(trace: SimTrace, x0_norm: float | None, tau: float | None) -> tuple[float, float]:
-    meta = trace.metadata
-    if tau is None:
-        tau = meta.get("tau") if hasattr(meta, "get") else None
-    if tau is None:
-        raise TraceFormatError(
-            "tau is required: pass it explicitly or use a trace with metadata"
-        )
-    if x0_norm is None:
-        x0_norm = meta.get("x0_norm") if hasattr(meta, "get") else None
-    if x0_norm is None:
-        x0_norm = float(trace.norms[0])
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if x0_norm < 0:
-        raise ValueError(f"x0_norm must be nonnegative, got {x0_norm}")
-    return float(x0_norm), float(tau)
-
-
-def certify(
-    trace: SimTrace,
-    x0_norm: float | None = None,
-    tau: float | None = None,
-) -> StabilityCertificate:
+def certify(trace: SimTrace) -> StabilityCertificate:
     """Grade a trace as triangularly stable, attractive, or inconclusive.
 
-    ``x0_norm`` and ``tau`` default to the trace metadata (falling back to
-    the first recorded norm for ``x0_norm``). The verdict ladder is:
+    The grade uses the trace's own ``tau``, ``x0_norm`` and ``mode``
+    metadata and its derived ``norms`` and ``lambda_values``. The verdict
+    ladder is:
 
     1. stable, when the design mode permits it, the final norm is below
        ``1e-2 * x0_norm``, and the fitted sigma is finite and moderate;
@@ -131,12 +103,13 @@ def certify(
        exceeded afterwards, no later than 90% of the recorded horizon;
     3. inconclusive otherwise. Verdicts never extrapolate beyond samples.
     """
-    x0n, tau_v = _resolve(trace, x0_norm, tau)
-    times = np.asarray(trace.times)
-    norms = np.asarray(trace.norms)
-    lam = np.maximum(1.0 - times / tau_v, 0.0)
+    meta = trace.metadata
+    x0n = float(meta["x0_norm"])
+    tau_v = float(meta["tau"])
+    norms = trace.norms
+    lam = trace.lambda_values
     final_norm = float(norms[-1])
-    mode = trace.metadata.get("mode") if hasattr(trace.metadata, "get") else None
+    mode = meta.get("mode")
 
     included = lam > LAMBDA_CLAMP
     samples_used = int(np.count_nonzero(included))
@@ -148,7 +121,7 @@ def certify(
 
     lam_in = lam[included]
     norms_in = norms[included]
-    times_in = times[included]
+    times_in = trace.times[included]
 
     if x0n > 0.0:
         sigma_fit = float(np.max(norms_in / (x0n * lam_in)))
@@ -360,18 +333,17 @@ class InputBoundednessReport:
     ok: bool
 
 
-def check_input_boundedness(trace: SimTrace, tau: float | None = None) -> InputBoundednessReport:
+def check_input_boundedness(trace: SimTrace) -> InputBoundednessReport:
     """Check that |u| near the deadline stays within 10x its earlier peak.
 
     The head window is ``[0, 0.9*tau]`` and the tail is everything after;
     a controller that works keeps pumping bounded effort as the gains blow
     up because the state shrinks faster than the gains grow.
     """
-    _, tau_v = _resolve(trace, None, tau)
-    times = np.asarray(trace.times)
-    u_abs = np.abs(np.asarray(trace.inputs))
-    head = u_abs[times <= 0.9 * tau_v]
-    tail = u_abs[times > 0.9 * tau_v]
+    head_end = 0.9 * float(trace.metadata["tau"])
+    u_abs = np.abs(trace.inputs)
+    head = u_abs[trace.times <= head_end]
+    tail = u_abs[trace.times > head_end]
     head_max = float(np.max(head)) if head.size else 0.0
     tail_max = float(np.max(tail)) if tail.size else 0.0
     ok = tail_max <= 10.0 * head_max + 1e-12

@@ -28,11 +28,9 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,9 +45,8 @@ from .errors import (
     ScenarioError,
     TraceFormatError,
 )
-from .linalg import _readonly
 from .plant import PlantSpec, builtin_plant, plant_from_expressions
-from .sim import SimConfig, SimTrace, plant_design, sweep
+from .sim import SimConfig, SimTrace, _finite, plant_design, sweep
 
 __all__ = ["main"]
 
@@ -65,8 +62,6 @@ _ERROR_EXIT_CODES = (
     (DivergenceError, EXIT_DIVERGENCE),
     ((InfeasibleDesignError, AssumptionViolationError), EXIT_INFEASIBLE),
 )
-
-_CSV_REL_TOL = 1e-12
 
 
 def _fmt(v: float) -> str:
@@ -88,17 +83,6 @@ def _check_keys(
     missing = sorted(required - set(data))
     if missing:
         raise ScenarioError(f"missing key(s) {missing} in {section} section")
-
-
-def _finite(v) -> float | None:
-    """``v`` as a float when it is a finite JSON number, else None."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return None
-    try:
-        x = float(v)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return x if math.isfinite(x) else None
 
 
 def _number(section: str, data: Mapping, key: str, default=None) -> float:
@@ -247,11 +231,11 @@ def _load_scenario(path: str, args) -> dict:
     else:
         taus = ()
     if getattr(args, "tau", None):
-        taus = tuple(float(v) for v in args.tau)
+        taus = tuple(args.tau)
     if not taus:
         raise ScenarioError("no tau given: set controller.tau/taus or pass --tau")
     for tau in taus:
-        if not tau > 0:  # also rejects a NaN from --tau
+        if not tau > 0:
             raise ScenarioError(f"tau must be positive, got {tau}")
     alpha = _number("controller", ctrl, "alpha")
 
@@ -381,23 +365,20 @@ def cmd_simulate(args) -> int:
     stem: str = scenario["stem"]
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        traces = sweep(
-            plant, scenario["c"], scenario["taus"], cfg, alpha=scenario["alpha"]
-        )
-    except DivergenceError as exc:
-        if exc.trace is not None:
-            tau = float(exc.trace.metadata["tau"])
-            path = _trace_csv_path(out_dir, stem, tau, partial=True)
-            write_trace_csv(path, exc.trace)
-            write_sidecar(path.with_suffix(".json"), exc.trace)
-            print(f"partial trace written to {path}", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-
+    # One deadline at a time: the files of the deadlines that finished stay
+    # written when a later one fails, and the first failure ends the sweep.
     worst = EXIT_OK
-    for trace in traces:
-        tau = float(trace.metadata["tau"])
+    for tau in scenario["taus"]:
+        try:
+            (trace,) = sweep(plant, scenario["c"], (tau,), cfg, alpha=scenario["alpha"])
+        except DivergenceError as exc:
+            if exc.trace is not None:
+                path = _trace_csv_path(out_dir, stem, tau, partial=True)
+                write_trace_csv(path, exc.trace)
+                write_sidecar(path.with_suffix(".json"), exc.trace)
+                print(f"partial trace written to {path}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DIVERGENCE
         cert = certify(trace)
         path = _trace_csv_path(out_dir, stem, tau, partial=False)
         write_trace_csv(path, trace)
@@ -419,7 +400,7 @@ def cmd_table(args) -> int:
         for line in symbolic_rows(n):
             print(line)
         return EXIT_OK
-    c = tuple(float(v) for v in args.c.split(","))
+    c = args.c
     if len(c) != n:
         raise ScenarioError(f"--c has {len(c)} entries, expected {n}")
     if args.alpha <= 0:
@@ -465,8 +446,6 @@ def _read_trace_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     inputs = data[:, 1 + n]
     norms = data[:, 2 + n]
     lambda_bound = data[:, 3 + n]
-    if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
-        raise TraceFormatError(f"{path} times must be strictly increasing")
     return times, states, inputs, norms, lambda_bound
 
 
@@ -523,15 +502,13 @@ def _sidecar_metadata(path: Path, payload) -> Mapping:
     return meta
 
 
+def _column_agrees(column: np.ndarray, derived: np.ndarray, rel_tol: float) -> bool:
+    scale = np.maximum(1.0, np.abs(column))
+    return bool(np.max(np.abs(derived - column) / scale) <= rel_tol)
+
+
 def cmd_verify(args) -> int:
     times, states, inputs, norms, lambda_bound = _read_trace_csv(args.trace)
-
-    recomputed = np.sqrt(np.sum(states * states, axis=1))
-    scale = np.maximum(1.0, np.abs(norms))
-    if np.max(np.abs(recomputed - norms) / scale) > _CSV_REL_TOL:
-        raise TraceFormatError(
-            "norm_x column disagrees with the state columns beyond 1e-12"
-        )
 
     tau = args.tau
     x0_norm = args.x0_norm
@@ -551,43 +528,35 @@ def cmd_verify(args) -> int:
         if mode is None:
             mode = meta.get("mode")
     if tau is None:
-        inferred_tau, inferred_x0 = _infer_tau_x0(times, lambda_bound)
-        tau = inferred_tau
+        tau, inferred_x0 = _infer_tau_x0(times, lambda_bound)
         if x0_norm is None:
             x0_norm = inferred_x0
-    if not tau > 0:
-        raise TraceFormatError(f"tau must be positive, got {tau}")
+
+    # norms and lambda_values do not depend on x0_norm, so a missing one is
+    # read off the trace's first sample whose envelope is open.
+    metadata = {"tau": tau, "x0_norm": 0.0 if x0_norm is None else x0_norm}
+    if mode is not None:
+        metadata["mode"] = mode
+    trace = SimTrace(times, states, inputs, metadata)
     if x0_norm is None:
-        lam_first = np.maximum(1.0 - times / tau, 0.0)
-        usable = np.nonzero(lam_first > 0)[0]
+        usable = np.nonzero(trace.lambda_values > 0)[0]
         if usable.size == 0:
             raise TraceFormatError(
                 "cannot infer x0_norm: every sample is past tau; pass --x0-norm"
             )
         k = int(usable[0])
-        x0_norm = float(lambda_bound[k] / lam_first[k])
+        x0_norm = float(lambda_bound[k] / trace.lambda_values[k])
+        trace = replace(trace, metadata={**metadata, "x0_norm": x0_norm})
 
-    lam = np.maximum(1.0 - times / tau, 0.0)
-    expected = x0_norm * lam
-    scale = np.maximum(1.0, np.abs(lambda_bound))
-    # "not <=" also catches a NaN from --x0-norm nan.
-    if not np.max(np.abs(expected - lambda_bound) / scale) <= 1e-9:
+    if not _column_agrees(norms, trace.norms, 1e-12):
+        raise TraceFormatError(
+            "norm_x column disagrees with the state columns beyond 1e-12"
+        )
+    if not _column_agrees(lambda_bound, x0_norm * trace.lambda_values, 1e-9):
         raise TraceFormatError(
             "lambda_bound column disagrees with x0_norm*max(1 - t/tau, 0); "
             "check --tau/--x0-norm or the sidecar"
         )
-
-    metadata = {"tau": float(tau), "x0_norm": float(x0_norm)}
-    if mode is not None:
-        metadata["mode"] = mode
-    trace = SimTrace(
-        times=_readonly(times),
-        states=_readonly(states),
-        inputs=_readonly(inputs),
-        norms=_readonly(recomputed),
-        lambda_values=_readonly(lam),
-        metadata=MappingProxyType(metadata),
-    )
     cert = certify(trace)
     _print_certificate(f"[{args.trace}]", cert)
     return EXIT_INCONCLUSIVE if cert.verdict == "inconclusive" else EXIT_OK
@@ -605,20 +574,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _finite_flag(text: str) -> float:
+    """A numeric flag follows the finite-number rule of scenario files."""
+    try:
+        x = _finite(float(text))
+    except ValueError:
+        x = None
+    if x is None:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return x
+
+
+def _finite_flags(text: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers, each under ``_finite_flag``."""
+    return tuple(map(_finite_flag, text.split(",")))
+
+
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     sub.add_argument(
         "--tau",
         action="append",
-        type=float,
+        type=_finite_flag,
         help="deadline override; repeat for a sweep",
     )
     sub.add_argument("--seed", type=int, help="plant seed override")
     sub.add_argument("--out-dir", help="output directory override")
     sub.add_argument(
-        "--epsilon", type=float, help="guard fraction epsilon/tau override"
+        "--epsilon", type=_finite_flag, help="guard fraction epsilon/tau override"
     )
-    sub.add_argument("--dt", type=float, help="base step override")
+    sub.add_argument("--dt", type=_finite_flag, help="base step override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -638,15 +623,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = subs.add_parser("table", help="print the gain table for order n")
     p_table.add_argument("n", type=int)
-    p_table.add_argument("--c", help="comma-separated coefficients for numeric mode")
-    p_table.add_argument("--alpha", type=float, help="rate for numeric mode")
+    p_table.add_argument(
+        "--c", type=_finite_flags, help="comma-separated coefficients for numeric mode"
+    )
+    p_table.add_argument("--alpha", type=_finite_flag, help="rate for numeric mode")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = subs.add_parser("verify", help="re-certify a trace CSV")
     p_verify.add_argument("trace", help="path to a trace CSV")
-    p_verify.add_argument("--tau", type=float, help="deadline if no sidecar")
+    p_verify.add_argument("--tau", type=_finite_flag, help="deadline if no sidecar")
     p_verify.add_argument(
-        "--x0-norm", dest="x0_norm", type=float, help="initial norm if no sidecar"
+        "--x0-norm", dest="x0_norm", type=_finite_flag, help="initial norm if no sidecar"
     )
     p_verify.add_argument(
         "--mode",

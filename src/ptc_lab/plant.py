@@ -133,8 +133,7 @@ def check_assumption(
     not satisfy, so any certificate built on them would be vacuous.
     """
     fv = spec.f(x, u, t) if f_value is None else f_value
-    xs = list(map(float, x))
-    norm = math.sqrt(math.fsum(map(mul, xs, xs)))
+    norm = math.sqrt(fsum(map(mul, x, x)))
     limit = spec.phi * norm + spec.phi0 + AUDIT_SLACK
     if abs(fv) > limit:
         raise AssumptionViolationError(

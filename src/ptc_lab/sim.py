@@ -42,7 +42,7 @@ mutate x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -55,7 +55,7 @@ from .errors import DivergenceError
 from .linalg import _readonly
 from .plant import PlantSpec, check_assumption
 
-__all__ = ["SimConfig", "SimTrace", "run", "sweep"]
+__all__ = ["SimConfig", "SimTrace", "triangular_fn", "run", "sweep"]
 
 FloatArray = NDArray[np.float64]
 
@@ -108,57 +108,78 @@ class SimConfig:
             )
 
 
+def _finite(v) -> float | None:
+    """``v`` as a float when it is a finite number (an int or a float, not
+    a bool), else None: the rule for scenario, sidecar, flag and run values."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return x if math.isfinite(x) else None
+
+
+def triangular_fn(s: FloatArray | float) -> FloatArray | float:
+    """Triangular envelope ``Lambda(s) = max(1 - s, 0)``, elementwise."""
+    return np.maximum(1.0 - s, 0.0)
+
+
 @dataclass(frozen=True)
 class SimTrace:
-    """Recorded samples of one closed-loop run.
+    """The record of one closed-loop run: its samples and metadata.
 
-    ``norms`` and ``lambda_values`` are the certification inputs
-    ``||x(t_k)||`` and ``max(1 - t_k/tau, 0)`` per recorded sample.
-    ``metadata`` freezes the design, plant, and config fingerprints the
-    analysis and CLI layers need; it never contains wall-clock times.
+    ``times``, ``states`` (one row per sample) and ``inputs`` are stored as
+    read-only float64 arrays. ``metadata`` must hold a finite ``tau > 0``
+    and a finite ``x0_norm >= 0``; it freezes the design, plant, and config
+    fingerprints the analysis and CLI layers need, and never contains
+    wall-clock times. The certification inputs are derived, never passed:
+    ``norms`` is ``||x(t_k)||`` and ``lambda_values`` is ``Lambda(t_k/tau)``
+    per sample.
     """
 
     times: FloatArray
     states: FloatArray
     inputs: FloatArray
-    norms: FloatArray
-    lambda_values: FloatArray
     metadata: Mapping[str, object]
+    norms: FloatArray = field(init=False)
+    lambda_values: FloatArray = field(init=False)
 
     def __post_init__(self) -> None:
-        m = self.times.shape[0]
-        if self.states.shape[0] != m or self.inputs.shape[0] != m:
-            raise ValueError("trace arrays must have equal length")
-        if self.norms.shape[0] != m or self.lambda_values.shape[0] != m:
-            raise ValueError("trace arrays must have equal length")
+        times = _readonly(self.times)
+        states = _readonly(self.states)
+        inputs = _readonly(self.inputs)
+        metadata = MappingProxyType(dict(self.metadata))
+        m = times.shape[0]
         if m == 0:
             raise ValueError("trace must contain at least one sample")
-        if m > 1 and not np.all(np.diff(self.times) > 0):
+        if states.ndim != 2 or states.shape[0] != m or inputs.shape != (m,):
+            raise ValueError("trace arrays must have equal length")
+        if m > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("trace times must be strictly increasing")
-        if not np.all(np.isfinite(self.inputs)):
+        if not np.all(np.isfinite(inputs)):
             raise ValueError("recorded inputs must be finite")
-
-
-def _build_trace(
-    times: list[float],
-    states: list[tuple[float, ...]],
-    inputs: list[float],
-    tau: float,
-    metadata: dict[str, object],
-) -> SimTrace:
-    t_arr = np.asarray(times, dtype=np.float64)
-    x_arr = np.asarray(states, dtype=np.float64)
-    u_arr = np.asarray(inputs, dtype=np.float64)
-    norms = np.sqrt(np.sum(x_arr * x_arr, axis=1))
-    lam = np.maximum(1.0 - t_arr / tau, 0.0)
-    return SimTrace(
-        times=_readonly(t_arr),
-        states=_readonly(x_arr),
-        inputs=_readonly(u_arr),
-        norms=_readonly(norms),
-        lambda_values=_readonly(lam),
-        metadata=MappingProxyType(metadata),
-    )
+        tau = _finite(metadata.get("tau"))
+        if tau is None or not tau > 0:
+            raise ValueError(
+                f"trace metadata tau must be finite and > 0, got {metadata.get('tau')!r}"
+            )
+        x0_norm = _finite(metadata.get("x0_norm"))
+        if x0_norm is None or x0_norm < 0:
+            raise ValueError(
+                f"trace metadata x0_norm must be finite and >= 0, "
+                f"got {metadata.get('x0_norm')!r}"
+            )
+        # Beyond the float range a norm is inf and t/tau gives Lambda = 0.
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.sum(states * states, axis=1))
+            lam = triangular_fn(times / tau)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "metadata", metadata)
+        object.__setattr__(self, "norms", _readonly(norms))
+        object.__setattr__(self, "lambda_values", _readonly(lam))
 
 
 def _positive_zero(x: list[float]) -> bool:
@@ -348,7 +369,7 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     def partial() -> SimTrace | None:
         if not times:
             return None
-        return _build_trace(times, states, inputs, tau, metadata)
+        return SimTrace(times, states, inputs, metadata)
 
     x = [float(v) for v in cfg.x0]
     step_index = 0
@@ -471,7 +492,7 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     metadata["steps_total"] = step_index
     metadata["u_max"] = u_max
     metadata["x_max"] = x_max
-    return _build_trace(times, states, inputs, tau, metadata)
+    return SimTrace(times, states, inputs, metadata)
 
 
 def sweep(

@@ -1,32 +1,20 @@
 import math
-from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 import ptc_lab as pl
-from ptc_lab.analysis import triangular_fn
+from ptc_lab.sim import triangular_fn
 
 
-def _synthetic_trace(times, norms, tau, x0_norm, mode="stable"):
+def _synthetic_trace(times, norms, tau, x0_norm, mode="stable", inputs=None):
+    """A first-order trace whose state is ``norms``, so ``||x|| = norms``."""
     times = np.asarray(times, dtype=float)
-    norms = np.asarray(norms, dtype=float)
-    states = norms.reshape(-1, 1).copy()
-    lam = np.maximum(1.0 - times / tau, 0.0)
-    metadata = MappingProxyType(
-        {"tau": tau, "x0_norm": x0_norm, "mode": mode}
-    )
-    for arr in (times, states, norms, lam):
-        arr.flags.writeable = False
-    inputs = np.zeros_like(times)
-    inputs.flags.writeable = False
     return pl.SimTrace(
         times=times,
-        states=states,
-        inputs=inputs,
-        norms=norms,
-        lambda_values=lam,
-        metadata=metadata,
+        states=np.asarray(norms, dtype=float).reshape(-1, 1),
+        inputs=np.zeros_like(times) if inputs is None else inputs,
+        metadata={"tau": tau, "x0_norm": x0_norm, "mode": mode},
     )
 
 
@@ -126,18 +114,39 @@ def test_certify_unperturbed_closed_loop_is_stable():
     assert cert.final_norm <= 1e-2 * cert.x0_norm
 
 
-def test_certify_explicit_arguments_override_metadata(example2_trace):
-    cert = pl.certify(example2_trace, x0_norm=float(example2_trace.norms[0]))
-    assert cert.x0_norm == pytest.approx(math.hypot(10.0, 10.0))
-
-
-def test_certify_requires_deadline():
+@pytest.mark.parametrize(
+    "metadata",
+    [
+        {"x0_norm": 1.0},
+        {"tau": None, "x0_norm": 1.0},
+        {"tau": 0.0, "x0_norm": 1.0},
+        {"tau": -10.0, "x0_norm": 1.0},
+        {"tau": math.inf, "x0_norm": 1.0},
+        {"tau": math.nan, "x0_norm": 1.0},
+        {"tau": "10", "x0_norm": 1.0},
+        {"tau": True, "x0_norm": 1.0},
+        {"tau": 10.0},
+        {"tau": 10.0, "x0_norm": -1.0},
+        {"tau": 10.0, "x0_norm": -5e-324},
+        {"tau": 10.0, "x0_norm": math.inf},
+        {"tau": 10.0, "x0_norm": math.nan},
+        {"tau": 10.0, "x0_norm": 10**400},
+    ],
+    ids=[
+        "no-tau", "tau-none", "tau-zero", "tau-negative", "tau-inf", "tau-nan",
+        "tau-string", "tau-bool", "no-x0-norm", "x0-norm-negative",
+        "x0-norm-negative-subnormal", "x0-norm-inf", "x0-norm-nan",
+        "x0-norm-beyond-float-range",
+    ],
+)
+def test_trace_refuses_metadata_without_deadline_or_initial_norm(metadata):
+    # Every certificate is graded against tau and ||x0||, so the run record
+    # refuses to exist without usable values for both.
     times = np.linspace(0.0, 9.99, 50)
-    norms = np.linspace(1.0, 0.0, 50)
-    trace = _synthetic_trace(times, norms, 10.0, 1.0)
-    object.__setattr__(trace, "metadata", MappingProxyType({}))
-    with pytest.raises(pl.TraceFormatError):
-        pl.certify(trace)
+    with pytest.raises(ValueError, match="trace metadata (tau|x0_norm) must be finite"):
+        pl.SimTrace(times, np.ones((50, 1)), np.zeros(50), metadata)
+    # The same arrays with both values make a trace; x0_norm may be 0.
+    pl.SimTrace(times, np.ones((50, 1)), np.zeros(50), {"tau": 10, "x0_norm": 0})
 
 
 def test_verify_mapping_default_samples():
@@ -176,9 +185,7 @@ def test_input_boundedness(example2_trace, example3_trace):
 def test_input_boundedness_flags_growth():
     times = np.linspace(0.0, 9.99, 100)
     norms = np.ones_like(times)
-    trace = _synthetic_trace(times, norms, 10.0, 1.0)
     inputs = np.where(times <= 9.0, 1.0, 100.0)
-    inputs.flags.writeable = False
-    object.__setattr__(trace, "inputs", inputs)
+    trace = _synthetic_trace(times, norms, 10.0, 1.0, inputs=inputs)
     report = pl.check_input_boundedness(trace)
     assert not report.ok

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -141,6 +142,25 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert ",".join(rows[0]) == EX2_HEADER
     assert len(rows) >= 2
+
+
+def test_simulate_keeps_finished_deadlines_when_a_later_one_fails(tmp_path, capsys):
+    # tau = 2 diverges at its first sample (|u| = 5.9e3 > 3e3); the tau = 20
+    # run before it keeps the files it writes when it runs alone.
+    sim = {"x0": [10, 10], "dt_base": 0.005, "divergence_threshold": 3e3}
+    files = {}
+    for taus in ([20, 2], [20]):
+        controller = {"c": [-1, -2], "taus": taus, "alpha": 0.0214}
+        out = tmp_path / f"out{len(taus)}"
+        scenario = _ex2_scenario(
+            tmp_path, controller=controller, sim=sim,
+            output={"directory": str(out), "stem": "example2"},
+        )
+        assert main(["simulate", "--scenario", scenario]) == (4 if 2 in taus else 0)
+        assert "[tau=20] verdict: triangularly_attractive" in capsys.readouterr().out
+        files[len(taus)] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files[2]) == ["example2_tau20.csv", "example2_tau20.json"]
+    assert files[2] == files[1]
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -385,8 +405,10 @@ def test_verify_header_error_wins_over_body_error(tmp_path, capsys):
 
 
 def _error_lines(err):
+    """The lines of ``err`` that report an error: ``error: ...`` from a
+    command, ``ptc-lab <command>: error: ...`` from argument parsing."""
     assert "Traceback" not in err
-    return [line for line in err.splitlines() if line.startswith("error:")]
+    return [line for line in err.splitlines() if re.match(r"(ptc-lab[\w ]*: )?error:", line)]
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +474,15 @@ def _expression_plant(f_text):
             1,
             "integration steps, more than the limit of 100,000,000",
         ),
+        (["table", "2", "--c=-1,-2", "--alpha", "inf"], 1, "--alpha: must be a finite number"),
+        (["table", "2", "--c=nan,-2", "--alpha", "0.1"], 1, "--c: must be a finite number"),
+        (["table", "2", "--c=-1,1e999", "--alpha", "0.1"], 1, "--c: must be a finite number"),
+        (("design", {}, "--tau", "inf"), 1, "--tau: must be a finite number, got 'inf'"),
+        (("simulate", {}, "--tau", "nan"), 1, "--tau: must be a finite number, got 'nan'"),
+        (("simulate", {}, "--dt", "inf"), 1, "--dt: must be a finite number, got 'inf'"),
+        (("simulate", {}, "--epsilon=-inf"), 1, "--epsilon: must be a finite number"),
+        (["verify", "trace.csv", "--tau", "inf"], 1, "--tau: must be a finite number"),
+        (["verify", "trace.csv", "--x0-norm", "nan"], 1, "--x0-norm: must be a finite number"),
     ],
     ids=[
         "sidecar-tau-string", "sidecar-x0-norm-string", "sidecar-list",
@@ -460,6 +491,9 @@ def _expression_plant(f_text):
         "literal-beyond-float-range", "unary-minus-chain", "rate-underflows-gains",
         "deadline-underflows-gains", "design-rate-underflows-gains",
         "design-deadline-underflows-gains", "deadline-needs-too-many-steps",
+        "table-alpha-inf", "table-c-nan", "table-c-beyond-float-range", "design-tau-inf",
+        "simulate-tau-nan", "simulate-dt-inf", "simulate-epsilon-inf", "verify-tau-inf",
+        "verify-x0-norm-nan",
     ],
 )
 def test_bad_inputs_exit_with_one_error_line(
@@ -472,9 +506,11 @@ def test_bad_inputs_exit_with_one_error_line(
         trace.write_text(csv_text)
         trace.with_suffix(".json").write_text(json.dumps(case(sidecar)))
         argv = ["verify", str(trace)]
+    elif isinstance(case, list):  # a command line refused before it reads a file
+        argv = case
     else:
-        command, overrides = case if isinstance(case, tuple) else ("simulate", case)
-        argv = [command, "--scenario", _ex2_scenario(tmp_path, **overrides)]
+        command, overrides, *flags = case if isinstance(case, tuple) else ("simulate", case)
+        argv = [command, "--scenario", _ex2_scenario(tmp_path, **overrides), *flags]
     start = time.perf_counter()
     assert main(argv) == code
     # A refused run is refused up front, not after integrating for a while.

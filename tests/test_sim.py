@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptc_lab as pl
 from ptc_lab.sim import _predicted_steps
@@ -253,3 +255,43 @@ def test_inline_gain_law_matches_control_input(example2_trace, example3_trace):
     )
     cfg = pl.SimConfig(x0=(10.0, 10.0), dt_base=5e-3)
     _assert_inputs_follow_control_input(plant, pl.run(plant, design, cfg))
+
+
+def _reference_norms_and_envelope(times, states, tau):
+    """How ``run`` built the certification inputs before ``SimTrace``
+    derived them itself."""
+    t_arr = np.asarray(times, dtype=np.float64)
+    x_arr = np.asarray(states, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(x_arr * x_arr, axis=1))
+        lam = np.maximum(1.0 - t_arr / tau, 0.0)
+    return norms, lam
+
+
+_components = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e154, -1e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 5),
+    tau=st.one_of(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.sampled_from([10.0, 5e-324]),
+    ),
+)
+def test_trace_derives_norms_and_envelope_like_the_old_builder(data, n, tau):
+    times = sorted(set(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 2.0 * min(tau, 1e300)), st.floats(0.0, 1e300)),
+        min_size=1, max_size=30,
+    ))))
+    rows = data.draw(st.lists(
+        st.tuples(*[_components] * n), min_size=len(times), max_size=len(times)
+    ))
+    trace = pl.SimTrace(times, rows, [0.0] * len(times), {"tau": tau, "x0_norm": 1.0})
+    norms, lam = _reference_norms_and_envelope(times, rows, tau)
+    assert trace.norms.tobytes() == norms.tobytes()
+    assert trace.lambda_values.tobytes() == lam.tobytes()

@@ -454,9 +454,7 @@ def _trace(times, states, inputs, x0_norm, tau):
         times=np.asarray(times, dtype=np.float64),
         states=states,
         inputs=np.asarray(inputs, dtype=np.float64),
-        norms=norms,
-        lambda_values=np.maximum(1.0 - np.asarray(times) / tau, 0.0),
-        metadata=MappingProxyType({"x0_norm": x0_norm}),
+        metadata=MappingProxyType({"x0_norm": x0_norm, "tau": tau}),
     )
 
 

@@ -521,6 +521,12 @@ def cmd_verify(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise TraceFormatError(f"cannot read sidecar {sidecar}: {exc}") from exc
         meta = _sidecar_metadata(sidecar, payload)
+        rows = payload.get("rows", len(times))
+        if type(rows) is not int or rows != len(times):
+            raise TraceFormatError(
+                f"sidecar {sidecar} has rows: {rows!r}, but {args.trace} has "
+                f"{len(times)} data rows"
+            )
         if tau is None:
             tau = meta.get("tau")
         if x0_norm is None:

@@ -10,21 +10,25 @@ Scenario files describe the disturbance ``f(x, u, t)`` and the input gain
     function = "sin" | "cos" | "exp" | "abs" ;
     variable = "x1" .. "xN" | "u" | "t" ;
 
-Numbers are decimal with optional exponent. Numbers beyond the float
-range, expressions nested too deeply or too long for Python to compile,
-unknown names, out-of-range state indices, and uses of ``u`` where it is
-not allowed are rejected at parse time, not at evaluation time, so a typo
-in a scenario fails before any simulation starts. Parsed expressions are
-compiled once to a plain Python function and are safe to call from
-multiple threads.
+Numbers are decimal with optional exponent. Each token becomes Python
+source (a number the ``repr`` of its float, ``x3`` ``x[2]``, ``sin``
+``_fn_sin``, a unary ``+`` nothing), joined with spaces so that ``* *``
+never fuses into ``**``. Python parses it, and a loop over ``ast.walk``
+refuses every node the grammar cannot produce. Numbers beyond the float
+range, unknown names, out-of-range state indices, variables where they
+are not allowed, and nesting Python cannot compile (200 open parentheses,
+or about 3,000 operators in a row) fail at parse time, not at evaluation
+time. Parsed expressions are compiled once to a plain Python function
+and are safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ScenarioError
 
@@ -44,131 +48,83 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
+def _fail(text: str, message: str, position: int) -> ScenarioError:
+    return ScenarioError(f"{message} at position {position} in expression {text!r}")
+
+
+def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             if text[pos:].strip() == "":
-                break
-            raise ScenarioError(
-                f"unexpected character {text[pos:].lstrip()[0]!r} at position "
-                f"{pos} in expression {text!r}"
-            )
+                return
+            raise _fail(text, f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
         pos = m.end()
         kind = m.lastgroup or ""
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
+        yield kind, m.group(kind), m.start(kind)
 
 
-class _Parser:
-    def __init__(
-        self, text: str, n_states: int, allow_u: bool, allow_state: bool
-    ) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
-        self.n_states = n_states
-        self.allow_u = allow_u
-        self.allow_state = allow_state
-        self.used: set[str] = set()
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.idx]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def fail(self, message: str, position: int) -> ScenarioError:
-        return ScenarioError(
-            f"{message} at position {position} in expression {self.text!r}"
-        )
-
-    def expect_op(self, op: str) -> None:
-        kind, value, position = self.peek()
-        if kind != "op" or value != op:
-            raise self.fail(f"expected {op!r}", position)
-        self.advance()
-
-    def parse(self) -> str:
-        code = self.expr()
-        kind, value, position = self.peek()
-        if kind != "end":
-            raise self.fail(f"unexpected trailing {value!r}", position)
-        return code
-
-    def chain(self, operand: Callable[[], str], ops: str) -> str:
-        """A left-associative chain ``a op b op c`` in one pair of
-        parentheses; Python groups it as ``(a op b) op c``."""
-        parts = [operand()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind != "op" or value not in ops:
-                return parts[0] if len(parts) == 1 else f"({' '.join(parts)})"
-            self.advance()
-            parts += (value, operand())
-
-    def expr(self) -> str:
-        return self.chain(self.term, "+-")
-
-    def term(self) -> str:
-        return self.chain(self.factor, "*/")
-
-    def factor(self) -> str:
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            inner = self.factor()
-            return inner if value == "+" else f"(- {inner})"
-        return self.primary()
-
-    def primary(self) -> str:
-        kind, value, position = self.advance()
+def _to_source(
+    text: str, n_states: int, allow_u: bool, allow_state: bool
+) -> tuple[str, set[str]]:
+    """Python source for the tokens of ``text``, and the variables it uses."""
+    pieces: list[str] = []
+    used: set[str] = set()
+    previous = "("
+    for kind, value, position in _tokenize(text):
         if kind == "number":
             number = float(value)
             if not math.isfinite(number):
-                raise self.fail(f"number {value!r} is out of float range", position)
-            return repr(number)
-        if kind == "op" and value == "(":
-            code = self.expr()
-            self.expect_op(")")
-            return code
-        if kind == "name":
-            if value in _FUNCTIONS:
-                self.expect_op("(")
-                code = self.expr()
-                self.expect_op(")")
-                return f"_fn_{value}({code})"
-            return self.variable(value, position)
-        raise self.fail(f"expected a value, got {value!r}" if value else "unexpected end", position)
+                raise _fail(text, f"number {value!r} is out of float range", position)
+            pieces.append(repr(number))
+        elif kind == "op":
+            # A "+" that is first or follows an operator other than ")" is unary.
+            if value != "+" or previous not in ("+", "-", "*", "/", "("):
+                pieces.append(value)
+        elif value in _FUNCTIONS:
+            pieces.append(f"_fn_{value}")
+        else:
+            m = re.fullmatch(r"x(\d+)", value)
+            index = int(m.group(1)) if m else 0
+            if (value == "u" and not allow_u) or (m and not allow_state):
+                raise _fail(text, f"variable {value!r} is not allowed here", position)
+            if m and not 1 <= index <= n_states:
+                message = f"state index {value!r} out of range 1..{n_states}"
+                raise _fail(text, message, position)
+            if not m and value not in ("t", "u"):
+                raise _fail(text, f"unknown name {value!r}", position)
+            pieces.append(f"x[{index - 1}]" if m else value)
+            used.add(value)
+        previous = value
+    return " ".join(pieces), used
 
-    def variable(self, name: str, position: int) -> str:
-        if name == "t":
-            self.used.add("t")
-            return "t"
-        if name == "u":
-            if not self.allow_u:
-                raise self.fail("variable 'u' is not allowed here", position)
-            self.used.add("u")
-            return "u"
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            if not self.allow_state:
-                raise self.fail(
-                    f"state variable {name!r} is not allowed here", position
-                )
-            index = int(m.group(1))
-            if not 1 <= index <= self.n_states:
-                raise self.fail(
-                    f"state index {name!r} out of range 1..{self.n_states}", position
-                )
-            self.used.add(name)
-            return f"x[{index - 1}]"
-        raise self.fail(f"unknown name {name!r}", position)
+
+def _in_grammar(tree: ast.Expression) -> bool:
+    """Whether the grammar can produce every node of ``tree``; not recursive."""
+    vetted: set[ast.AST] = set()  # call targets and state indices
+    for node in ast.walk(tree.body):
+        if node in vetted or not isinstance(node, ast.expr):
+            continue  # operators and contexts are judged with their parent
+        if isinstance(node, ast.Call):
+            vetted.add(node.func)
+            # Equal offsets: the name is not parenthesized, as in "(sin)(1)".
+            # A starred argument is refused as a node of its own.
+            ok = isinstance(node.func, ast.Name) and node.func.id.startswith("_fn_")
+            ok = ok and node.func.col_offset == node.col_offset
+            ok = ok and len(node.args) == 1 and not node.keywords
+        elif isinstance(node, ast.Subscript):
+            vetted.add(node.slice)
+            ok = True
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            ok = isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub))
+        elif isinstance(node, ast.Name):
+            ok = not node.id.startswith("_fn_")
+        else:
+            ok = isinstance(node, ast.Constant) and type(node.value) is float
+        if not ok:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -213,20 +169,17 @@ def parse_expression(
         raise ScenarioError("expression must be a nonempty string")
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    parser = _Parser(text, n_states, allow_u, allow_state)
+    source, used = _to_source(text, n_states, allow_u, allow_state)
     namespace = {f"_fn_{name}": fn for name, fn in _FUNCTIONS.items()}
     try:
-        code = parser.parse()
+        if not _in_grammar(ast.parse(source, mode="eval")):
+            raise ScenarioError(f"invalid syntax in expression {text!r}")
         func = eval(  # noqa: S307 - source is generated from validated tokens only
-            compile(f"lambda x, u, t: {code}", "<expression>", "eval"), namespace
+            compile(f"lambda x, u, t: {source}", "<expression>", "eval"), namespace
         )
-    except (RecursionError, SyntaxError):
-        # The recursive-descent parser and Python's compiler both have
-        # depth limits; valid tokens compile to valid source otherwise.
-        raise ScenarioError(
-            f"expression of {len(text)} characters is nested too deeply or "
-            "too long to compile"
-        ) from None
-    return ParsedExpression(
-        text=text, variables=frozenset(parser.used), func=func
-    )
+    except SyntaxError as error:
+        raise ScenarioError(f"{error.msg} in expression {text!r}") from None
+    except (RecursionError, MemoryError):  # 3.11's parser: MemoryError if deep
+        message = "is nested too deeply or too long to compile"
+        raise ScenarioError(f"expression of {len(text)} characters {message}") from None
+    return ParsedExpression(text=text, variables=frozenset(used), func=func)

@@ -66,8 +66,6 @@ class PlantSpec:
         Seed used to draw any randomized parameters, for reproducibility.
     label : str
         Short name used in reports and trace metadata.
-    f_text, g_text : str or None
-        Expression sources when the plant came from a scenario file.
     disturbance_weights : tuple of float or None
         Frozen random weights for plants that use them.
     """
@@ -81,8 +79,6 @@ class PlantSpec:
     phi0: float
     seed: int | None = None
     label: str = "custom"
-    f_text: str | None = None
-    g_text: str | None = None
     disturbance_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -175,8 +171,6 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
             phi0=50.0,
             seed=None,
             label="example2",
-            f_text="50*cos(u) + cos(t)*x1 + exp(sin(x1))*x2",
-            g_text="1",
         )
     if name == "example3":
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -198,8 +192,6 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
             phi0=0.0,
             seed=seed,
             label="example3",
-            f_text="w1*x1 + w2*x2 + w3*x3 + w4*x4",
-            g_text="1",
             disturbance_weights=weights,
         )
     raise ScenarioError(f"unknown builtin plant {name!r}; use example2 or example3")
@@ -234,6 +226,4 @@ def plant_from_expressions(
         phi0=phi0,
         seed=seed,
         label=label,
-        f_text=f_text,
-        g_text=g_text,
     )

@@ -42,6 +42,7 @@ mutate x.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -82,6 +83,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if len(self.x0) < 1:
             raise ValueError("x0 must be non-empty")
+        if any(_finite(v) is None for v in self.x0):
+            raise ValueError(f"x0 must contain finite numbers only, got {self.x0}")
         # "not > 0" also rejects NaN, which fails every comparison.
         if not self.dt_base > 0:
             raise ValueError(f"dt_base must be positive, got {self.dt_base}")
@@ -101,17 +104,18 @@ class SimConfig:
             raise ValueError(
                 f"record_stride must be >= 1, got {self.record_stride}"
             )
-        if not self.divergence_threshold > 0:
+        if _finite(self.divergence_threshold) is None or self.divergence_threshold <= 0:
             raise ValueError(
-                f"divergence_threshold must be positive, got "
+                f"divergence_threshold must be finite and positive, got "
                 f"{self.divergence_threshold}"
             )
 
 
 def _finite(v) -> float | None:
-    """``v`` as a float when it is a finite number (an int or a float, not
-    a bool), else None: the rule for scenario, sidecar, flag and run values."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """``v`` as a float when it is a finite real number (such as an int, a
+    float or a numpy scalar, not a bool), else None: the rule for scenario,
+    sidecar, flag and run values."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return None
     try:
         x = float(v)

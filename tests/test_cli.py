@@ -437,6 +437,8 @@ def _expression_plant(f_text):
         (_edit_metadata(x0_norm="abc"), 1, "metadata.x0_norm must be a finite number"),
         (lambda sidecar: [sidecar], 1, "must hold a JSON object"),
         (_edit_metadata(mode=3), 1, "metadata.mode must be attractive or stable"),
+        (lambda sidecar: {**sidecar, "rows": 300}, 1, "has rows: 300, but"),
+        (lambda sidecar: {**sidecar, "rows": str(sidecar["rows"])}, 1, "data rows"),
         (
             {
                 "plant": {
@@ -486,7 +488,8 @@ def _expression_plant(f_text):
     ],
     ids=[
         "sidecar-tau-string", "sidecar-x0-norm-string", "sidecar-list",
-        "sidecar-mode-number", "label-with-slash", "x0-norm-overflows",
+        "sidecar-mode-number", "sidecar-rows-edited", "sidecar-rows-string",
+        "label-with-slash", "x0-norm-overflows",
         "integer-beyond-float-range", "rate-bound-overflows",
         "literal-beyond-float-range", "unary-minus-chain", "rate-underflows-gains",
         "deadline-underflows-gains", "design-rate-underflows-gains",

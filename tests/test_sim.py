@@ -211,6 +211,12 @@ def test_sim_config_validation():
                  "divergence_threshold"):
         with pytest.raises(ValueError):
             pl.SimConfig(x0=(1.0,), **{name: math.nan})
+    with pytest.raises(ValueError, match="divergence_threshold"):
+        pl.SimConfig(x0=(1.0,), divergence_threshold=math.inf)
+    for x0 in [(math.inf,), (math.nan,), (1.0, -math.inf), (True,), ("1",)]:
+        with pytest.raises(ValueError, match="x0"):
+            pl.SimConfig(x0=x0)
+    pl.SimConfig(x0=(np.int64(1), np.float32(2.0), 3))
 
 
 def test_trace_arrays_read_only(example2_trace):

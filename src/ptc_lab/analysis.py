@@ -232,7 +232,7 @@ def verify_mapping(
 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if alpha <= 0 or tau <= 0:
+    if not (alpha > 0 and tau > 0):
         raise ValueError(f"alpha and tau must be positive, got {alpha}, {tau}")
     if sample_times is None:
         sample_times = tuple(f * tau for f in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9))

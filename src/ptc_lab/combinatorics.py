@@ -1,11 +1,13 @@
 """Stirling-number tables and the state-transform matrices built from them.
 
 The controller in this toolkit is derived by mapping trajectories between
-two clocks: real time ``t`` running on ``[0, tau)`` and a stretched clock
-``mu`` running on ``[0, tau)`` with unit rate at the origin. Repeated
-differentiation through that change of clock produces Stirling numbers, so
-the transform matrices between the two state representations are assembled
-from three ingredients:
+two clocks: the infinite-horizon clock ``t`` running on ``[0, inf)``, in
+which the closed loop is the time-invariant ``y' = E y``, and real time
+``mu`` running on ``[0, tau)``, the clock that ``sim`` integrates in and
+that the rest of the package calls ``t``. Repeated differentiation through
+that change of clock produces Stirling numbers, so the transform matrices
+between the two state representations are assembled from three
+ingredients:
 
 * integer tables of Stirling numbers of the first kind ``[n, k]`` and of
   the second kind ``{n, k}``, plus Bell numbers,
@@ -22,9 +24,10 @@ only.
 Clock conventions
 -----------------
 
-``mu(t) = tau * (1 - exp(-alpha * t))`` maps ``[0, inf)`` onto ``[0, tau)``
-with derivative ``mu_dot(t) = alpha * tau * exp(-alpha * t)`` and higher
-derivatives ``mu^(i) = (-alpha)^(i-1) * mu_dot``. Its inverse
+``mu(t) = tau * (1 - exp(-alpha * t))`` maps the infinite-horizon clock
+``[0, inf)`` onto real time ``[0, tau)`` with derivative
+``mu_dot(t) = alpha * tau * exp(-alpha * t)`` and higher derivatives
+``mu^(i) = (-alpha)^(i-1) * mu_dot``. Its inverse
 ``kappa(mu) = -(1/alpha) * ln(1 - mu/tau)`` has derivative
 ``kappa_prime(mu) = (1/alpha) / (tau - mu)`` and higher derivatives
 ``kappa^(i) = alpha^(i-1) * (i-1)! * kappa_prime^i``. The two rates are
@@ -214,7 +217,7 @@ def alternating_toeplitz(n: int, alpha: float) -> FloatArray:
     The diagonal is 1 and strictly lower entries alternate in sign down
     each column with increasing powers of ``alpha``.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return _lower_triangular(n, lambda i, j: (-alpha) ** (i - j))
 
@@ -228,9 +231,9 @@ def _unsigned_toeplitz(n: int, alpha: float) -> FloatArray:
 # ---------------------------------------------------------------------------
 
 def _check_clock_args(alpha: float, tau: float) -> None:
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
 
 
@@ -293,47 +296,45 @@ def kappa_derivative(i: int, mu: float, alpha: float, tau: float) -> float:
 
 @dataclass(frozen=True)
 class TransformMatrices:
-    """All matrices of the state transform, evaluated at one instant.
+    """All matrices of the state transform, evaluated at one instant ``t``
+    of the infinite-horizon clock (real time ``mu(t)``).
 
-    The forward map sends the stretched-clock state ``y`` to the real-time
-    state ``xi`` and the inverse map sends ``xi`` back to ``y``; both are
-    lower triangular with unit (1,1) entry. ``o`` denotes the entrywise
-    (Hadamard) product:
+    ``y`` holds the derivatives of ``x1`` in the infinite-horizon clock,
+    ``y_k = d^(k-1) x1 / dt^(k-1)``; ``x`` is the real-time state that
+    ``sim`` integrates, ``x_k = d^(k-1) x1 / dmu^(k-1)``. The inverse map
+    sends ``y`` to ``x`` and the forward map sends ``x`` back to ``y``;
+    both are lower triangular with unit (1,1) entry. ``o`` denotes the
+    entrywise (Hadamard) product:
 
-    * forward:  ``xi = (A o (S @ inv(K))) y``
-    * inverse:  ``y  = (|A| o (inv(M) @ s)) xi``
+    * inverse:  ``x = (|A| o (inv(M) @ s)) y``
+    * forward:  ``y = (A o (S @ inv(K))) x``
 
     where ``|A|`` carries unsigned powers of ``alpha``. The signed and
-    unsigned Toeplitz factors are not interchangeable: the inverse map's
-    alternating signs are already supplied by the first-kind Stirling
-    structure, and using the signed factor on both sides breaks the
-    mutual-inverse property at first order in ``alpha``.
+    unsigned Toeplitz factors are not interchangeable: using the signed
+    factor on both sides breaks the mutual-inverse property at first
+    order in ``alpha``.
 
     Attributes
     ----------
     n : int
         State dimension.
     alpha, tau, t : float
-        Time-scale rate, deadline, and evaluation instant.
-    mu, mu_dot, kappa_prime : float
-        Clock value and the two clock rates at the matched pair
-        ``(t, mu(t))``.
+        Time-scale rate, deadline, and evaluation instant on the
+        infinite-horizon clock.
     s, S : FloatArray
         Lower-triangular first-kind and second-kind Stirling matrices.
     A : FloatArray
         Alternating Toeplitz matrix with entries ``(-alpha)**(i-j)``.
     K, M : FloatArray
-        Diagonal matrices ``diag(kappa_prime**i)`` and ``diag(mu_dot**i)``
-        for ``i = 0 .. n-1``; inverses are taken entrywise on the diagonal.
+        Diagonal matrices ``diag(kappa_prime(mu(t))**i)`` and
+        ``diag(mu_dot(t)**i)`` for ``i = 0 .. n-1``; inverses are taken
+        entrywise on the diagonal.
     """
 
     n: int
     alpha: float
     tau: float
     t: float
-    mu: float
-    mu_dot: float
-    kappa_prime: float
     s: FloatArray
     S: FloatArray
     A: FloatArray
@@ -341,12 +342,12 @@ class TransformMatrices:
     M: FloatArray
 
     def forward_map(self) -> FloatArray:
-        """Matrix sending the stretched-clock state to the real-time state."""
+        """Matrix sending the real-time state ``x`` to ``y``."""
         k_inv = np.diag(1.0 / np.diag(self.K))
         return _readonly(self.A * (self.S @ k_inv))
 
     def inverse_map(self) -> FloatArray:
-        """Matrix sending the real-time state to the stretched-clock state."""
+        """Matrix sending ``y`` to the real-time state ``x`` of ``sim``."""
         m_inv = np.diag(1.0 / np.diag(self.M))
         a_unsigned = _unsigned_toeplitz(self.n, self.alpha)
         return _readonly(a_unsigned * (m_inv @ self.s))
@@ -370,7 +371,8 @@ def build_transform_matrices(
     tau : float
         Deadline, positive.
     t : float
-        Evaluation instant, ``0 <= t < tau``.
+        Evaluation instant on the infinite-horizon clock; this function
+        accepts ``0 <= t < tau`` only.
     table : CombinatoricsTable, optional
         Integer tables to draw Stirling numbers from; the shared default
         table (capacity 20) is used when omitted.
@@ -404,9 +406,6 @@ def build_transform_matrices(
         alpha=alpha,
         tau=tau,
         t=t,
-        mu=mu,
-        mu_dot=mudot,
-        kappa_prime=kprime,
         s=first_kind_matrix(n, tab),
         S=second_kind_matrix(n, tab),
         A=alternating_toeplitz(n, alpha),

@@ -218,7 +218,7 @@ def numeric_rows(
     Intended for table display; unlike :func:`design_controller` this does
     not require ``c`` to be Hurwitz or ``alpha`` to satisfy its bounds.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     coeffs = tuple(float(v) for v in c)
     rows = structural_rows(len(coeffs))
@@ -268,10 +268,11 @@ def select_alpha(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if phi < 0 or phi0 < 0:
-        raise ValueError(f"phi and phi0 must be nonnegative, got {phi}, {phi0}")
+    for name, value in (("phi", phi), ("phi0", phi0)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     lam_min = lyap.lambda_min
     lam_max = lyap.lambda_max
     nfac = math.factorial(n)
@@ -389,7 +390,7 @@ def design_controller(
     """
     coeffs = tuple(float(v) for v in c)
     n = len(coeffs)
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if not 0.0 < eps_guard_fraction < 1.0:
         raise ValueError(

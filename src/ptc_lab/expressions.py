@@ -27,12 +27,11 @@ from __future__ import annotations
 import ast
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import ScenarioError
 
-__all__ = ["ParsedExpression", "parse_expression"]
+__all__ = ["parse_expression"]
 
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
@@ -65,12 +64,9 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
         yield kind, m.group(kind), m.start(kind)
 
 
-def _to_source(
-    text: str, n_states: int, allow_u: bool, allow_state: bool
-) -> tuple[str, set[str]]:
-    """Python source for the tokens of ``text``, and the variables it uses."""
+def _to_source(text: str, n_states: int, allow_u: bool, allow_state: bool) -> str:
+    """Python source for the tokens of ``text``."""
     pieces: list[str] = []
-    used: set[str] = set()
     previous = "("
     for kind, value, position in _tokenize(text):
         if kind == "number":
@@ -95,9 +91,8 @@ def _to_source(
             if not m and value not in ("t", "u"):
                 raise _fail(text, f"unknown name {value!r}", position)
             pieces.append(f"x[{index - 1}]" if m else value)
-            used.add(value)
         previous = value
-    return " ".join(pieces), used
+    return " ".join(pieces)
 
 
 def _in_grammar(tree: ast.Expression) -> bool:
@@ -127,26 +122,10 @@ def _in_grammar(tree: ast.Expression) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ParsedExpression:
-    """A compiled expression; call with ``(x, u, t)`` to evaluate.
-
-    ``func`` is the compiled function itself, for hot loops that cannot
-    afford the extra call through ``__call__``.
-    """
-
-    text: str
-    variables: frozenset[str]
-    func: Callable[[Sequence[float], float, float], float]
-
-    def __call__(self, x: Sequence[float], u: float, t: float) -> float:
-        return self.func(x, u, t)
-
-
 def parse_expression(
     text: str, n_states: int, allow_u: bool = True, allow_state: bool = True
-) -> ParsedExpression:
-    """Parse and compile one expression.
+) -> Callable[[Sequence[float], float, float], float]:
+    """Parse and compile one expression to a plain ``f(x, u, t)`` function.
 
     Parameters
     ----------
@@ -169,7 +148,7 @@ def parse_expression(
         raise ScenarioError("expression must be a nonempty string")
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    source, used = _to_source(text, n_states, allow_u, allow_state)
+    source = _to_source(text, n_states, allow_u, allow_state)
     namespace = {f"_fn_{name}": fn for name, fn in _FUNCTIONS.items()}
     try:
         if not _in_grammar(ast.parse(source, mode="eval")):
@@ -182,4 +161,4 @@ def parse_expression(
     except (RecursionError, MemoryError):  # 3.11's parser: MemoryError if deep
         message = "is nested too deeply or too long to compile"
         raise ScenarioError(f"expression of {len(text)} characters {message}") from None
-    return ParsedExpression(text=text, variables=frozenset(used), func=func)
+    return func

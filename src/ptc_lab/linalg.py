@@ -28,10 +28,11 @@ __all__ = [
     "companion_matrix",
     "is_hurwitz",
     "solve_lyapunov",
-    "spectral_norm",
 ]
 
 FloatArray = NDArray[np.float64]
+
+HURWITZ_MARGIN = 1e-9
 
 
 def _readonly(a: np.ndarray) -> FloatArray:
@@ -70,18 +71,16 @@ def companion_matrix(c: tuple[float, ...]) -> FloatArray:
     return _readonly(m)
 
 
-def is_hurwitz(c: tuple[float, ...], tol: float = 1e-9) -> bool:
+def is_hurwitz(c: tuple[float, ...]) -> bool:
     """Whether every eigenvalue of the companion matrix of ``c`` satisfies
-    ``Re(lambda) < -tol``.
+    ``Re(lambda) < -HURWITZ_MARGIN``.
 
-    The margin ``tol`` rejects coefficient vectors whose spectrum touches
-    the imaginary axis to within roundoff; such designs have no Lyapunov
+    The margin rejects coefficient vectors whose spectrum touches the
+    imaginary axis to within roundoff; such designs have no Lyapunov
     certificate worth computing.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
     e = companion_matrix(c)
-    return bool(np.max(np.linalg.eigvals(e).real) < -tol)
+    return bool(np.max(np.linalg.eigvals(e).real) < -HURWITZ_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,3 @@ def solve_lyapunov(c: tuple[float, ...]) -> LyapunovSolution:
         P=_readonly(p), lambda_min=lam_min, lambda_max=lam_max, residual=residual
     )
 
-
-def spectral_norm(a: FloatArray) -> float:
-    """Largest singular value of ``a``."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64), 2))

@@ -29,7 +29,6 @@ from .expressions import parse_expression
 
 __all__ = [
     "PlantSpec",
-    "derivative",
     "check_assumption",
     "builtin_plant",
     "plant_from_expressions",
@@ -61,7 +60,8 @@ class PlantSpec:
     gamma_min : float
         Known lower bound, ``0 < gamma_min <= gamma``.
     phi, phi0 : float
-        Declared disturbance envelope ``|f| <= phi * ||x|| + phi0``.
+        Declared disturbance envelope ``|f| <= phi * ||x|| + phi0``, both
+        nonnegative. All four numbers must be finite.
     seed : int or None
         Seed used to draw any randomized parameters, for reproducibility.
     label : str
@@ -84,6 +84,9 @@ class PlantSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("gamma", "gamma_min", "phi", "phi0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.gamma_min <= self.gamma:
             raise ValueError(
                 f"need 0 < gamma_min <= gamma, got gamma_min={self.gamma_min}, "
@@ -99,19 +102,6 @@ class PlantSpec:
         if self.seed is not None:
             return f"{self.label}[seed={self.seed}]"
         return self.label
-
-
-def derivative(
-    spec: PlantSpec, x: Sequence[float], u: float, t: float
-) -> np.ndarray:
-    """State derivative ``(x_2, ..., x_n, f + gamma * g(t) * u)``."""
-    if len(x) != spec.n:
-        raise ValueError(f"state has length {len(x)}, expected {spec.n}")
-    out = np.empty(spec.n)
-    for i in range(spec.n - 1):
-        out[i] = x[i + 1]
-    out[spec.n - 1] = spec.f(x, u, t) + spec.gamma * spec.g(t) * u
-    return out
 
 
 def check_assumption(
@@ -214,12 +204,12 @@ def plant_from_expressions(
     ``f_text`` may use ``x1..xn``, ``u``, and ``t``; ``g_text`` may use
     ``t`` only. Both are parsed strictly before any simulation runs.
     """
-    f_expr = parse_expression(f_text, n, allow_u=True, allow_state=True)
-    g_expr = parse_expression(g_text, n, allow_u=False, allow_state=False)
+    f = parse_expression(f_text, n, allow_u=True, allow_state=True)
+    g = parse_expression(g_text, n, allow_u=False, allow_state=False)
     return PlantSpec(
         n=n,
-        f=f_expr.func,
-        g=partial(g_expr.func, (), 0.0),
+        f=f,
+        g=partial(g, (), 0.0),
         gamma=gamma,
         gamma_min=gamma_min,
         phi=phi,

@@ -169,6 +169,12 @@ def test_verify_mapping_rejects_deadline_samples():
         pl.verify_mapping(2, 0.2, 10.0, sample_times=(-1.0,))
 
 
+def test_verify_mapping_rejects_nan_rate_or_deadline():
+    for alpha, tau in ((math.nan, 10.0), (0.2, math.nan)):
+        with pytest.raises(ValueError, match="alpha and tau must be positive"):
+            pl.verify_mapping(2, alpha, tau)
+
+
 def test_verify_mapping_other_orders():
     for n, alpha in ((1, 0.4), (4, 1.681e-5)):
         report = pl.verify_mapping(n, alpha, 10.0)

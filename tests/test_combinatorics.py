@@ -146,6 +146,12 @@ def test_clock_domain_errors():
         pl.kappa_prime_of_mu(-0.5, 0.1, 10.0)
     with pytest.raises(ValueError):
         pl.mu_derivative(0, 1.0, 0.1, 10.0)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        pl.kappa_prime_of_mu(1.0, math.nan, 10.0)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        pl.mu_of_t(1.0, 0.1, math.nan)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        pl.alternating_toeplitz(3, math.nan)
 
 
 def test_alternating_toeplitz_entries():

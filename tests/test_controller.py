@@ -261,6 +261,21 @@ def test_select_alpha_always_below_one_over_tau():
         assert sel.alpha < 1.0 / tau
 
 
+def test_select_alpha_validation():
+    lyap = pl.solve_lyapunov((-1.0,))
+    with pytest.raises(ValueError, match="tau must be positive"):
+        pl.select_alpha(lyap, 1, math.nan)
+    for field in ("phi", "phi0"):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                pl.select_alpha(lyap, 1, 10.0, **{field: bad})
+
+
+def test_numeric_rows_validation():
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        pl.numeric_rows((-1.0, -2.0), math.nan)
+
+
 def test_first_order_bound_is_one_half():
     lyap = pl.solve_lyapunov((-1.0,))
     sel = pl.select_alpha(lyap, 1, 1.0, phi0=1.0)
@@ -300,6 +315,8 @@ def test_explicit_alpha_stable_mode_classification():
 def test_design_controller_validation():
     with pytest.raises(ValueError):
         pl.design_controller((-1.0,), -1.0)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        pl.design_controller((-1.0,), math.nan)
     with pytest.raises(ValueError):
         pl.design_controller((-1.0,), 10.0, eps_guard_fraction=2.0)
     with pytest.raises(pl.InfeasibleDesignError):

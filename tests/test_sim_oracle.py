@@ -24,6 +24,7 @@ from ptc_lab import sim
 from ptc_lab.cli import write_trace_csv
 from ptc_lab.controller import build_gain_schedule
 from ptc_lab.plant import check_assumption
+from test_plant import derivative
 
 
 def reference_run(plant, design, cfg):
@@ -441,8 +442,8 @@ def test_builtin_disturbances_match_old_formulas(x, u, t, seed):
     with np.errstate(over="ignore", invalid="ignore"):
         for plant, old in ((example2, old_f2), (example3, old3)):
             state = np.array(x[: plant.n])
-            new = pl.derivative(plant, state, u, t)
-            want = pl.derivative(dataclasses.replace(plant, f=old), state, u, t)
+            new = derivative(plant, state, u, t)
+            want = derivative(dataclasses.replace(plant, f=old), state, u, t)
             assert new.tobytes() == want.tobytes()
 
 

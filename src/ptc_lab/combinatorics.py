@@ -245,12 +245,21 @@ def mu_of_t(t: float, alpha: float, tau: float) -> float:
     which ``kappa_of_mu`` (built on ``log1p``) would not round-trip.
     """
     _check_clock_args(alpha, tau)
+    # "not >= 0" also refuses NaN, which fails every comparison.
+    if not t >= 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
     return -tau * math.expm1(-alpha * t)
 
 
 def mu_dot_of_t(t: float, alpha: float, tau: float) -> float:
-    """Clock rate ``mu_dot(t) = alpha * tau * exp(-alpha t)``."""
+    """Clock rate ``mu_dot(t) = alpha * tau * exp(-alpha t)``.
+
+    Defined for negative ``t`` as well, where a central difference around
+    ``t = 0`` samples it; only NaN is refused.
+    """
     _check_clock_args(alpha, tau)
+    if math.isnan(t):
+        raise ValueError(f"t must be a number, got {t}")
     return alpha * tau * math.exp(-alpha * t)
 
 

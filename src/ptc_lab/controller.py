@@ -341,8 +341,11 @@ class ControllerDesign:
                     f"stable mode requires alpha <= {self.bound_stable}, "
                     f"got {self.alpha}"
                 )
-        if self.gamma_min <= 0:
-            raise ValueError(f"gamma_min must be positive, got {self.gamma_min}")
+        # "not > 0" also refuses NaN, which fails every comparison.
+        if not 0 < self.gamma_min < math.inf:
+            raise ValueError(
+                f"gamma_min must be positive and finite, got {self.gamma_min}"
+            )
         if not 0.0 < self.eps_guard < self.tau:
             raise ValueError(
                 f"eps_guard must lie in (0, tau), got {self.eps_guard}"

@@ -19,7 +19,9 @@ range, unknown names, out-of-range state indices, variables where they
 are not allowed, and nesting Python cannot compile (200 open parentheses,
 or about 3,000 operators in a row) fail at parse time, not at evaluation
 time. Parsed expressions are compiled once to a plain Python function
-and are safe to call from multiple threads.
+and are safe to call from multiple threads. The same checked tree also
+gives the function's postfix program (``native.Program``), in Python's
+order of evaluation, which the compiled loop of ``sim.run`` interprets.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import re
 from typing import Callable, Iterator, Sequence
 
+from . import native
 from .errors import ScenarioError
 
 __all__ = ["parse_expression"]
@@ -122,6 +125,46 @@ def _in_grammar(tree: ast.Expression) -> bool:
     return True
 
 
+_OPCODES = {
+    ast.Add: native.ADD,
+    ast.Sub: native.SUB,
+    ast.Mult: native.MUL,
+    ast.Div: native.DIV,
+    ast.USub: native.NEG,
+    "_fn_sin": native.SIN,
+    "_fn_cos": native.COS,
+    "_fn_exp": native.EXP,
+    "_fn_abs": native.ABS,
+}
+
+
+def _program(tree: ast.Expression) -> native.Program:
+    """The postfix program of a tree ``_in_grammar`` accepts; not recursive,
+    because a chain of 3,000 operators nests as deep."""
+    ops: list[tuple[int, float]] = []
+    pending: list[tuple[ast.expr, bool]] = [(tree.body, False)]
+    while pending:
+        node, ready = pending.pop()
+        if isinstance(node, ast.Constant):
+            ops.append((native.CONST, node.value))
+        elif isinstance(node, ast.Subscript):  # x[k]
+            ops.append((native.X, node.slice.value))
+        elif isinstance(node, ast.Name):
+            ops.append(({"u": native.U, "t": native.T}[node.id], 0))
+        elif ready:
+            key = node.func.id if isinstance(node, ast.Call) else type(node.op)
+            ops.append((_OPCODES[key], 0))
+        else:
+            pending.append((node, True))
+            if isinstance(node, ast.BinOp):
+                pending += ((node.right, False), (node.left, False))
+            elif isinstance(node, ast.UnaryOp):
+                pending.append((node.operand, False))
+            else:
+                pending.append((node.args[0], False))
+    return native.program(ops)
+
+
 def parse_expression(
     text: str, n_states: int, allow_u: bool = True, allow_state: bool = True
 ) -> Callable[[Sequence[float], float, float], float]:
@@ -151,7 +194,8 @@ def parse_expression(
     source = _to_source(text, n_states, allow_u, allow_state)
     namespace = {f"_fn_{name}": fn for name, fn in _FUNCTIONS.items()}
     try:
-        if not _in_grammar(ast.parse(source, mode="eval")):
+        tree = ast.parse(source, mode="eval")
+        if not _in_grammar(tree):
             raise ScenarioError(f"invalid syntax in expression {text!r}")
         func = eval(  # noqa: S307 - source is generated from validated tokens only
             compile(f"lambda x, u, t: {source}", "<expression>", "eval"), namespace
@@ -161,4 +205,5 @@ def parse_expression(
     except (RecursionError, MemoryError):  # 3.11's parser: MemoryError if deep
         message = "is nested too deeply or too long to compile"
         raise ScenarioError(f"expression of {len(text)} characters {message}") from None
+    native.register(func, _program(tree))
     return func

@@ -24,8 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import native
 from .errors import AssumptionViolationError, ScenarioError
 from .expressions import parse_expression
+from .native import ADD, CONST, COS, EXP, FSUM, MUL, SIN, T, U, X
 
 __all__ = [
     "PlantSpec",
@@ -133,6 +135,9 @@ def _unit_gain(t: float) -> float:
     return 1.0
 
 
+native.register(_unit_gain, native.program([(CONST, 1.0)]))
+
+
 def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
     """One of the two bundled example plants.
 
@@ -151,6 +156,12 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
             x1, x2 = x
             return 50.0 * math.cos(u) + math.cos(t) * x1 + math.exp(math.sin(x1)) * x2
 
+        native.register(f2, native.program(
+            [(CONST, 50.0), (U, 0), (COS, 0), (MUL, 0), (T, 0), (COS, 0), (X, 0),
+             (MUL, 0), (ADD, 0), (X, 0), (SIN, 0), (EXP, 0), (X, 1), (MUL, 0),
+             (ADD, 0)],
+            exact=True,
+        ))
         return PlantSpec(
             n=2,
             f=f2,
@@ -172,6 +183,8 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
             x1, x2, x3, x4 = x
             return fsum((w1 * x1, w2 * x2, w3 * x3, w4 * x4))
 
+        products = [op for i, w in enumerate(weights) for op in ((CONST, w), (X, i), (MUL, 0))]
+        native.register(f3, native.program([*products, (FSUM, 4)], exact=True))
         return PlantSpec(
             n=4,
             f=f3,
@@ -206,10 +219,12 @@ def plant_from_expressions(
     """
     f = parse_expression(f_text, n, allow_u=True, allow_state=True)
     g = parse_expression(g_text, n, allow_u=False, allow_state=False)
+    g_of_t = partial(g, (), 0.0)
+    native.register(g_of_t, native.program_of(g))
     return PlantSpec(
         n=n,
         f=f,
-        g=partial(g, (), 0.0),
+        g=g_of_t,
         gamma=gamma,
         gamma_min=gamma_min,
         phi=phi,

@@ -37,6 +37,17 @@ leaves rest, by taking the general step, as soon as a derivative is
 nonzero. Both paths produce the same bits. The plant's g must therefore
 be a pure function of t, and f a pure function of (x, u, t) that does not
 mutate x.
+
+When the plant's f and g are callables this package built (the builtin
+plants and expression plants), the whole loop above runs in C, in one
+call of ``native.integrate``, which interprets their programs. It repeats
+the Python loop's IEEE operations in the same order, rest rule and
+envelope audit included, so its trace and metadata are bitwise the same.
+Wherever the Python loop would raise, and when its row buffer (sized by
+``_row_capacity``) is full, it hands the run back and the Python loop
+runs it from t = 0, so exceptions, messages and partial traces are the
+Python loop's own. Plants with other callables, and machines without
+gcc, take the Python loop, which stays the reference.
 """
 
 from __future__ import annotations
@@ -51,10 +62,11 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from . import native
 from .controller import ControllerDesign, build_gain_schedule, design_controller
 from .errors import DivergenceError
 from .linalg import _readonly
-from .plant import PlantSpec, check_assumption
+from .plant import AUDIT_SLACK, PlantSpec, check_assumption
 
 __all__ = ["SimConfig", "SimTrace", "triangular_fn", "run", "sweep"]
 
@@ -99,6 +111,13 @@ class SimConfig:
         if not self.stiffness_safety > 0:
             raise ValueError(
                 f"stiffness_safety must be positive, got {self.stiffness_safety}"
+            )
+        # An integer, such as a numpy integer, but not a bool or 2.0.
+        if isinstance(self.record_stride, bool) or not isinstance(
+            self.record_stride, numbers.Integral
+        ):
+            raise ValueError(
+                f"record_stride must be an integer, got {self.record_stride!r}"
             )
         if self.record_stride < 1:
             raise ValueError(
@@ -215,6 +234,16 @@ def _predicted_steps(tau: float, alpha: float, cfg: SimConfig) -> float:
     # r >= 1: the first relative step overshoots and is clamped to t_end.
     shrink = math.log(d1 / gap) / -math.log1p(-r) if r < 1.0 else 1.0
     return (tau - d1) / cfg.dt_base + shrink
+
+
+def _row_capacity(steps: float, stride: int) -> int:
+    """Rows to allocate for a run of about ``steps`` steps (``_predicted_steps``).
+
+    A run records ``ceil(steps_total / stride) + 1`` rows, at most
+    ``steps_total // stride + 2``; the margin covers the rounding of the
+    closed form.
+    """
+    return int(steps * 1.001 + 64) // stride + 2
 
 
 def _kernel_source(n: int) -> str:
@@ -406,6 +435,29 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
             "record_stride": stride,
             "divergence_threshold": threshold,
         }
+        compiled = _run_compiled(
+            plant,
+            schedule.coefficients,
+            cfg,
+            _row_capacity(steps, stride),
+            can_rest,
+            tau=tau,
+            t_end=t_end,
+            stop=stop,
+            gamma_min=gamma_min,
+            gamma=gamma,
+            threshold=threshold,
+            dt_base=dt_base,
+            shrink_divisor=shrink_divisor,
+            stiff_cap=stiff_cap,
+            phi=plant.phi,
+            phi0=plant.phi0,
+            slack=AUDIT_SLACK,
+        )
+        if compiled is not None:
+            *samples, steps_total, u_max, x_max = compiled
+            metadata.update(steps_total=steps_total, u_max=u_max, x_max=x_max)
+            return SimTrace(*samples, metadata)
         g_now = g(t)
         while True:
             # The loop ends with one last sample at t_end, after the final
@@ -497,6 +549,42 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     metadata["u_max"] = u_max
     metadata["x_max"] = x_max
     return SimTrace(times, states, inputs, metadata)
+
+
+def _run_compiled(
+    plant: PlantSpec,
+    q: Sequence[float],
+    cfg: SimConfig,
+    capacity: int,
+    can_rest: bool,
+    **scalars: float,
+):
+    """The run from ``native.integrate``, or None to take the Python loop.
+
+    Only a plant whose ``f`` and ``g`` this package built as programs
+    qualifies, and only when every number the loop reads is a float, or an
+    int that a double holds exactly: then C doubles compute and compare
+    what Python does.
+    """
+    f = native.program_of(plant.f)
+    g = native.program_of(plant.g)
+    if f is None or g is None or not (f.fits(plant.n) and g.fits(plant.n)):
+        return None
+    if not all(map(_exact_double, (*q, *scalars.values()))):
+        return None
+    x0 = [float(v) for v in cfg.x0]
+    # Past 2**62 steps no stride can matter; a C long holds this one.
+    stride = min(int(cfg.record_stride), 2**62)
+    return native.integrate(f, g, q, x0, scalars, stride, can_rest, capacity)
+
+
+def _exact_double(v: object) -> bool:
+    if type(v) is float:
+        return True
+    try:
+        return type(v) is int and float(v) == v
+    except OverflowError:
+        return False
 
 
 def sweep(

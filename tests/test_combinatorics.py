@@ -152,6 +152,13 @@ def test_clock_domain_errors():
         pl.mu_of_t(1.0, 0.1, math.nan)
     with pytest.raises(ValueError, match="alpha must be positive"):
         pl.alternating_toeplitz(3, math.nan)
+    for t in (-1.0, -5e-324, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="t must be"):
+            pl.mu_of_t(t, 0.1, 10.0)
+    with pytest.raises(ValueError, match="t must be a number"):
+        pl.mu_dot_of_t(math.nan, 0.1, 10.0)
+    # A central difference at t = 0 samples the rate at t < 0.
+    assert pl.mu_dot_of_t(-1e-4, 0.1, 10.0) > pl.mu_dot_of_t(0.0, 0.1, 10.0)
 
 
 def test_alternating_toeplitz_entries():

@@ -321,3 +321,6 @@ def test_design_controller_validation():
         pl.design_controller((-1.0,), 10.0, eps_guard_fraction=2.0)
     with pytest.raises(pl.InfeasibleDesignError):
         pl.design_controller((1.0, 1.0), 10.0)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="gamma_min must be positive and finite"):
+            pl.design_controller((-1.0,), 10.0, gamma_min=bad, phi0=1.0)

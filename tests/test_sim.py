@@ -205,6 +205,10 @@ def test_sim_config_validation():
         pl.SimConfig(x0=(1.0,), shrink_divisor=0.0)
     with pytest.raises(ValueError):
         pl.SimConfig(x0=(1.0,), record_stride=0)
+    for stride in (True, 2.5, 2.0, "2", np.float64(3.0)):
+        with pytest.raises(ValueError, match="record_stride must be an integer"):
+            pl.SimConfig(x0=(1.0,), record_stride=stride)
+    assert pl.SimConfig(x0=(1.0,), record_stride=np.int64(3)).record_stride == 3
     with pytest.raises(ValueError):
         pl.SimConfig(x0=(1.0,), divergence_threshold=0.0)
     for name in ("dt_base", "epsilon_fraction", "shrink_divisor", "stiffness_safety",

@@ -10,7 +10,8 @@
  * Python refuses, an fsum overflow, a divergence, an envelope violation),
  * and when the row buffer is full, ptc_run stops and returns a nonzero
  * status; the caller then runs the Python loop from t = 0, which raises
- * with its own message and partial trace.
+ * with its own message and partial trace. It also stops, at the start of
+ * the next step, once the caller sets the cancel flag on Ctrl-C.
  *
  * Build: gcc -O2 -fPIC -shared -ffp-contract=off -o native.so native.c -lm
  * Floating-point contraction (fused multiply-add) and fast-math would
@@ -49,7 +50,9 @@ enum {
  * more than STACK - 1 values at once. */
 #define STACK 64
 
-enum { OK = 0, FAULT = 1, FULL = 2 };
+/* CANCELLED: the caller set run_args.cancel, and raises KeyboardInterrupt
+ * instead of handing the run to the Python loop. */
+enum { OK = 0, FAULT = 1, FULL = 2, CANCELLED = 3 };
 
 typedef struct {
     const int *code;
@@ -69,6 +72,7 @@ typedef struct {
     double *times, *states, *inputs;
     long rows, steps; /* out */
     double u_max, x_max; /* out */
+    volatile int cancel; /* set by another thread: stop at the next step */
 } run_args;
 
 /* CPython's math.fsum (Shewchuk's partials with half-even correction),
@@ -312,6 +316,9 @@ int ptc_run(run_args *a)
         for (i = 0; i < n && resting; i++)
             resting = x[i] == 0.0 && !signbit(x[i]);
         for (;;) {
+            /* Once per step, rest steps included. */
+            if (a->cancel)
+                return CANCELLED;
             d = tau - t;
             h = a->dt_base;
             cap = d / a->shrink_divisor;

@@ -14,13 +14,15 @@ system's ``gcc`` on the first call, never at import, into a temporary
 directory that is removed once the library is loaded. Without a compiler,
 or when the build fails, ``integrate`` returns None and ``sim.run`` takes
 the Python loop; it returns None as well whenever the C loop meets
-anything the Python loop raises on.
+anything the Python loop raises on. The C loop runs in a worker thread,
+so that Ctrl-C in the calling thread stops it within one step.
 """
 
 from __future__ import annotations
 
 import ctypes
 import shutil
+import threading
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -139,6 +141,7 @@ class _RunArgs(ctypes.Structure):
         ("steps", ctypes.c_long),
         ("u_max", ctypes.c_double),
         ("x_max", ctypes.c_double),
+        ("cancel", ctypes.c_int),
     ]
 
 
@@ -208,7 +211,8 @@ def integrate(
     Returns ``(times, states, inputs, steps_total, u_max, x_max)``, or
     None when no compiled loop is available, the buffers of ``capacity``
     rows cannot be allocated, or the run must be repeated in Python: it
-    faulted, or it recorded more than ``capacity`` rows.
+    faulted, or it recorded more than ``capacity`` rows. A
+    KeyboardInterrupt stops the C loop within one step and propagates.
     """
     lib = library()
     if lib is None:
@@ -222,7 +226,7 @@ def integrate(
         return None
     x = np.array(x0, dtype=np.float64)
     q_arr = np.array(q, dtype=np.float64)
-    keep: list = []  # the ctypes arrays must outlive the call
+    keep: list = [x, q_arr, times, states, inputs]  # these must outlive the call
     args = _RunArgs(
         n=n,
         can_rest=int(can_rest),
@@ -237,7 +241,37 @@ def integrate(
         inputs=inputs.ctypes.data_as(_DOUBLE_P),
         **{name: scalars[name] for name in SCALARS},  # none may default to 0
     )
-    if lib.ptc_run(ctypes.byref(args)) != 0:
+    if _run_interruptibly(lib.ptc_run, args, keep) != 0:
         return None
     rows = args.rows
     return times[:rows], states[:rows], inputs[:rows], args.steps, args.u_max, args.x_max
+
+
+def _run_interruptibly(ptc_run, args: _RunArgs, keep: list) -> int:
+    """``ptc_run(args)`` in a worker thread; returns its status.
+
+    ctypes releases the GIL for the call, so the calling thread can wait
+    on an event, where Ctrl-C raises KeyboardInterrupt. It then sets the
+    cancel flag, waits for the C loop to return at its next step, and
+    re-raises. The worker holds ``args`` and ``keep``, whose buffers the C
+    loop writes, until the call returns. (``Thread.join`` would not do: an
+    interrupted join can mark the running thread as stopped, and the next
+    join then returns at once.)
+    """
+    status: list[int] = []
+    done = threading.Event()
+
+    def call(args: _RunArgs, keep: list) -> None:
+        try:
+            status.append(ptc_run(ctypes.byref(args)))
+        finally:
+            done.set()
+
+    threading.Thread(target=call, args=(args, keep), name="ptc_lab-native").start()
+    try:
+        done.wait()
+    except KeyboardInterrupt:
+        args.cancel = 1
+        done.wait()
+        raise
+    return status[0]

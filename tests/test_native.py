@@ -6,11 +6,15 @@ compares the two, or a program with the callable it stands for. Without
 gcc there is no compiled loop, and these tests skip.
 """
 
-import dataclasses
-import functools
 import math
+import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,7 @@ from test_sim_oracle import (
     COEFFICIENTS,
     GAINS,
     _hurwitz_coefficients,
+    _python_path,
     _stand_in_design,
     _step_times,
     _vanishing_plant,
@@ -49,17 +54,6 @@ def compiled(monkeypatch):
 
     monkeypatch.setattr(native, "integrate", spy)
     return outcomes
-
-
-def _python_path(plant):
-    """The same plant, with an ``f`` the compiled loop does not know."""
-    f = plant.f
-
-    @functools.wraps(f)
-    def wrapped(x, u, t):
-        return f(x, u, t)
-
-    return dataclasses.replace(plant, f=wrapped)
 
 
 def _blobs(trace):
@@ -297,3 +291,46 @@ def test_row_buffer_holds_every_run(
     rows = trace.metadata["steps_total"] // stride + 2
     assert trace.times.shape[0] <= rows <= sim._row_capacity(steps, stride)
     assert compiled == [True]
+
+
+# A run of about 6.7 s in C on a 2-core VM: seed 42 never rests, and a
+# quarter of the stiffness cap makes 1.6M steps.
+_LONG_RUN = textwrap.dedent("""
+    import ptc_lab as pl
+    from ptc_lab import native
+    assert native.library() is not None
+    plant = pl.builtin_plant("example3", seed=42)
+    design = pl.design_controller(
+        (-1.0, -4.0, -6.0, -4.0), 10.0, phi=plant.phi, phi0=plant.phi0
+    )
+    cfg = pl.SimConfig(x0=(10.0,) * 4, record_stride=50, stiffness_safety=0.25)
+    print("ready", flush=True)
+    pl.run(plant, design, cfg)
+""")
+
+
+def test_ctrl_c_stops_a_compiled_run():
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _LONG_RUN],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert child.stdout.readline() == "ready\n"
+        time.sleep(0.2)
+        child.send_signal(signal.SIGINT)
+        sent = time.perf_counter()
+        _, err = child.communicate(timeout=60)
+        elapsed = time.perf_counter() - sent
+    finally:
+        child.kill()
+        child.wait()
+    # Raised while the caller waited for the C loop, and never caught.
+    assert "in _run_interruptibly" in err
+    assert err.rstrip().endswith("KeyboardInterrupt")
+    assert child.returncode == -signal.SIGINT
+    assert elapsed < 1.0
+

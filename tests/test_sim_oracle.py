@@ -8,6 +8,7 @@ must reproduce them bit for bit, not within a tolerance.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 import struct
@@ -20,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ptc_lab as pl
-from ptc_lab import sim
 from ptc_lab.cli import write_trace_csv
 from ptc_lab.controller import build_gain_schedule
 from ptc_lab.plant import check_assumption
@@ -167,34 +167,53 @@ def _hurwitz_coefficients(poles):
     return tuple(float(-v) for v in np.poly(poles)[1:][::-1])
 
 
+def _python_path(plant):
+    """The same plant, with an ``f`` the compiled loop does not know."""
+    f = plant.f
+
+    @functools.wraps(f)
+    def wrapped(x, u, t):
+        return f(x, u, t)
+
+    return dataclasses.replace(plant, f=wrapped)
+
+
 def _assert_same_run(plant, design, cfg):
+    """``run`` reproduces ``reference_run`` bit for bit, both for the plant
+    as built (in C when its f and g are programs) and with f wrapped (in
+    the Python loop)."""
+    plants = (plant, _python_path(plant))
     try:
         expected = reference_run(plant, design, cfg)
     except (pl.DivergenceError, pl.AssumptionViolationError, ArithmeticError) as exc:
-        with pytest.raises((pl.DivergenceError, pl.AssumptionViolationError)) as err:
-            pl.run(plant, design, cfg)
-        if isinstance(exc, pl.AssumptionViolationError):
-            assert isinstance(err.value, pl.AssumptionViolationError)
-            assert str(err.value) == str(exc)
-        else:
-            assert isinstance(err.value, pl.DivergenceError)
-        if isinstance(exc, pl.DivergenceError) and exc.trace[0]:
-            times, states, inputs = exc.trace
-            partial = err.value.trace
-            assert partial.times.tobytes() == np.asarray(times).tobytes()
-            assert partial.states.tobytes() == np.asarray(states).tobytes()
-            assert partial.inputs.tobytes() == np.asarray(inputs).tobytes()
+        for candidate in plants:
+            with pytest.raises((pl.DivergenceError, pl.AssumptionViolationError)) as err:
+                pl.run(candidate, design, cfg)
+            if isinstance(exc, pl.AssumptionViolationError):
+                assert isinstance(err.value, pl.AssumptionViolationError)
+                assert str(err.value) == str(exc)
+            else:
+                assert isinstance(err.value, pl.DivergenceError)
+            if isinstance(exc, pl.DivergenceError) and exc.trace[0]:
+                times, states, inputs = exc.trace
+                partial = err.value.trace
+                assert partial.times.tobytes() == np.asarray(times).tobytes()
+                assert partial.states.tobytes() == np.asarray(states).tobytes()
+                assert partial.inputs.tobytes() == np.asarray(inputs).tobytes()
         return None
     times, states, inputs, metadata = expected
-    trace = pl.run(plant, design, cfg)
-    assert np.array_equal(trace.times, times)
-    assert np.array_equal(trace.states, states)
-    assert np.array_equal(trace.inputs, inputs)
-    # array_equal treats -0.0 as 0.0; the CSV does not, so compare bits too.
-    for got, want in ((trace.times, times), (trace.states, states), (trace.inputs, inputs)):
-        assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
-    assert dict(trace.metadata) == metadata
-    assert trace.metadata["steps_total"] == metadata["steps_total"]
+    for candidate in plants:
+        trace = pl.run(candidate, design, cfg)
+        assert np.array_equal(trace.times, times)
+        assert np.array_equal(trace.states, states)
+        assert np.array_equal(trace.inputs, inputs)
+        # array_equal treats -0.0 as 0.0; the CSV does not, so compare bits too.
+        for got, want in (
+            (trace.times, times), (trace.states, states), (trace.inputs, inputs)
+        ):
+            assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+        assert dict(trace.metadata) == metadata
+        assert trace.metadata["steps_total"] == metadata["steps_total"]
     return trace
 
 
@@ -223,7 +242,7 @@ def _last_step_clamped(design, cfg):
 GAINS = ("1", "1 + 0.5*sin(t)", "2 - cos(3*t)")
 
 
-# The orders design-map covers; each has its own generated kernel.
+# The orders design-map covers.
 ORDERS = range(1, 9)
 
 
@@ -307,21 +326,9 @@ def test_example3_prefix_matches_reference():
     _assert_same_run(plant, design, cfg)
 
 
-def test_kernel_compiled_once_per_order(monkeypatch):
-    compiled = []
-    source = sim._kernel_source
-    monkeypatch.setattr(sim, "_kernel_source", lambda n: compiled.append(n) or source(n))
-    sim._kernel.cache_clear()
-    for n in (*ORDERS, *ORDERS):
-        plant = _vanishing_plant(n)
-        design = _stand_in_design((-1.0,) * n, 1.0, 0.1, 1.0)
-        pl.run(plant, design, pl.SimConfig(x0=(1.0,) * n, epsilon_fraction=0.5))
-    assert compiled == list(ORDERS)
-
-
 # SHA-256 of the times, states and inputs bytes and of repr(dict(metadata))
-# of full runs, recorded with the list-based loop before the generated
-# kernel replaced it. example3 at seed 30 spends about 118k steps in
+# of full runs, recorded with the list-based loop of ``reference_run``'s
+# era. example3 at seed 30 spends about 118k steps in
 # subnormal states; seed 6 rests for most of its 410,926 steps.
 FULL_RUN_PINS = {
     "example2": (
@@ -369,8 +376,7 @@ def test_full_runs_match_pins(example2_trace, example3_trace):
 @pytest.mark.parametrize("fault", ["g-zero-at-mid-stage", "f-overflow-at-stage-4"])
 def test_faults_raise_in_the_same_stage(phase, fault):
     # A fault at one stage time of step k: the run must fail in step k, with
-    # the message, t and partial trace of the loop the kernel replaced,
-    # whose trace is the unfaulted run's up to step k.
+    # the message, t and partial trace of ``reference_run``, whose trace is the unfaulted run's up to step k.
     plant = _vanishing_plant(2)
     design = _stand_in_design(COEFFICIENTS[2], 2.0, 0.005, 1.0)
     cfg = pl.SimConfig(x0=(10.0, 10.0))

@@ -363,6 +363,17 @@ def cmd_simulate(args) -> int:
     cfg: SimConfig = scenario["sim"]
     out_dir: Path = scenario["out_dir"]
     stem: str = scenario["stem"]
+    # Files are named by {tau:g}: deadlines that format alike would
+    # overwrite each other's files.
+    named: dict[str, float] = {}
+    for tau in scenario["taus"]:
+        name = f"{tau:g}"
+        if name in named:
+            raise ScenarioError(
+                f"deadlines {named[name]!r} and {tau!r} would both write "
+                f"{_trace_csv_path(out_dir, stem, tau, partial=False)}"
+            )
+        named[name] = tau
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # One deadline at a time: the files of the deadlines that finished stay

@@ -3,8 +3,10 @@
  * ptc_run repeats the Python loop of sim.run operation for operation: the
  * same IEEE double operations on the same operands in the same order, so
  * that every value it records is bitwise the value the Python loop
- * records. The plant's f and g arrive as postfix programs that a small
- * stack machine interprets; no plant text is ever compiled.
+ * records. The one exception is the rest step below, which skips work
+ * whose result it can prove. The plant's f and g arrive as postfix
+ * programs that a small stack machine interprets; no plant text is ever
+ * compiled.
  *
  * Wherever the Python loop would raise (a zero divisor, a math function
  * Python refuses, an fsum overflow, a divergence, an envelope violation),
@@ -61,7 +63,6 @@ typedef struct {
 
 typedef struct {
     int n;
-    int can_rest;
     long stride;
     long capacity; /* rows the three buffers hold */
     double tau, t_end, stop, gamma_min, gamma, threshold;
@@ -269,8 +270,16 @@ int ptc_run(run_args *a)
     double t = 0.0, g_now, u1, f1, k1 = 0.0, amp, norm, limit;
     double d, h, cap, half, t_mid, t_next, g_mid, g_next, u, fv, k, k2, k3, k4, sixth;
     long step_index = 0;
-    int i, last, resting, clamped, status;
+    int i, last, can_rest, resting, clamped, status;
 
+    /* From the state +0.0 a stage sums only zeros, so the gain sum is +0.0
+     * and u = 0.0 / (gamma_min * g), when every q is finite
+     * (build_gain_schedule ensures it) and no power of tau - s is 0. The
+     * stage times of a step that is not clamped lie at or before t_end,
+     * and the powers shrink with tau - s, so the n-th power at t_end, the
+     * smallest when tau - t_end < 1, settles that for the whole run. */
+    powers(n, tau, t_end, p);
+    can_rest = p[0] != 0.0;
     a->rows = 0;
     a->u_max = 0.0;
     a->x_max = 0.0;
@@ -312,9 +321,12 @@ int ptc_run(run_args *a)
                 return status;
         if (last)
             break;
-        resting = k1 == 0.0 && a->can_rest;
+        resting = k1 == 0.0 && can_rest;
+        /* Every component +0.0; a -0.0 keeps the step general. */
         for (i = 0; i < n && resting; i++)
             resting = x[i] == 0.0 && !signbit(x[i]);
+        /* Rest steps, if any, then one general step; a rest step that
+         * reaches the stop time leaves for the last sample instead. */
         for (;;) {
             /* Once per step, rest steps included. */
             if (a->cancel)
@@ -335,8 +347,20 @@ int ptc_run(run_args *a)
             t_next = t + h;
             if (eval(&a->g, x, 0.0, t_mid, &g_mid) || eval(&a->g, x, 0.0, t_next, &g_next))
                 return FAULT;
+            /* A rest step. From rest all four stage states are x itself,
+             * +0.0, so stages 2 and 3 are the same call, and stage 4's
+             * values at t_next are the next step's first stage. When both
+             * derivatives are 0.0 the general step would leave x as it is:
+             * each stage state and the update add products with +-0.0 to
+             * +0.0, which gives +0.0. So a rest step calls f once at t_mid
+             * and once at t_next and keeps x. It skips the divergence check
+             * and the envelope audit of the next step start, which both
+             * pass: x = +0.0 and u = +-0.0, so |v| = 0 <= threshold;
+             * k = f + gain*u == 0.0 with gain*u either +-0.0 or NaN forces
+             * f = 0.0, so |f| = 0 <= phi*0 + phi0 + slack; and neither peak
+             * can grow from 0. A clamped step ends the loop, which
+             * evaluates t_end afresh, so it is never a rest step. */
             if (resting && !clamped) {
-                /* A rest step, as sim.run argues it. */
                 if (gamma_min * g_mid == 0.0)
                     return FAULT;
                 u = 0.0 / (gamma_min * g_mid);

@@ -126,7 +126,6 @@ _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 class _RunArgs(ctypes.Structure):
     _fields_ = [
         ("n", ctypes.c_int),
-        ("can_rest", ctypes.c_int),
         ("stride", ctypes.c_long),
         ("capacity", ctypes.c_long),
         *((name, ctypes.c_double) for name in SCALARS),
@@ -203,7 +202,6 @@ def integrate(
     x0: Sequence[float],
     scalars: dict[str, float],  # one value per name in SCALARS
     stride: int,
-    can_rest: bool,
     capacity: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float, float] | None:
     """Run the loop of ``sim.run`` in C.
@@ -229,7 +227,6 @@ def integrate(
     keep: list = [x, q_arr, times, states, inputs]  # these must outlive the call
     args = _RunArgs(
         n=n,
-        can_rest=int(can_rest),
         stride=stride,
         capacity=capacity,
         q=q_arr.ctypes.data_as(_DOUBLE_P),

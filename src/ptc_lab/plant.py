@@ -51,8 +51,10 @@ class PlantSpec:
         Chain length.
     f : callable
         Disturbance ``f(x, u, t) -> float``. It must be a pure function
-        of ``(x, u, t)`` that does not mutate ``x``: once the state rests
-        at exactly +0.0, the simulator evaluates coinciding stages once.
+        of ``(x, u, t)`` that does not mutate ``x``. Only the compiled
+        loop, which runs the package's own callables, evaluates coinciding
+        stages once, when the state rests at exactly +0.0; the Python
+        loop calls ``f`` at every stage.
     g : callable
         Input gain ``g(t) -> float``, nonzero for all t. It must be a
         pure function of ``t``: the simulator evaluates it once per

@@ -15,30 +15,24 @@ envelope declared by the plant is audited at every step start.
 
 A step has three distinct stage times, t, t + h/2 (stages 2 and 3) and
 t + h. The input gain g is called once for each, and g(t + h) serves the
-next step's first stage.
-
-Once the controller has driven the state to exactly +0.0 in every
-component, a step whose first-stage derivative is 0.0 is a rest step: all
-four stage states are +0.0, stages 2 and 3 coincide, and the step leaves
-the state unchanged. The loop then calls f once at t + h/2 and once at
-t + h, on the resting state itself, instead of running four stages, and
-leaves rest, by taking the general step, as soon as a derivative is
-nonzero. Both paths produce the same bits. The plant's g must therefore
-be a pure function of t, and f a pure function of (x, u, t) that does not
-mutate x.
+next step's first stage. The plant's g must be a pure function of t, and
+f a pure function of (x, u, t) that does not mutate x.
 
 When the plant's f and g are callables this package built (the builtin
-plants and expression plants), the whole loop above runs in C, in one
-call of ``native.integrate``, which interprets their programs. It repeats
-the Python loop's IEEE operations in the same order, rest rule and
-envelope audit included, so its trace and metadata are bitwise the same.
-Wherever the Python loop would raise, and when its row buffer (sized by
-``_row_capacity``) is full, it hands the run back and the Python loop
-runs it from t = 0, so exceptions, messages and partial traces are the
-Python loop's own.
+plants and expression plants), the whole loop runs in C, in one call of
+``native.integrate``, which interprets their programs. It repeats the
+Python loop's IEEE operations in the same order, envelope audit
+included, so its trace and metadata are bitwise the same. It also has a
+rest rule the Python loop lacks: once the state is exactly +0.0 in every
+component, a step evaluates its coinciding stages once and produces the
+bits of the general step with two f calls instead of four (``native.c``
+gives the proof). Wherever the Python loop would raise, and when its row
+buffer (sized by ``_row_capacity``) is full, it hands the run back and
+the Python loop runs it from t = 0, so exceptions, messages and partial
+traces are the Python loop's own.
 
-The Python loop is plain reference code, which the C loop repeats, and
-the fallback: it runs plants with other callables (such as a
+The Python loop is plain RK4, which the C loop repeats, and the
+fallback: it runs plants with other callables (such as a
 ``functools.wraps`` wrapper), runs on machines without gcc, and reruns
 whatever the C loop hands back.
 """
@@ -197,11 +191,6 @@ class SimTrace:
         object.__setattr__(self, "lambda_values", _readonly(lam))
 
 
-def _positive_zero(x: list[float]) -> bool:
-    """Every component is +0.0; a -0.0 keeps the step on the general path."""
-    return all(v == 0.0 and math.copysign(1.0, v) > 0.0 for v in x)
-
-
 # Runs the step rule predicts to need more steps than this are refused: at
 # a few microseconds a step, 10**8 steps already take minutes.
 MAX_STEPS = 10**8
@@ -302,18 +291,6 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
     threshold = cfg.divergence_threshold
     stride = cfg.record_stride
 
-    # From the state +0.0 a stage sums only zeros, so the gain sum is +0.0
-    # and u = 0.0 / (gamma_min * g), when every q is finite
-    # (build_gain_schedule ensures it) and no power of tau - s is 0. The
-    # stage times of a step that is not clamped lie at or before t_end,
-    # and the powers shrink with tau - s, so the n-th power at t_end, the
-    # smallest when tau - t_end < 1, settles that for the whole run.
-    d_end = tau - t_end
-    pw = d_end
-    for _ in range(n - 1):
-        pw *= d_end
-    can_rest = pw != 0.0
-
     times: list[float] = []
     states: list[tuple[float, ...]] = []
     inputs: list[float] = []
@@ -360,7 +337,6 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
             q,
             cfg,
             _row_capacity(steps, stride),
-            can_rest,
             tau=tau,
             t_end=t_end,
             stop=stop,
@@ -406,71 +382,35 @@ def run(plant: PlantSpec, design: ControllerDesign, cfg: SimConfig) -> SimTrace:
                 inputs.append(u1)
             if last:
                 break
-            resting = k1 == 0.0 and can_rest and _positive_zero(x)
-            # Rest steps, if any, then one general step; a rest step that
-            # reaches the stop time leaves for the last sample instead.
-            while True:
-                d = tau - t
-                h = dt_base
-                cap = d / shrink_divisor
-                if cap < h:
-                    h = cap
-                cap = stiff_cap * d
-                if cap < h:
-                    h = cap
-                clamped = h >= t_end - t
-                if clamped:
-                    h = t_end - t
-                half = 0.5 * h
-                t_mid = t + half
-                t_next = t + h
-                g_mid = g(t_mid)
-                g_next = g(t_next)
-                # From rest, stages 2 and 3 are the same call on the state
-                # +0.0 (x itself), and stage 4's values at t_next are the
-                # next step's first stage. A resting step skips the
-                # divergence check and the envelope audit, which both pass:
-                # x = +0.0 and u = +-0.0, so |v| = 0 <= threshold; k = f +
-                # gain*u == 0.0 with gain*u either +-0.0 or NaN forces
-                # f = 0.0, so |f| = 0 <= phi*0 + phi0 + AUDIT_SLACK; and
-                # neither peak can grow from 0. A clamped step ends the
-                # loop, which evaluates t_end afresh.
-                if resting and not clamped:
-                    u = 0.0 / (gamma_min * g_mid)
-                    if f(x, u, t_mid) + gamma * g_mid * u == 0.0:
-                        u = 0.0 / (gamma_min * g_next)
-                        k = f(x, u, t_next) + gamma * g_next * u
-                        if k == 0.0:
-                            k1 = k
-                            t = t_next
-                            step_index += 1
-                            if not t < stop:
-                                break
-                            if step_index % stride == 0:
-                                times.append(t)
-                                states.append(tuple(x))
-                                inputs.append(u)
-                            continue
-                # Stages 2-4 and the update. A stage's derivative is its
-                # state shifted by one component, ending in the stage's k.
-                kx = [*x[1:], k1]
-                ya = [xi + half * v for xi, v in zip(x, kx)]
-                ka = [*ya[1:], stage(ya, t_mid, g_mid)[2]]
-                yb = [xi + half * v for xi, v in zip(x, ka)]
-                kb = [*yb[1:], stage(yb, t_mid, g_mid)[2]]
-                yc = [xi + h * v for xi, v in zip(x, kb)]
-                kc = [*yc[1:], stage(yc, t_next, g_next)[2]]
-                sixth = h / 6.0
-                x = [
-                    xi + sixth * (a + 2.0 * (b + c) + e)
-                    for xi, a, b, c, e in zip(x, kx, ka, kb, kc)
-                ]
-                g_now = g_next
-                # A clamped step lands on t_end and ends the loop, which
-                # then evaluates t_end afresh.
-                t = t_end if clamped else t_next
-                step_index += 1
-                break
+            d = tau - t
+            h = min(dt_base, d / shrink_divisor, stiff_cap * d)
+            clamped = h >= t_end - t
+            if clamped:
+                h = t_end - t
+            half = 0.5 * h
+            t_mid = t + half
+            t_next = t + h
+            g_mid = g(t_mid)
+            g_next = g(t_next)
+            # Stages 2-4 and the update. A stage's derivative is its state
+            # shifted by one component, ending in the stage's k.
+            kx = [*x[1:], k1]
+            ya = [xi + half * v for xi, v in zip(x, kx)]
+            ka = [*ya[1:], stage(ya, t_mid, g_mid)[2]]
+            yb = [xi + half * v for xi, v in zip(x, ka)]
+            kb = [*yb[1:], stage(yb, t_mid, g_mid)[2]]
+            yc = [xi + h * v for xi, v in zip(x, kb)]
+            kc = [*yc[1:], stage(yc, t_next, g_next)[2]]
+            sixth = h / 6.0
+            x = [
+                xi + sixth * (a + 2.0 * (b + c) + e)
+                for xi, a, b, c, e in zip(x, kx, ka, kb, kc)
+            ]
+            g_now = g_next
+            # A clamped step lands on t_end and ends the loop, which then
+            # evaluates t_end afresh.
+            t = t_end if clamped else t_next
+            step_index += 1
     except ArithmeticError as exc:
         raise DivergenceError(
             f"plant or control arithmetic failed at t={t:.6g}: "
@@ -489,7 +429,6 @@ def _run_compiled(
     q: Sequence[float],
     cfg: SimConfig,
     capacity: int,
-    can_rest: bool,
     **scalars: float,
 ):
     """The run from ``native.integrate``, or None to take the Python loop.
@@ -508,7 +447,7 @@ def _run_compiled(
     x0 = [float(v) for v in cfg.x0]
     # Past 2**62 steps no stride can matter; a C long holds this one.
     stride = min(int(cfg.record_stride), 2**62)
-    return native.integrate(f, g, q, x0, scalars, stride, can_rest, capacity)
+    return native.integrate(f, g, q, x0, scalars, stride, capacity)
 
 
 def _exact_double(v: object) -> bool:

@@ -295,6 +295,28 @@ def test_tau_override_limits_sweep(tmp_path):
     assert csvs == ["example2_tau12.csv"]
 
 
+@pytest.mark.parametrize(
+    "taus, flags, named",
+    [
+        ([10, 10.0000001], [], "10.0 and 10.0000001"),
+        ([10, 15], ["--tau", "10", "--tau", "10"], "10.0 and 10.0"),
+    ],
+    ids=["scenario", "flags"],
+)
+def test_simulate_refuses_deadlines_that_share_a_file(tmp_path, capsys, taus, flags, named):
+    scenario = _ex2_scenario(
+        tmp_path, controller={"c": [-1, -2], "taus": taus, "alpha": 0.0214}
+    )
+    assert main(["simulate", "--scenario", scenario, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        f"error: deadlines {named} would both write "
+        f"{tmp_path / 'out' / 'example2_tau10.csv'}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_dir_override(tmp_path):
     scenario = _ex2_scenario(
         tmp_path, controller={"c": [-1, -2], "tau": 10, "alpha": 0.0214}

@@ -1,0 +1,64 @@
+"""``native.py`` declares what ``native.c`` defines, read from the C source.
+
+ctypes trusts ``_RunArgs`` to lay out ``run_args`` and the opcode numbers
+to match the C enum; a mismatch corrupts memory or runs the wrong ops
+instead of failing. These tests parse the source, so they need no gcc.
+"""
+
+import ctypes
+import re
+from pathlib import Path
+
+import pytest
+
+from ptc_lab import native
+
+# native.c without its comments.
+CODE = re.sub(
+    r"/\*.*?\*/", "", Path(native.__file__).with_name("native.c").read_text(), flags=re.S
+)
+
+# The C types of the structures' fields, as ctypes spells them.
+C_TYPES = {
+    "int": ctypes.c_int,
+    "long": ctypes.c_long,
+    "double": ctypes.c_double,
+    "int *": ctypes.POINTER(ctypes.c_int),
+    "double *": ctypes.POINTER(ctypes.c_double),
+    "program": native._Program,
+}
+
+
+def _struct_fields(name):
+    """(field, C type) pairs of ``typedef struct { ... } name;``, in order."""
+    body = re.search(r"typedef struct \{([^}]*)\}\s*" + name + ";", CODE).group(1)
+    fields = []
+    for declaration in filter(str.strip, body.split(";")):
+        words = re.sub(r"\b(const|volatile)\b", "", declaration).split(",")
+        base, first = words[0].split(None, 1)
+        for declarator in (first, *words[1:]):
+            pointer = " *" if "*" in declarator else ""
+            fields.append((declarator.replace("*", "").strip(), base + pointer))
+    return fields
+
+
+@pytest.mark.parametrize(
+    "name, structure", [("run_args", native._RunArgs), ("program", native._Program)]
+)
+def test_structures_match_their_ctypes_layout(name, structure):
+    fields = [(field, C_TYPES[c_type]) for field, c_type in _struct_fields(name)]
+    assert fields == list(structure._fields_)
+
+
+def test_opcodes_match_native_py():
+    names = re.findall(r"\bOP_(\w+)", re.search(r"enum \{(\s*OP_[^}]*)\}", CODE).group(1))
+    assert [getattr(native, name) for name in names] == list(range(len(names)))
+    assert names[-1] == "END"
+    # eval's jump table lists one label per opcode, in enum order.
+    labels = re.search(r"labels\[\] = \{([^}]*)\}", CODE).group(1)
+    assert re.findall(r"&&op_(\w+)", labels) == [name.lower() for name in names]
+
+
+def test_stack_depth_matches_native_py():
+    stack = int(re.search(r"#define STACK (\d+)", CODE).group(1))
+    assert native.MAX_DEPTH == stack - 1

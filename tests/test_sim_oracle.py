@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ptc_lab as pl
+from ptc_lab import native
 from ptc_lab.cli import write_trace_csv
 from ptc_lab.controller import build_gain_schedule
 from ptc_lab.plant import check_assumption
@@ -498,30 +499,32 @@ def test_csv_writer_bytes_match_reference_on_run(tmp_path, example2_trace):
 
 
 # A vanishing disturbance the controller drives to exactly +0.0 in every
-# component within about 2,300 steps, after which ``run`` takes its rest
-# path: two f calls per step instead of four.
+# component within about 2,300 steps, after which the compiled loop takes
+# its rest path: two f calls per step instead of four.
 VANISHING = "0.001*x1*cos(t)"
 COEFFICIENTS = {1: (-1.0,), 2: (-1.0, -2.0)}
 
 
-def _f_calls(plant, design, cfg):
-    """The number of f calls one ``run`` makes, and its step count."""
-    calls = 0
-
-    def counted(x, u, t):
-        nonlocal calls
-        calls += 1
-        return plant.f(x, u, t)
-
-    trace = pl.run(dataclasses.replace(plant, f=counted), design, cfg)
-    return calls, trace.metadata["steps_total"]
-
-
 def _assert_same_run_at_rest(plant, design, cfg):
-    """``_assert_same_run``, and the rest path saved f calls."""
-    trace = _assert_same_run(plant, design, cfg)
-    calls, steps = _f_calls(plant, design, cfg)
-    assert calls < 4 * steps
+    """``_assert_same_run``, for a package-built plant that the compiled
+    loop, when there is one, runs to the end without handing back, and
+    whose trace rests at +0.0 before its last sample, so that the compiled
+    loop's rest path ran."""
+    outcomes = []
+    integrate = native.integrate
+
+    def spy(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        outcomes.append(out is not None)
+        return out
+
+    # The spy sees only the plant as built: the wrapped one has no program.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "integrate", spy)
+        trace = _assert_same_run(plant, design, cfg)
+    assert outcomes == [native.library() is not None]
+    at_rest = (trace.states[:-1].view(np.uint64) == 0).all(axis=1)
+    assert at_rest.any()
     return trace
 
 

@@ -35,6 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import native
 from .analysis import certify
 from .controller import ControllerDesign, numeric_rows, symbolic_rows
 from .errors import (
@@ -206,7 +207,7 @@ def _load_scenario(path: str, args) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
     _check_keys(
         "top-level", raw, {"plant", "controller", "sim", "output"},
@@ -273,22 +274,36 @@ def _trace_csv_path(out_dir: Path, stem: str, tau: float, partial: bool) -> Path
     return out_dir / f"{stem}_tau{tau:g}{suffix}.csv"
 
 
+def _trace_header(n: int) -> str:
+    return "t," + ",".join(f"x{i}" for i in range(1, n + 1)) + ",u,norm_x,lambda_bound"
+
+
 def write_trace_csv(path: Path, trace: SimTrace) -> None:
-    """Write one trace in the fixed CSV schema."""
+    """Write one trace in the fixed CSV schema.
+
+    The compiled writer (``native.write_rows``) runs once a compiled run
+    has built the library; the Python writer below is the reference and
+    the fallback, and both write the same bytes.
+    """
     n = trace.states.shape[1]
     x0_norm = float(trace.metadata["x0_norm"])
-    header = "t," + ",".join(f"x{i}" for i in range(1, n + 1)) + ",u,norm_x,lambda_bound"
+    header = _trace_header(n) + "\n"
     columns = [
-        trace.times.tolist(),
-        *trace.states.T.tolist(),
-        trace.inputs.tolist(),
-        trace.norms.tolist(),
-        (x0_norm * trace.lambda_values).tolist(),
+        trace.times,
+        *trace.states.T,
+        trace.inputs,
+        trace.norms,
+        x0_norm * trace.lambda_values,
     ]
+    if native.built() is not None:
+        with open(path, "wb") as fh:
+            fh.write(header.encode())
+            native.write_rows(fh, columns)
+        return
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(map(row.format, *columns))
+        fh.write(header)
+        fh.writelines(map(row.format, *(c.tolist() for c in columns)))
 
 
 def write_sidecar(path: Path, trace: SimTrace, certificate=None) -> None:
@@ -424,40 +439,67 @@ def cmd_table(args) -> int:
 
 def _read_trace_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise TraceFormatError(f"{path} is empty") from None
-            n = _check_trace_header(path, header)
-            # The body streams from the handle into loadtxt; peeking at its
-            # first line turns an empty body into an error (loadtxt would
-            # only warn and return an empty array).
-            first = fh.readline()
-            if not first.strip():
-                raise TraceFormatError(f"{path} contains no data rows")
-            try:
-                data = np.loadtxt(
-                    itertools.chain([first], fh),
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    ndmin=2,
-                )
-            except ValueError as exc:
-                raise TraceFormatError(f"{path} has a non-numeric cell: {exc}") from exc
+        data = _read_trace_rows_compiled(path)
+        if data is None:
+            data = _read_trace_rows(path)
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
-    if data.shape[1] != len(header):
-        raise TraceFormatError(f"{path} has ragged rows")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace {path} is not UTF-8 text: {exc}") from exc
     if not np.all(np.isfinite(data)):
         raise TraceFormatError(f"{path} has a non-finite cell")
+    n = data.shape[1] - 4
     times = data[:, 0]
     states = data[:, 1 : 1 + n]
     inputs = data[:, 1 + n]
     norms = data[:, 2 + n]
     lambda_bound = data[:, 3 + n]
     return times, states, inputs, norms, lambda_bound
+
+
+def _read_trace_rows_compiled(path: str) -> np.ndarray | None:
+    """The cells of a trace CSV as ``write_trace_csv`` writes it, parsed by
+    ``native.parse_rows``; None for any other file, or when no compiled run
+    has built the library, so that ``_read_trace_rows`` judges it from the
+    start."""
+    if native.built() is None:
+        return None
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        n = header.count(b",") - 3
+        if n < 1 or header != f"{_trace_header(n)}\n".encode():
+            return None
+        return native.parse_rows(fh.read(), n + 4)
+
+
+def _read_trace_rows(path: str) -> np.ndarray:
+    """The cells of a trace CSV as a (rows, columns) array: the reference
+    reader and the fallback."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise TraceFormatError(f"{path} is empty") from None
+        _check_trace_header(path, header)
+        # The body streams from the handle into loadtxt; peeking at its
+        # first line turns an empty body into an error (loadtxt would
+        # only warn and return an empty array).
+        first = fh.readline()
+        if not first.strip():
+            raise TraceFormatError(f"{path} contains no data rows")
+        try:
+            data = np.loadtxt(
+                itertools.chain([first], fh),
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                ndmin=2,
+            )
+        except ValueError as exc:
+            raise TraceFormatError(f"{path} has a non-numeric cell: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise TraceFormatError(f"{path} has ragged rows")
+    return data
 
 
 def _check_trace_header(path: str, header: list[str]) -> int:
@@ -529,7 +571,7 @@ def cmd_verify(args) -> int:
         try:
             with open(sidecar, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise TraceFormatError(f"cannot read sidecar {sidecar}: {exc}") from exc
         meta = _sidecar_metadata(sidecar, payload)
         rows = payload.get("rows", len(times))

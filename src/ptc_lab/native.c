@@ -22,6 +22,9 @@
 
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
@@ -414,4 +417,287 @@ int ptc_run(run_args *a)
     }
     a->steps = step_index;
     return OK;
+}
+
+/* ---- Trace CSV cells ---------------------------------------------------
+ *
+ * ptc_format_rows writes each cell as Python's format(v, ".17g") does, and
+ * ptc_parse_rows reads back what it writes. ptc_lab.cli keeps the Python
+ * writer and reader as the reference and the fallback.
+ */
+
+typedef unsigned __int128 u128;
+
+/* The longest cell, "-1.2345678901234567e-308", and its separator. */
+#define CELL 25
+
+/* 10^0 .. 10^19, the powers that fit in 64 bits. */
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
+    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
+    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
+    1000000000000000000ULL, 10000000000000000000ULL};
+
+/* 10^k for 0 <= k <= 38. */
+static u128 pow10_128(int k)
+{
+    return k < 20 ? (u128)POW10[k] : (u128)POW10[19] * POW10[k - 19];
+}
+
+/* *q = floor(m * 2^e * 10^k), exactly, and *rest says whether the part
+ * cut off is below (-1), at (0) or above (1) one half. Returns 0 when the
+ * integers involved do not fit in 128 bits; m < 2^53. */
+static int scale(uint64_t m, int e, int k, u128 *q, int *rest)
+{
+    u128 num = m, r, half;
+    if (k >= 0) {
+        if (k > 22 || e < -126)
+            return 0;
+        num *= pow10_128(k); /* < 2^53 * 10^22 < 2^127 */
+        if (e >= 0) {
+            /* v >= 2^52 puts x at 14 or above, so k <= 2: no rest. */
+            if (k > 2 || e > 16)
+                return 0;
+            *q = num << e;
+            *rest = -1;
+            return 1;
+        }
+        *q = num >> -e;
+        r = num - (*q << -e);
+        half = (u128)1 << (-e - 1);
+    } else {
+        if (k < -38 || e < 0 || e > 74)
+            return 0;
+        num <<= e; /* < 2^127 */
+        half = pow10_128(-k);
+        *q = num / half;
+        r = num - *q * half;
+        half >>= 1; /* 10^j is even */
+    }
+    *rest = r < half ? -1 : r > half ? 1 : 0;
+    return 1;
+}
+
+/* v as format(v, ".17g") writes it; returns the length, at most CELL - 1.
+ *
+ * A normal double v = m * 2^e is scaled to the 17-digit integer
+ * q = v * 10^(16 - x) in exact 128-bit arithmetic, where x is its decimal
+ * exponent, and rounded half to even. x is settled on the truncated q, so
+ * that a rounding carry to 10^17 moves x up by one, as in printf. Zeros
+ * and non-finite values are written directly; subnormals, and magnitudes
+ * the scaling cannot hold (about 1e-6 and below, 3e38 and above), go to
+ * snprintf, which glibc rounds exactly too. */
+static int format_cell(double v, char *out)
+{
+    char digits[17], *o = out;
+    uint64_t bits, m, d;
+    uint32_t hi, lo;
+    int biased, e, x, k, rest, len, i;
+    u128 q;
+
+    memcpy(&bits, &v, sizeof bits);
+    biased = (int)(bits >> 52) & 0x7ff;
+    m = bits & ((1ULL << 52) - 1);
+    if (biased == 0x7ff) {
+        if (bits >> 63 && !m)
+            *o++ = '-';
+        memcpy(o, m ? "nan" : "inf", 3); /* Python writes every NaN as "nan" */
+        return (int)(o - out) + 3;
+    }
+    if (biased == 0 && m == 0) {
+        if (bits >> 63)
+            *o++ = '-';
+        *o++ = '0';
+        return (int)(o - out);
+    }
+    e = biased - 1075;
+    m |= 1ULL << 52;
+    /* floor((e + 52) * log10(2)), off by at most one either way. */
+    x = ((e + 52) * 78913) >> 18;
+    for (;;) {
+        k = 16 - x;
+        if (biased == 0 || !scale(m, e, k, &q, &rest)) {
+            char tmp[32]; /* subnormal, or beyond 128 bits */
+            len = snprintf(tmp, sizeof tmp, "%.17g", v);
+            memcpy(out, tmp, (size_t)len);
+            return len;
+        }
+        if (q >= POW10[17])
+            x++;
+        else if (q < POW10[16])
+            x--;
+        else
+            break;
+    }
+    d = (uint64_t)q;
+    if (rest > 0 || (rest == 0 && (d & 1)))
+        d++;
+    if (d == POW10[17]) {
+        d = POW10[16];
+        x++;
+    }
+    /* Two independent runs of 32-bit divisions: the last 8 digits and the
+     * first 9. */
+    lo = (uint32_t)(d % 100000000);
+    hi = (uint32_t)(d / 100000000);
+    for (i = 16; i >= 9; i--) {
+        digits[i] = (char)('0' + lo % 10);
+        lo /= 10;
+    }
+    for (; i >= 0; i--) {
+        digits[i] = (char)('0' + hi % 10);
+        hi /= 10;
+    }
+    for (len = 17; digits[len - 1] == '0'; len--)
+        ;
+    if (bits >> 63)
+        *o++ = '-';
+    if (x < -4 || x >= 17) {
+        *o++ = digits[0];
+        if (len > 1) {
+            *o++ = '.';
+            memcpy(o, digits + 1, (size_t)len - 1);
+            o += len - 1;
+        }
+        *o++ = 'e';
+        *o++ = x < 0 ? '-' : '+';
+        if (x < 0)
+            x = -x;
+        if (x >= 100)
+            *o++ = (char)('0' + x / 100);
+        *o++ = (char)('0' + x / 10 % 10);
+        *o++ = (char)('0' + x % 10);
+    } else if (x >= 0) {
+        /* x + 1 integer digits, zero-padded, then the fraction if any. */
+        for (i = 0; i <= x; i++)
+            *o++ = i < len ? digits[i] : '0';
+        if (len > x + 1) {
+            *o++ = '.';
+            memcpy(o, digits + x + 1, (size_t)(len - x - 1));
+            o += len - x - 1;
+        }
+    } else {
+        *o++ = '0';
+        *o++ = '.';
+        for (i = -1; i > x; i--)
+            *o++ = '0';
+        memcpy(o, digits, (size_t)len);
+        o += len;
+    }
+    return (int)(o - out);
+}
+
+/* Rows first .. first + count - 1 of cols columns, as comma-separated
+ * cells with a newline after each row. Column c's value in row r is
+ * data[c][r * stride[c]]. out holds count * cols * CELL bytes; returns the
+ * number written. */
+long ptc_format_rows(int cols, const double *const *data, const long *stride,
+                     long first, long count, char *out)
+{
+    char *o = out;
+    long r;
+    int c;
+    for (r = first; r < first + count; r++)
+        for (c = 0; c < cols; c++) {
+            o += format_cell(data[c][r * stride[c]], o);
+            *o++ = c + 1 < cols ? ',' : '\n';
+        }
+    return o - out;
+}
+
+/* Reads one cell, -?digits[.digits][e[+-]digits], ended by sep, into *v
+ * and advances *p past sep; 0 when the text there is anything else.
+ *
+ * The value is correctly rounded, as Python's float() rounds it. A cell
+ * with at most 19 significant digits d and a decimal scale 10^p with
+ * -21 <= p <= 19 is converted exactly in 128-bit integers: d * 10^p
+ * converts with one rounding; for p < 0, d is shifted left to 127 bits
+ * and divided by 10^-p, which leaves a quotient of at least 55 bits, and
+ * a nonzero remainder joins it as a sticky bit below the rounding bit.
+ * Any other cell goes to strtod, which glibc rounds correctly too; a cell
+ * that strtod does not read to its end (another LC_NUMERIC locale) is
+ * refused. */
+static int read_cell(const char **p, const char *end, char sep, double *v)
+{
+    const char *s = *p, *cell = s, *run;
+    uint64_t d = 0, bits;
+    int negative = 0, digits = 0, power = 0, exponent = 0, shift;
+    u128 num, q;
+    char *stop;
+
+    if (s < end && *s == '-') {
+        negative = 1;
+        s++;
+    }
+    for (run = s; s < end && *s >= '0' && *s <= '9'; s++)
+        if (d || *s != '0') {
+            d = d * 10 + (uint64_t)(*s - '0');
+            digits++;
+        }
+    if (s == run)
+        return 0;
+    if (s < end && *s == '.') {
+        for (run = ++s; s < end && *s >= '0' && *s <= '9'; s++, power--)
+            if (d || *s != '0') {
+                d = d * 10 + (uint64_t)(*s - '0');
+                digits++;
+            }
+        if (s == run)
+            return 0;
+    }
+    if (s < end && *s == 'e') {
+        int sign = 1;
+        s++;
+        if (s < end && (*s == '+' || *s == '-'))
+            sign = *s++ == '-' ? -1 : 1;
+        for (run = s; s < end && *s >= '0' && *s <= '9'; s++)
+            if (exponent < 100000)
+                exponent = exponent * 10 + (*s - '0');
+        if (s == run)
+            return 0;
+        power += sign * exponent;
+    }
+    if (s == end || *s != sep)
+        return 0;
+    *p = s + 1;
+    if (digits > 19 || exponent >= 100000 || power < -21 || power > 19) {
+        *v = strtod(cell, &stop);
+        return stop == s;
+    }
+    if (d == 0) {
+        *v = 0.0;
+    } else if (power >= 0) {
+        *v = (double)((u128)d * pow10_128(power));
+    } else {
+        shift = 127 - (64 - __builtin_clzll(d));
+        num = (u128)d << shift;
+        q = num / pow10_128(-power);
+        bits = (uint64_t)(1023 - shift) << 52; /* 2^-shift, a normal double */
+        memcpy(v, &bits, sizeof bits);
+        *v *= (double)(q | (num != q * pow10_128(-power)));
+    }
+    if (negative)
+        *v = -*v;
+    return 1;
+}
+
+/* Parses text, rows of cols cells as read_cell reads them, the last of
+ * each row ended by '\n', into out (row-major, room for capacity rows),
+ * and returns the row count; -1 as soon as the text leaves that grammar,
+ * so that the caller's own reader can judge the whole file. */
+long ptc_parse_rows(const char *text, long length, int cols, double *out, long capacity)
+{
+    const char *p = text, *end = text + length;
+    long rows = 0;
+    int c;
+    while (p < end) {
+        if (rows == capacity)
+            return -1;
+        for (c = 0; c < cols; c++)
+            if (!read_cell(&p, end, c + 1 < cols ? ',' : '\n', &out[rows * cols + c]))
+                return -1;
+        rows++;
+    }
+    return rows;
 }

@@ -1,4 +1,5 @@
-"""The compiled closed loop, and the plant programs it interprets.
+"""The compiled closed loop and trace CSV I/O, and the plant programs the
+loop interprets.
 
 Plants built by this package carry their ``f`` and ``g`` as data as well
 as callables: a postfix program of the ops below, registered against the
@@ -16,6 +17,15 @@ or when the build fails, ``integrate`` returns None and ``sim.run`` takes
 the Python loop; it returns None as well whenever the C loop meets
 anything the Python loop raises on. The C loop runs in a worker thread,
 so that Ctrl-C in the calling thread stops it within one step.
+
+``write_rows`` and ``parse_rows`` write and read the rows of a trace CSV
+in the same library, for ``cli.write_trace_csv`` and ``verify``'s reader,
+which use them once a compiled run has built the library (``built``).
+The writer gives each cell the bytes of ``format(v, ".17g")``, and the
+reader the bits of ``float()``. The reader accepts only the strict grammar
+of what the writer writes and hands anything else back, so that the
+Python reader, the reference and the fallback, judges such a file with
+its own messages.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import shutil
 import threading
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -144,6 +154,27 @@ class _RunArgs(ctypes.Structure):
     ]
 
 
+# The functions native.c exports: name -> (restype, argtypes).
+SIGNATURES = {
+    "ptc_run": (ctypes.c_int, [ctypes.POINTER(_RunArgs)]),
+    "ptc_eval": (
+        ctypes.c_int,
+        [ctypes.POINTER(_Program), _DOUBLE_P, ctypes.c_double, ctypes.c_double, _DOUBLE_P],
+    ),
+    "ptc_format_rows": (
+        ctypes.c_long,
+        [
+            ctypes.c_int, ctypes.POINTER(_DOUBLE_P), ctypes.POINTER(ctypes.c_long),
+            ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_char),
+        ],
+    ),
+    "ptc_parse_rows": (
+        ctypes.c_long,
+        [ctypes.c_char_p, ctypes.c_long, ctypes.c_int, _DOUBLE_P, ctypes.c_long],
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def library() -> ctypes.CDLL | None:
     """The compiled loop, built on first use; None without a working gcc."""
@@ -165,13 +196,24 @@ def library() -> ctypes.CDLL | None:
             lib = ctypes.CDLL(str(target))
         except (OSError, subprocess.SubprocessError):
             return None
-    lib.ptc_run.argtypes = [ctypes.POINTER(_RunArgs)]
-    lib.ptc_run.restype = ctypes.c_int
-    lib.ptc_eval.argtypes = [
-        ctypes.POINTER(_Program), _DOUBLE_P, ctypes.c_double, ctypes.c_double, _DOUBLE_P,
-    ]
-    lib.ptc_eval.restype = ctypes.c_int
+    for name, (restype, argtypes) in SIGNATURES.items():
+        function = getattr(lib, name)
+        function.restype = restype
+        function.argtypes = argtypes
     return lib
+
+
+# Bound here, so that built() still reads the real cache when a test
+# replaces library() with a stand-in.
+_library_cache_info = library.cache_info
+
+
+def built() -> ctypes.CDLL | None:
+    """``library()`` once this process has called it, else None without
+    building it. Writing or reading one trace saves less time than the gcc
+    build costs, so trace CSV I/O uses the library only when a compiled
+    run has already built it."""
+    return library() if _library_cache_info().currsize else None
 
 
 def _as_struct(prog: Program, keep: list) -> _Program:
@@ -272,3 +314,49 @@ def _run_interruptibly(ptc_run, args: _RunArgs, keep: list) -> int:
         done.wait()
         raise
     return status[0]
+
+
+# native.c's CELL: the longest cell and its separator, in bytes.
+CELL = 25
+# Rows formatted per call of ptc_format_rows, which bounds the buffer.
+_CHUNK_ROWS = 4096
+
+
+def write_rows(fh: BinaryIO, columns: Sequence[np.ndarray]) -> None:
+    """Write the rows of ``columns``, float64 arrays of one length, to the
+    binary file ``fh``: each cell as ``format(v, ".17g")`` gives it, cells
+    separated by commas, each row ended by a newline. Raises RuntimeError
+    when no compiled library is available."""
+    lib = library()
+    if lib is None:
+        raise RuntimeError("no C compiler: the compiled writer is unavailable")
+    arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+    rows = len(arrays[0])
+    if any(a.shape != (rows,) for a in arrays):
+        raise ValueError("columns must be 1-D arrays of one length")
+    arrays = [a if a.strides[0] % a.itemsize == 0 else a.copy() for a in arrays]
+    data = (_DOUBLE_P * len(arrays))(*(a.ctypes.data_as(_DOUBLE_P) for a in arrays))
+    strides = (ctypes.c_long * len(arrays))(*(a.strides[0] // a.itemsize for a in arrays))
+    buffer = bytearray(min(rows, _CHUNK_ROWS) * len(arrays) * CELL)
+    out = (ctypes.c_char * len(buffer)).from_buffer(buffer)
+    view = memoryview(buffer)
+    for first in range(0, rows, _CHUNK_ROWS):
+        count = min(_CHUNK_ROWS, rows - first)
+        fh.write(view[: lib.ptc_format_rows(len(arrays), data, strides, first, count, out)])
+
+
+def parse_rows(text: bytes, cols: int) -> np.ndarray | None:
+    """The rows of ``text`` as a (rows, cols) float64 array, each cell
+    converted as ``float()`` converts it. None when ``text`` holds no row,
+    or when it leaves the strict grammar of what ``write_rows`` writes:
+    cells ``-?digits[.digits][e[+-]digits]``, separated by commas, each row
+    of ``cols`` cells ended by a newline. The caller's own reader then
+    judges the text. Raises RuntimeError when no compiled library is
+    available."""
+    lib = library()
+    if lib is None:
+        raise RuntimeError("no C compiler: the compiled reader is unavailable")
+    capacity = text.count(b"\n")
+    out = np.empty((capacity, cols))
+    rows = lib.ptc_parse_rows(text, len(text), cols, out.ctypes.data_as(_DOUBLE_P), capacity)
+    return out if rows == capacity > 0 else None

@@ -400,20 +400,19 @@ def test_verify_accepts_quoted_cells(tmp_path, capsys):
     assert capsys.readouterr().out.split("verdict", 1)[1] == plain_out
 
 
+# Trace bodies verify refuses, by test id: (body, part of the message).
+MALFORMED_BODIES = {
+    "empty-body": ("", "contains no data rows"),
+    "column-count-changes": ("0,5,0,5,5\n1,4.5,0,4.5\n", "non-numeric cell"),
+    "short-rows": ("0,5,0,5\n1,4.5,0,4.5\n", "has ragged rows"),  # every row one short
+    "non-numeric": ("0,5,0,5,5\n1,four,0,4.5,4.5\n", "non-numeric cell"),
+    "underscore-literal": ("1_0,5,0,5,5\n", "non-numeric cell"),  # float() would accept this
+    "non-finite": ("0,5,0,5,5\n1,inf,0,inf,4.5\n", "non-finite cell"),
+}
+
+
 @pytest.mark.parametrize(
-    "body, message",
-    [
-        ("", "contains no data rows"),
-        ("0,5,0,5,5\n1,4.5,0,4.5\n", "non-numeric cell"),  # column count changes
-        ("0,5,0,5\n1,4.5,0,4.5\n", "has ragged rows"),  # every row one short
-        ("0,5,0,5,5\n1,four,0,4.5,4.5\n", "non-numeric cell"),
-        ("1_0,5,0,5,5\n", "non-numeric cell"),  # float() would accept this
-        ("0,5,0,5,5\n1,inf,0,inf,4.5\n", "non-finite cell"),
-    ],
-    ids=[
-        "empty-body", "column-count-changes", "short-rows", "non-numeric",
-        "underscore-literal", "non-finite",
-    ],
+    "body, message", list(MALFORMED_BODIES.values()), ids=list(MALFORMED_BODIES)
 )
 def test_verify_rejects_malformed_body(tmp_path, capsys, body, message):
     assert _verify_text(tmp_path, TRIANGLE_HEADER + body) == 1
@@ -543,6 +542,45 @@ def test_bad_inputs_exit_with_one_error_line(
     err = capsys.readouterr().err
     assert len(_error_lines(err)) == 1
     assert message in err
+
+
+def _bad_byte_at_70(data):
+    return data[:70] + b"\xff" + data[71:]
+
+
+def _nested_too_deep(data):
+    return b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "name, damage, message",
+    [
+        ("trace.csv", _bad_byte_at_70, "can't decode byte 0xff in position 70"),
+        ("trace.json", _bad_byte_at_70, "can't decode byte 0xff in position 70"),
+        ("scenario.json", _bad_byte_at_70, "can't decode byte 0xff in position 70"),
+        ("trace.json", _nested_too_deep, "maximum recursion depth"),
+        ("scenario.json", _nested_too_deep, "maximum recursion depth"),
+    ],
+    ids=["trace-not-utf8", "sidecar-not-utf8", "scenario-not-utf8", "sidecar-too-deep",
+         "scenario-too-deep"],
+)
+def test_an_unreadable_file_is_named_in_the_error(
+    tmp_path, monkeypatch, capsys, ex2_run_files, name, damage, message
+):
+    monkeypatch.chdir(tmp_path)
+    csv_text, sidecar = ex2_run_files
+    files = {
+        "trace.csv": csv_text.encode(),
+        "trace.json": json.dumps(sidecar).encode(),
+        "scenario.json": Path(_ex2_scenario(tmp_path)).read_bytes(),
+    }
+    files[name] = damage(files[name])
+    for file_name, data in files.items():
+        (tmp_path / file_name).write_bytes(data)
+    argv = ["simulate", "--scenario", name] if name == "scenario.json" else ["verify", "trace.csv"]
+    assert main(argv) == 1
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert name in line and message in line
 
 
 def test_sim_section_is_the_simconfig_schema(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """``native.py`` declares what ``native.c`` defines, read from the C source.
 
-ctypes trusts ``_RunArgs`` to lay out ``run_args`` and the opcode numbers
-to match the C enum; a mismatch corrupts memory or runs the wrong ops
-instead of failing. These tests parse the source, so they need no gcc.
+ctypes trusts ``_RunArgs`` to lay out ``run_args``, ``SIGNATURES`` to give
+each exported function's parameter and return types, and the opcode
+numbers to match the C enum; a mismatch corrupts memory or runs the wrong
+ops instead of failing. These tests parse the source, so they need no gcc.
 """
 
 import ctypes
@@ -62,3 +63,42 @@ def test_opcodes_match_native_py():
 def test_stack_depth_matches_native_py():
     stack = int(re.search(r"#define STACK (\d+)", CODE).group(1))
     assert native.MAX_DEPTH == stack - 1
+
+
+# The base types of the exported functions' parameters, as ctypes spells them.
+BASE_TYPES = {
+    "int": ctypes.c_int,
+    "long": ctypes.c_long,
+    "double": ctypes.c_double,
+    "char": ctypes.c_char,
+    "program": native._Program,
+    "run_args": native._RunArgs,
+}
+
+
+def _parameter_type(declaration):
+    """The ctypes type of one C parameter declaration such as
+    ``const double *const *data``."""
+    words = declaration.replace("*", " * ").split()[:-1]  # without the name
+    if words == ["const", "char", "*"]:
+        return ctypes.c_char_p  # a byte string, passed without a copy
+    (base,) = (word for word in words if word not in ("const", "*"))
+    c_type = BASE_TYPES[base]
+    for _ in range(words.count("*")):
+        c_type = ctypes.POINTER(c_type)
+    return c_type
+
+
+def test_exported_functions_match_their_signatures():
+    prototypes = re.findall(r"^(int|long) (ptc_\w+)\(([^)]*)\)\s*\{", CODE, flags=re.M)
+    declared = {
+        name: (BASE_TYPES[restype], [_parameter_type(p) for p in parameters.split(",")])
+        for restype, name, parameters in prototypes
+    }
+    assert declared == {
+        name: (restype, list(argtypes)) for name, (restype, argtypes) in native.SIGNATURES.items()
+    }
+
+
+def test_cell_width_matches_native_py():
+    assert native.CELL == int(re.search(r"#define CELL (\d+)", CODE).group(1))

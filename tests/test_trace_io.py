@@ -1,0 +1,193 @@
+"""The compiled trace CSV writer and reader, against Python's own text.
+
+``native.write_rows`` must write each cell as ``format(v, ".17g")`` does,
+and ``native.parse_rows`` must read each cell as ``float()`` does, bit for
+bit. ``verify`` must answer the same with and without the library: the
+compiled reader hands every file outside its grammar back to the Python
+reader, which then gives every message and exit code. The cell tests
+need gcc and skip without it; the ``verify`` tests then compare the Python
+reader with itself.
+"""
+
+import io
+import math
+import os
+import shutil
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ptc_lab import native
+from ptc_lab.cli import main
+
+from test_cli import MALFORMED_BODIES, TRIANGLE_HEADER, TRIANGLE_ROWS
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _cells(values):
+    """The cells ``native.write_rows`` writes for ``values``, one a row."""
+    out = io.BytesIO()
+    native.write_rows(out, [np.array(values, dtype=np.float64)])
+    return out.getvalue().decode("ascii").split("\n")[:-1]
+
+
+def _assert_cells_match_python(values):
+    assert _cells(values) == [format(v, ".17g") for v in values]
+    # What the writer wrote, the reader reads back as float() does.
+    text = [format(v, ".17g") for v in values if math.isfinite(v)]
+    parsed = native.parse_rows("".join(f"{s}\n" for s in text).encode(), 1)
+    assert parsed[:, 0].tobytes() == np.array([float(s) for s in text]).tobytes()
+
+
+def _edge_values():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    values += [1e16, 1e17, 9.9999999999999999e16, math.inf, -math.inf, math.nan, 0.1, 1 / 3]
+    for k in range(-30, 40):
+        p = float(f"1e{k}")
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    # Small integers times 2^40..2^80: exact ties at the 17th digit.
+    values += [float(i * 2**s) for i in (1, 3, 5, 7, 9, 11, 999, 12345) for s in range(40, 81)]
+    # Dyadic fractions.
+    values += [i / 2**s for i in (1, 3, 7, 255, 4097) for s in range(1, 70, 3)]
+    return values + [-v for v in values]
+
+
+@needs_gcc
+def test_cells_match_python_at_the_edges():
+    _assert_cells_match_python(_edge_values())
+
+
+@needs_gcc
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_cells_match_python_on_raw_bit_patterns(patterns):
+    _assert_cells_match_python([_double(bits) for bits in patterns])
+
+
+# Decimal strings of the parser's grammar, from a few digits to many.
+_DIGITS = st.text("0123456789", min_size=1, max_size=25)
+_DECIMALS = st.builds(
+    lambda sign, whole, fraction, exponent: sign + whole + fraction + exponent,
+    st.sampled_from(["", "-"]),
+    _DIGITS,
+    st.one_of(st.just(""), _DIGITS.map(".".__add__)),
+    st.one_of(
+        st.just(""),
+        st.builds("e{}{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 400)),
+    ),
+)
+
+
+@needs_gcc
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_DECIMALS, min_size=1, max_size=32))
+def test_parser_matches_float(strings):
+    parsed = native.parse_rows("".join(f"{s}\n" for s in strings).encode(), 1)
+    assert parsed[:, 0].tobytes() == np.array([float(s) for s in strings]).tobytes()
+
+
+@needs_gcc
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"", b"1\n\n2\n", b"1\r\n", b"1", b" 1\n", b"1 \n", b'"1"\n', b"1_0\n", b"0x1\n",
+        b"inf\n", b"nan\n", b"1E5\n", b"+1\n", b".5\n", b"5.\n", b"1e\n", b"--1\n",
+        b"1,2\n", "\N{BYTE ORDER MARK}1\n".encode(), b"1\x00\n",
+    ],
+)
+def test_parser_hands_back_what_leaves_its_grammar(text):
+    assert native.parse_rows(text, 1) is None
+
+
+def _verify_both_ways(tmp_path, capsys, monkeypatch, data):
+    """``verify`` on a file of ``data``, with the library built (as a
+    compiled run builds it) and without one: each side's exit code, stdout
+    and stderr."""
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    argv = ["verify", str(path), "--tau", "10", "--x0-norm", "5"]
+    native.library()
+    with_library = (main(argv), *capsys.readouterr())
+    with monkeypatch.context() as patched:
+        patched.setattr(native, "library", lambda: None)
+        without = (main(argv), *capsys.readouterr())
+    return with_library, without
+
+
+TRIANGLE = TRIANGLE_HEADER + "".join(TRIANGLE_ROWS)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        *((TRIANGLE_HEADER + body).encode() for body, _ in MALFORMED_BODIES.values()),
+        (TRIANGLE_HEADER + '"0","5",0,5,"5"\n' + "".join(TRIANGLE_ROWS[1:])).encode(),
+        TRIANGLE.replace("\n", "\r\n").encode(),
+        (TRIANGLE_HEADER + TRIANGLE_ROWS[0] + "\n" + "".join(TRIANGLE_ROWS[1:])).encode(),
+        TRIANGLE.rstrip("\n").encode(),
+        (TRIANGLE_HEADER + " " + "".join(TRIANGLE_ROWS)).encode(),
+        ("\N{BYTE ORDER MARK}" + TRIANGLE).encode(),
+        (TRIANGLE_HEADER + "0,5,0\x00,5,5\n" + "".join(TRIANGLE_ROWS[1:])).encode(),
+        (TRIANGLE + "10,1e999,0,1e999,0\n").encode(),
+        (TRIANGLE + "10,\xff,0,0,0\n").encode("latin-1"),
+        (TRIANGLE_HEADER.replace("\n", "\r\n") + "".join(TRIANGLE_ROWS)).encode(),
+        TRIANGLE.replace("t,x1", '"t",x1').encode(),
+    ],
+    ids=[
+        *MALFORMED_BODIES,
+        "quoted-cells", "crlf", "blank-line", "no-final-newline", "leading-space", "bom",
+        "nul-byte", "1e999", "non-utf8-byte", "crlf-header", "quoted-header",
+    ],
+)
+def test_verify_answers_the_same_without_the_library(tmp_path, capsys, monkeypatch, data):
+    with_library, without = _verify_both_ways(tmp_path, capsys, monkeypatch, data)
+    assert with_library == without
+    assert "Traceback" not in without[2]
+
+
+def test_verify_reads_its_own_csv_compiled(tmp_path, capsys, monkeypatch):
+    parsed = []
+    parse_rows = native.parse_rows
+
+    def spy(text, cols):
+        rows = parse_rows(text, cols)
+        parsed.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(native, "parse_rows", spy)
+    with_library, without = _verify_both_ways(tmp_path, capsys, monkeypatch, TRIANGLE.encode())
+    assert with_library == without and with_library[0] == 0
+    assert parsed == [True] * (native.library() is not None)
+
+
+def test_verify_alone_builds_no_library(tmp_path):
+    # A fresh process that only verifies reads in Python rather than pay
+    # for a gcc build; subprocess is imported only to run gcc.
+    path = tmp_path / "trace.csv"
+    path.write_text(TRIANGLE)
+    code = (
+        "import sys; from ptc_lab.cli import main; "
+        f"code = main(['verify', {str(path)!r}, '--tau', '10', '--x0-norm', '5']); "
+        "print(code, 'subprocess' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path_var},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"

@@ -439,9 +439,13 @@ def cmd_table(args) -> int:
 
 def _read_trace_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     try:
-        data = _read_trace_rows_compiled(path)
-        if data is None:
-            data = _read_trace_rows(path)
+        try:
+            data = _read_trace_rows_compiled(path)
+            if data is None:
+                data = _read_trace_rows(path)
+        except UnicodeDecodeError:  # at a position in the text reader's chunk
+            Path(path).read_bytes().decode()  # raises it at the position in the file
+            raise
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -495,6 +499,8 @@ def _read_trace_rows(path: str) -> np.ndarray:
                 comments=None,
                 ndmin=2,
             )
+        except UnicodeDecodeError:
+            raise
         except ValueError as exc:
             raise TraceFormatError(f"{path} has a non-numeric cell: {exc}") from exc
     if data.shape[1] != len(header):

@@ -5,14 +5,15 @@
  * that every value it records is bitwise the value the Python loop
  * records. The one exception is the rest step below, which skips work
  * whose result it can prove. The plant's f and g arrive as postfix
- * programs that a small stack machine interprets; no plant text is ever
- * compiled.
+ * programs that a small stack machine interprets, on a stack sized from
+ * the deeper program; no plant text is ever compiled.
  *
  * Wherever the Python loop would raise (a zero divisor, a math function
  * Python refuses, an fsum overflow, a divergence, an envelope violation),
- * and when the row buffer is full, ptc_run stops and returns a nonzero
- * status; the caller then runs the Python loop from t = 0, which raises
- * with its own message and partial trace. It also stops, at the start of
+ * when the row buffer is full, and when the stack cannot be allocated,
+ * ptc_run stops and returns a nonzero status; the caller then runs the
+ * Python loop from t = 0, which raises with its own message and partial
+ * trace. It also stops, at the start of
  * the next step, once the caller sets the cancel flag on Ctrl-C.
  *
  * Build: gcc -O2 -fPIC -shared -ffp-contract=off -o native.so native.c -lm
@@ -51,17 +52,15 @@ enum {
     OP_END
 };
 
-/* Stack slots of the machine; ptc_lab.native refuses programs that need
- * more than STACK - 1 values at once. */
-#define STACK 64
-
 /* CANCELLED: the caller set run_args.cancel, and raises KeyboardInterrupt
  * instead of handing the run to the Python loop. */
 enum { OK = 0, FAULT = 1, FULL = 2, CANCELLED = 3 };
 
+/* depth: the most values the program holds at once. */
 typedef struct {
     const int *code;
     const double *consts;
+    int depth;
 } program;
 
 typedef struct {
@@ -80,10 +79,12 @@ typedef struct {
 } run_args;
 
 /* CPython's math.fsum (Shewchuk's partials with half-even correction),
- * for finite and special values alike. FAULT where math.fsum raises. */
-static int fsum(const double *items, int count, double *out)
+ * for finite and special values alike. FAULT where math.fsum raises. The
+ * partials overwrite the items: while item k is added, they number at
+ * most k, and items from k on are still unread. */
+static int fsum(double *items, int count, double *out)
 {
-    double p[count > 0 ? count : 1];
+    double *p = items;
     double x, y, t, hi, yr, lo = 0.0, xsave;
     double special_sum = 0.0, inf_sum = 0.0;
     int i, j, k, n = 0;
@@ -164,14 +165,15 @@ static int math_1(double (*fn)(double), double *v)
 
 /* The stack machine: direct threading (GCC's labels as values), with the
  * top of the stack kept in tos. Binary ops take the value below tos as
- * their left operand, as Python evaluates left to right. */
-static int eval(const program *p, const double *x, double u, double t, double *out)
+ * their left operand, as Python evaluates left to right. st holds
+ * p->depth + 1 values: st[0] takes the empty stack's tos. */
+static int eval(const program *p, double *st, const double *x, double u, double t,
+                double *out)
 {
     static const void *const labels[] = {
         &&op_const, &&op_x, &&op_u, &&op_t, &&op_add, &&op_sub, &&op_mul,
         &&op_div, &&op_neg, &&op_sin, &&op_cos, &&op_exp, &&op_abs, &&op_fsum,
         &&op_end};
-    double st[STACK]; /* st[0] takes the empty stack's tos */
     double tos = 0.0;
     const int *pc = p->code;
     int sp = 0, arg;
@@ -210,7 +212,10 @@ op_end:
 /* One evaluation of a program on its own, for tests. */
 int ptc_eval(const program *p, const double *x, double u, double t, double *out)
 {
-    return eval(p, x, u, t, out);
+    double *st = malloc(((size_t)p->depth + 1) * sizeof *st);
+    int status = st ? eval(p, st, x, u, t, out) : FAULT;
+    free(st);
+    return status;
 }
 
 /* p[i] = (tau - s)**(n - i), each power the one above it times d. */
@@ -242,11 +247,11 @@ static int control(int n, const double *q, const double *y, const double *p,
 
 /* One RK4 stage past the first: the derivative's last component at the
  * stage state y, whose other components are y's next entries. */
-static int stage(const run_args *a, const double *y, const double *p, double s,
-                 double den, double gain, double *k)
+static int stage(const run_args *a, double *st, const double *y, const double *p,
+                 double s, double den, double gain, double *k)
 {
     double u, fv;
-    if (control(a->n, a->q, y, p, den, &u) || eval(&a->f, y, u, s, &fv))
+    if (control(a->n, a->q, y, p, den, &u) || eval(&a->f, st, y, u, s, &fv))
         return FAULT;
     *k = fv + gain * u;
     return OK;
@@ -263,7 +268,7 @@ static int record(run_args *a, double t, const double *x, double u)
     return OK;
 }
 
-int ptc_run(run_args *a)
+static int run(run_args *a, double *st)
 {
     const int n = a->n, top = n - 1;
     const double tau = a->tau, t_end = a->t_end, stop = a->stop;
@@ -286,18 +291,18 @@ int ptc_run(run_args *a)
     a->rows = 0;
     a->u_max = 0.0;
     a->x_max = 0.0;
-    if (eval(&a->g, x, 0.0, t, &g_now))
+    if (eval(&a->g, st, x, 0.0, t, &g_now))
         return FAULT;
     for (;;) {
         last = !(t < stop);
         if (last) {
             t = t_end;
-            if (eval(&a->g, x, 0.0, t, &g_now))
+            if (eval(&a->g, st, x, 0.0, t, &g_now))
                 return FAULT;
         }
         /* The first stage. */
         powers(n, tau, t, p);
-        if (control(n, a->q, x, p, gamma_min * g_now, &u1) || eval(&a->f, x, u1, t, &f1))
+        if (control(n, a->q, x, p, gamma_min * g_now, &u1) || eval(&a->f, st, x, u1, t, &f1))
             return FAULT;
         k1 = f1 + gamma * g_now * u1;
         /* max(map(abs, x)): a NaN wins only in front. */
@@ -348,7 +353,8 @@ int ptc_run(run_args *a)
             half = 0.5 * h;
             t_mid = t + half;
             t_next = t + h;
-            if (eval(&a->g, x, 0.0, t_mid, &g_mid) || eval(&a->g, x, 0.0, t_next, &g_next))
+            if (eval(&a->g, st, x, 0.0, t_mid, &g_mid) ||
+                eval(&a->g, st, x, 0.0, t_next, &g_next))
                 return FAULT;
             /* A rest step. From rest all four stage states are x itself,
              * +0.0, so stages 2 and 3 are the same call, and stage 4's
@@ -367,13 +373,13 @@ int ptc_run(run_args *a)
                 if (gamma_min * g_mid == 0.0)
                     return FAULT;
                 u = 0.0 / (gamma_min * g_mid);
-                if (eval(&a->f, x, u, t_mid, &fv))
+                if (eval(&a->f, st, x, u, t_mid, &fv))
                     return FAULT;
                 if (fv + gamma * g_mid * u == 0.0) {
                     if (gamma_min * g_next == 0.0)
                         return FAULT;
                     u = 0.0 / (gamma_min * g_next);
-                    if (eval(&a->f, x, u, t_next, &fv))
+                    if (eval(&a->f, st, x, u, t_next, &fv))
                         return FAULT;
                     k = fv + gamma * g_next * u;
                     if (k == 0.0) {
@@ -393,16 +399,16 @@ int ptc_run(run_args *a)
             powers(n, tau, t_mid, m);
             for (i = 0; i < n; i++)
                 ya[i] = x[i] + half * (i < top ? x[i + 1] : k1);
-            if (stage(a, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k2))
+            if (stage(a, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k2))
                 return FAULT;
             for (i = 0; i < n; i++)
                 yb[i] = x[i] + half * (i < top ? ya[i + 1] : k2);
-            if (stage(a, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k3))
+            if (stage(a, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k3))
                 return FAULT;
             powers(n, tau, t_next, p);
             for (i = 0; i < n; i++)
                 yc[i] = x[i] + h * (i < top ? yb[i + 1] : k3);
-            if (stage(a, yc, p, t_next, gamma_min * g_next, gamma * g_next, &k4))
+            if (stage(a, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, &k4))
                 return FAULT;
             sixth = h / 6.0;
             /* In place: x[i] reads x[i + 1] before the next pass writes it. */
@@ -417,6 +423,16 @@ int ptc_run(run_args *a)
     }
     a->steps = step_index;
     return OK;
+}
+
+/* run, on one stack for f and g. */
+int ptc_run(run_args *a)
+{
+    int depth = a->f.depth > a->g.depth ? a->f.depth : a->g.depth;
+    double *st = malloc(((size_t)depth + 1) * sizeof *st);
+    int status = st ? run(a, st) : FAULT;
+    free(st);
+    return status;
 }
 
 /* ---- Trace CSV cells ---------------------------------------------------

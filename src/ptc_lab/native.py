@@ -5,9 +5,10 @@ Plants built by this package carry their ``f`` and ``g`` as data as well
 as callables: a postfix program of the ops below, registered against the
 callable's identity in a weak-key table. ``expressions.parse_expression``
 derives one from the checked syntax tree, and ``plant.builtin_plant``
-declares its own. A callable that is not in the table, such as a wrapper
-made with ``functools.wraps``, has no program, and its plant runs in the
-Python loop of ``sim.run``.
+declares example3's. The C machine sizes its stack from each program's
+``depth``, so a program of any depth runs. A callable that is not in the
+table, such as a wrapper made with ``functools.wraps``, has no program,
+and its plant runs in the Python loop of ``sim.run``.
 
 ``integrate`` runs the loop of ``sim.run`` in ``native.c``, a fixed C
 source shipped with the package. The shared library is built with the
@@ -46,8 +47,6 @@ __all__: list[str] = []
 # and FSUM a count of operands; the others take no argument. END closes
 # every program.
 (CONST, X, U, T, ADD, SUB, MUL, DIV, NEG, SIN, COS, EXP, ABS, FSUM, END) = range(15)
-# native.c's STACK - 1: the most values a program may hold at once.
-MAX_DEPTH = 63
 _BINARY = frozenset((ADD, SUB, MUL, DIV))
 _UNARY = frozenset((NEG, SIN, COS, EXP, ABS))
 
@@ -56,25 +55,18 @@ class Program(NamedTuple):
     """A postfix program for ``f(x, u, t)`` or ``g(t)``.
 
     ``code`` holds (opcode, operand) pairs, with CONST operands indexing
-    ``consts``. ``states`` is the number of state components the callable
-    reads: exactly that many when ``exact`` (a builtin unpacks ``x``), at
-    least that many otherwise (an expression indexes it).
+    ``consts``. ``depth`` is the most values it holds at once, which sizes
+    the machine's stack, and ``states`` the number of state components it
+    reads: it runs for a plant of that order or more.
     """
 
     code: tuple[int, ...]
     consts: tuple[float, ...]
     depth: int
     states: int
-    exact: bool
-
-    def fits(self, n: int) -> bool:
-        """Whether the compiled loop runs this program for an order-n plant."""
-        if self.depth > MAX_DEPTH:
-            return False
-        return self.states == n if self.exact else self.states <= n
 
 
-def program(ops: Sequence[tuple[int, float]], *, exact: bool = False) -> Program:
+def program(ops: Sequence[tuple[int, float]]) -> Program:
     """The program of ``ops``, a postfix list of (opcode, argument) pairs."""
     code: list[int] = []
     consts: list[float] = []
@@ -99,7 +91,7 @@ def program(ops: Sequence[tuple[int, float]], *, exact: bool = False) -> Program
         code += (op, int(arg))
     if top != 1:
         raise ValueError(f"program leaves {top} values on the stack")
-    return Program((*code, END, 0), tuple(consts), depth, states, exact)
+    return Program((*code, END, 0), tuple(consts), depth, states)
 
 
 _PROGRAMS: WeakKeyDictionary[Callable, Program] = WeakKeyDictionary()
@@ -122,6 +114,7 @@ class _Program(ctypes.Structure):
     _fields_ = [
         ("code", ctypes.POINTER(ctypes.c_int)),
         ("consts", ctypes.POINTER(ctypes.c_double)),
+        ("depth", ctypes.c_int),
     ]
 
 
@@ -220,7 +213,7 @@ def _as_struct(prog: Program, keep: list) -> _Program:
     code = (ctypes.c_int * len(prog.code))(*prog.code)
     consts = (ctypes.c_double * max(len(prog.consts), 1))(*prog.consts)
     keep += (code, consts)
-    return _Program(code, consts)
+    return _Program(code, consts, prog.depth)
 
 
 def evaluate(prog: Program, x: Sequence[float], u: float, t: float) -> float | None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import fsum
 from operator import mul
 from typing import Callable, Sequence
@@ -27,7 +27,7 @@ import numpy as np
 from . import native
 from .errors import AssumptionViolationError, ScenarioError
 from .expressions import parse_expression
-from .native import ADD, CONST, COS, EXP, FSUM, MUL, SIN, T, U, X
+from .native import CONST, FSUM, MUL, X
 
 __all__ = [
     "PlantSpec",
@@ -51,10 +51,11 @@ class PlantSpec:
         Chain length.
     f : callable
         Disturbance ``f(x, u, t) -> float``. It must be a pure function
-        of ``(x, u, t)`` that does not mutate ``x``. Only the compiled
-        loop, which runs the package's own callables, evaluates coinciding
-        stages once, when the state rests at exactly +0.0; the Python
-        loop calls ``f`` at every stage.
+        of ``(x, u, t)`` that does not mutate ``x``. The package's own
+        callables, those of the builtins and of expressions of any depth,
+        always run in the compiled loop when gcc is available. Only that
+        loop evaluates coinciding stages once, when the state rests at
+        exactly +0.0; the Python loop calls ``f`` at every stage.
     g : callable
         Input gain ``g(t) -> float``, nonzero for all t. It must be a
         pure function of ``t``: the simulator evaluates it once per
@@ -133,11 +134,13 @@ def check_assumption(
     return fv
 
 
-def _unit_gain(t: float) -> float:
-    return 1.0
-
-
-native.register(_unit_gain, native.program([(CONST, 1.0)]))
+@lru_cache(maxsize=None)
+def _example2() -> PlantSpec:
+    # Cached: parsing the texts costs more than the rest of a plant build.
+    return plant_from_expressions(
+        2, "50*cos(u) + cos(t)*x1 + exp(sin(x1))*x2", "1",
+        gamma=1.1, gamma_min=1.0, phi=math.e, phi0=50.0, label="example2",
+    )
 
 
 def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
@@ -154,27 +157,7 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
     full stability is on the table.
     """
     if name == "example2":
-        def f2(x: Sequence[float], u: float, t: float) -> float:
-            x1, x2 = x
-            return 50.0 * math.cos(u) + math.cos(t) * x1 + math.exp(math.sin(x1)) * x2
-
-        native.register(f2, native.program(
-            [(CONST, 50.0), (U, 0), (COS, 0), (MUL, 0), (T, 0), (COS, 0), (X, 0),
-             (MUL, 0), (ADD, 0), (X, 0), (SIN, 0), (EXP, 0), (X, 1), (MUL, 0),
-             (ADD, 0)],
-            exact=True,
-        ))
-        return PlantSpec(
-            n=2,
-            f=f2,
-            g=_unit_gain,
-            gamma=1.1,
-            gamma_min=1.0,
-            phi=math.e,
-            phi0=50.0,
-            seed=None,
-            label="example2",
-        )
+        return _example2()
     if name == "example3":
         rng = np.random.Generator(np.random.PCG64(seed))
         weights = tuple(float(w) for w in rng.uniform(-1e-3, 1e-3, 4))
@@ -182,15 +165,14 @@ def builtin_plant(name: str, seed: int = 0) -> PlantSpec:
         w1, w2, w3, w4 = weights
 
         def f3(x: Sequence[float], u: float, t: float) -> float:
-            x1, x2, x3, x4 = x
-            return fsum((w1 * x1, w2 * x2, w3 * x3, w4 * x4))
+            return fsum((w1 * x[0], w2 * x[1], w3 * x[2], w4 * x[3]))
 
         products = [op for i, w in enumerate(weights) for op in ((CONST, w), (X, i), (MUL, 0))]
-        native.register(f3, native.program([*products, (FSUM, 4)], exact=True))
+        native.register(f3, native.program([*products, (FSUM, 4)]))
         return PlantSpec(
             n=4,
             f=f3,
-            g=_unit_gain,
+            g=_example2().g,  # the same unit gain
             gamma=1.0,
             gamma_min=1.0,
             phi=1e-3,

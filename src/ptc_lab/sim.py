@@ -433,14 +433,14 @@ def _run_compiled(
 ):
     """The run from ``native.integrate``, or None to take the Python loop.
 
-    Only a plant whose ``f`` and ``g`` this package built as programs
-    qualifies, and only when every number the loop reads is a float, or an
-    int that a double holds exactly: then C doubles compute and compare
-    what Python does.
+    Only a plant whose ``f`` and ``g`` this package built as programs that
+    read no state past its order qualifies, and only when every number the
+    loop reads is a float, or an int that a double holds exactly: then C
+    doubles compute and compare what Python does.
     """
     f = native.program_of(plant.f)
     g = native.program_of(plant.g)
-    if f is None or g is None or not (f.fits(plant.n) and g.fits(plant.n)):
+    if f is None or g is None or not (f.states <= plant.n and g.states <= plant.n):
         return None
     if not all(map(_exact_double, (*q, *scalars.values()))):
         return None

@@ -234,6 +234,9 @@ _doubles = st.one_of(st.floats(allow_subnormal=True), _specials)
 @example(items=[1e308, 1e308])
 @example(items=[math.inf, -math.inf])
 @example(items=[1e-16, 1.0, 1e16])
+# A program that holds 100,000 values at once: the machine's stack, and
+# fsum's partials in it, grow with the program.
+@example(items=[(-1.0) ** k * 10.0 ** (k % 40 - 20) * (k + 1) for k in range(100_000)])
 def test_fsum_op_matches_math_fsum(items):
     prog = native.program([*((native.CONST, v) for v in items), (native.FSUM, len(items))])
     want = _python_value(lambda x, u, t: math.fsum(items), [], 0.0, 0.0)
@@ -258,10 +261,37 @@ def test_programs_match_their_callables(rnd, x, u, t, seed):
     cases = [(f, f) for f in fs]
     cases += [(g, lambda x, u, t, g=g: g(t)) for g in (expression.g, example2.g)]
     for registered, call in cases:
-        prog = native.program_of(registered)
-        state = x[: prog.states] if prog.exact else x
-        want = _python_value(call, state, u, t)
-        assert _bits(native.evaluate(prog, state, u, t)) == _bits(want)
+        want = _python_value(call, x, u, t)
+        assert _bits(native.evaluate(native.program_of(registered), x, u, t)) == _bits(want)
+
+
+def _deep_text(depth):
+    """An order-2 disturbance, bounded by 1, whose program holds ``depth``
+    values at once: each nesting level leaves two values pending."""
+    pairs, single = divmod(depth - 1, 2)
+    levels = [("x1 - x2 * sin(", "t + u * cos(")[i % 2] for i in range(pairs)]
+    levels += ["u * sin("] * single
+    return "cos(" + "".join(levels) + "x2" + ")" * (len(levels) + 1)
+
+
+# 397 is as deep as the parser goes: 198 levels of parentheses.
+@pytest.mark.parametrize("depth", [63, 64, 142, 397])
+def test_deep_programs_run_compiled(depth, compiled):
+    plant = pl.plant_from_expressions(
+        2, _deep_text(depth), "1 + 0.5*sin(t)", gamma=1.2, gamma_min=1.0, phi=0.0, phi0=1.0
+    )
+    assert native.program_of(plant.f).depth == depth
+    design = _stand_in_design(COEFFICIENTS[2], 2.0, 0.05, 1.0)
+    cfg = pl.SimConfig(x0=(1.0, -1.0))
+    trace = pl.run(plant, design, cfg)
+    assert compiled == [True]
+    assert _blobs(trace) == _blobs(pl.run(_python_path(plant), design, cfg))
+    prog = native.program_of(plant.f)
+    points = [(list(x), u, t) for t, x, u in zip(trace.times, trace.states, trace.inputs)]
+    points += [([0.0, -0.0], 0.0, 0.0), ([1e308, -1e308], 1e308, 1.0), ([math.nan, 1.0], 1.0, 1.0)]
+    for x, u, t in points:
+        want = _python_value(plant.f, x, u, t)
+        assert _bits(native.evaluate(prog, x, u, t)) == _bits(want)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None,

@@ -60,11 +60,6 @@ def test_opcodes_match_native_py():
     assert re.findall(r"&&op_(\w+)", labels) == [name.lower() for name in names]
 
 
-def test_stack_depth_matches_native_py():
-    stack = int(re.search(r"#define STACK (\d+)", CODE).group(1))
-    assert native.MAX_DEPTH == stack - 1
-
-
 # The base types of the exported functions' parameters, as ctypes spells them.
 BASE_TYPES = {
     "int": ctypes.c_int,

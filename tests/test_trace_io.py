@@ -156,6 +156,17 @@ def test_verify_answers_the_same_without_the_library(tmp_path, capsys, monkeypat
     assert "Traceback" not in without[2]
 
 
+def test_a_non_utf8_byte_is_named_by_its_offset_in_the_file(tmp_path, capsys, monkeypatch):
+    # Far past the text reader's first chunk of 8,192 bytes.
+    data = bytearray((TRIANGLE + "10,0,0,0,0\n" * 10_000).encode())
+    offset = 70_003
+    data[offset] = 0xFF
+    with_library, without = _verify_both_ways(tmp_path, capsys, monkeypatch, bytes(data))
+    assert with_library == without
+    reason = f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+    assert without == (1, "", f"error: trace {tmp_path / 'trace.csv'} is not UTF-8 text: {reason}\n")
+
+
 def test_verify_reads_its_own_csv_compiled(tmp_path, capsys, monkeypatch):
     parsed = []
     parse_rows = native.parse_rows

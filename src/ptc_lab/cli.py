@@ -30,6 +30,7 @@ import itertools
 import json
 import sys
 from dataclasses import MISSING, asdict, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -709,10 +710,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every ``main`` call of this process reuses: parsing
+    leaves nothing on it, and argparse makes its help formatter, which
+    reads COLUMNS, anew each time it prints."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

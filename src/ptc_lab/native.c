@@ -17,6 +17,7 @@
  * the next step, once the caller sets the cancel flag on Ctrl-C.
  *
  * Build: gcc -O2 -fPIC -shared -ffp-contract=off -o native.so native.c -lm
+ * (ptc_lab.native._FLAGS holds these flags for the build and its cache key.)
  * Floating-point contraction (fused multiply-add) and fast-math would
  * change results, and so would excess precision.
  */
@@ -696,6 +697,19 @@ static int read_cell(const char **p, const char *end, char sep, double *v)
     if (negative)
         *v = -*v;
     return 1;
+}
+
+/* The number of '\n' in text: the rows of a text that ptc_parse_rows
+ * reads, which sizes its output. */
+long ptc_count_rows(const char *text, long length)
+{
+    const char *p = text, *end = text + length;
+    long rows = 0;
+    while ((p = memchr(p, '\n', (size_t)(end - p))) != NULL) {
+        rows++;
+        p++;
+    }
+    return rows;
 }
 
 /* Parses text, rows of cols cells as read_cell reads them, the last of

@@ -12,16 +12,21 @@ and its plant runs in the Python loop of ``sim.run``.
 
 ``integrate`` runs the loop of ``sim.run`` in ``native.c``, a fixed C
 source shipped with the package. The shared library is built with the
-system's ``gcc`` on the first call, never at import, into a temporary
-directory that is removed once the library is loaded. Without a compiler,
-or when the build fails, ``integrate`` returns None and ``sim.run`` takes
-the Python loop; it returns None as well whenever the C loop meets
-anything the Python loop raises on. The C loop runs in a worker thread,
-so that Ctrl-C in the calling thread stops it within one step.
+system's ``gcc`` on the first call, never at import, once per user: it is
+kept in ``${XDG_CACHE_HOME:-~/.cache}/ptc-lab/``, named by a hash of the
+source, the compiler and the flags, and later processes load it without
+running gcc. The cache is used only when its directory and file pass the
+checks of ``_usable``; otherwise, and on any error, the library is built
+in a temporary directory that is removed once it is loaded. Without a
+compiler, or when the build fails, ``integrate`` returns None and
+``sim.run`` takes the Python loop; it returns None as well whenever the C
+loop meets anything the Python loop raises on. The C loop runs in a worker
+thread, so that Ctrl-C in the calling thread stops it within one step.
 
 ``write_rows`` and ``parse_rows`` write and read the rows of a trace CSV
 in the same library, for ``cli.write_trace_csv`` and ``verify``'s reader,
-which use them once a compiled run has built the library (``built``).
+which use them once a compiled run has loaded the library or the cache
+holds it (``built``).
 The writer gives each cell the bytes of ``format(v, ".17g")``, and the
 reader the bits of ``float()``. The reader accepts only the strict grammar
 of what the writer writes and hands anything else back, so that the
@@ -32,8 +37,12 @@ its own messages.
 from __future__ import annotations
 
 import ctypes
+import os
 import shutil
+import stat
+import struct
 import threading
+from contextlib import suppress
 from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, Callable, NamedTuple, Sequence
@@ -161,6 +170,7 @@ SIGNATURES = {
             ctypes.c_long, ctypes.c_long, ctypes.POINTER(ctypes.c_char),
         ],
     ),
+    "ptc_count_rows": (ctypes.c_long, [ctypes.c_char_p, ctypes.c_long]),
     "ptc_parse_rows": (
         ctypes.c_long,
         [ctypes.c_char_p, ctypes.c_long, ctypes.c_int, _DOUBLE_P, ctypes.c_long],
@@ -168,32 +178,157 @@ SIGNATURES = {
 }
 
 
+_SOURCE = Path(__file__).with_name("native.c")
+# gcc's flags for native.c, read by the build and by the cache key.
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
 @lru_cache(maxsize=None)
 def library() -> ctypes.CDLL | None:
-    """The compiled loop, built on first use; None without a working gcc."""
+    """The compiled loop, from the per-user cache or built on first use;
+    None without a working gcc."""
     compiler = shutil.which("gcc")
     if compiler is None:
         return None
-    import subprocess
+    try:
+        return _cached_library(compiler)
+    except (OSError, AttributeError):  # the cache cannot be used: build without it
+        pass
     import tempfile
 
-    source = Path(__file__).with_name("native.c")
     with tempfile.TemporaryDirectory(prefix="ptc_lab-", ignore_cleanup_errors=True) as tmp:
         target = Path(tmp) / "native.so"
-        command = [
-            compiler, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-            "-o", str(target), str(source), "-lm",
-        ]
         try:
-            subprocess.run(command, capture_output=True, check=True, timeout=300)
-            lib = ctypes.CDLL(str(target))
-        except (OSError, subprocess.SubprocessError):
+            return _load(target) if _compile(compiler, target) else None
+        except (OSError, AttributeError):
             return None
+
+
+def _compile(compiler: str, target: Path) -> bool:
+    """Whether gcc built native.c into the shared library ``target``."""
+    import subprocess
+
+    command = [compiler, *_FLAGS, "-o", str(target), str(_SOURCE), "-lm"]
+    try:
+        subprocess.run(command, capture_output=True, check=True, timeout=300)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return True
+
+
+def _load(path: Path) -> ctypes.CDLL:
+    """The library at ``path`` with the types of SIGNATURES. Raises
+    OSError when it cannot be loaded and AttributeError when it lacks one
+    of the functions."""
+    lib = ctypes.CDLL(str(path))
     for name, (restype, argtypes) in SIGNATURES.items():
         function = getattr(lib, name)
         function.restype = restype
         function.argtypes = argtypes
     return lib
+
+
+def _cache_entry(compiler: str) -> Path:
+    """The cache's path for what ``compiler`` builds from native.c with
+    ``_FLAGS``. Raises OSError when the cache has no absolute location."""
+    import hashlib  # loads OpenSSL: not at import
+
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    directory = Path(base, "ptc-lab")
+    if not directory.is_absolute():
+        raise OSError(f"no absolute cache directory: {directory}")
+    key = hashlib.sha256(repr((_SOURCE.read_bytes(), compiler, _FLAGS)).encode()).hexdigest()
+    return directory / f"native-{key}.so"
+
+
+def _trusted(path: Path, directory: bool) -> bool:
+    """Whether ``path`` itself, not followed if it is a symlink, is owned
+    by the current user and is a ``directory`` of mode 0700, or a regular
+    file that no one else can write."""
+    info = os.lstat(path)
+    if info.st_uid != os.getuid():
+        return False
+    if directory:
+        return stat.S_ISDIR(info.st_mode) and stat.S_IMODE(info.st_mode) == 0o700
+    return stat.S_ISREG(info.st_mode) and not info.st_mode & 0o022
+
+
+# Per ELF class (32 or 64 bits): the word format, where the ELF header
+# keeps e_phoff and e_phentsize, and where a program header keeps p_offset
+# and p_filesz.
+_ELF_LAYOUT = {1: ("I", 0x1C, 0x2A, 4, 16), 2: ("Q", 0x20, 0x36, 8, 32)}
+
+
+def _whole(path: Path) -> bool:
+    """Whether ``path`` is an ELF file that holds every byte its program
+    headers map. dlopen maps them without checking the file's length, and
+    a process that touches a page past the end of a truncated file dies of
+    SIGBUS."""
+    data = path.read_bytes()
+    if data[:4] != b"\x7fELF":
+        return False
+    try:
+        order = {1: "<", 2: ">"}[data[5]]
+        word, phoff_at, phentsize_at, offset_at, filesz_at = _ELF_LAYOUT[data[4]]
+        (phoff,) = struct.unpack_from(order + word, data, phoff_at)
+        entsize, count = struct.unpack_from(order + "HH", data, phentsize_at)
+        ends = [
+            sum(struct.unpack_from(order + word, data, phoff + i * entsize + at)[0]
+                for at in (offset_at, filesz_at))
+            for i in range(count)
+        ]
+    except (IndexError, KeyError, struct.error):
+        return False
+    return max(ends, default=0) <= len(data)
+
+
+def _usable(path: Path) -> bool:
+    """Whether the cache may load ``path``: it and its directory are
+    ``_trusted`` and it is ``_whole``. Raises OSError when either is
+    missing or cannot be read."""
+    return (
+        _trusted(path.parent, directory=True)
+        and _trusted(path, directory=False)
+        and _whole(path)
+    )
+
+
+def _cached_library(compiler: str) -> ctypes.CDLL:
+    """The library from the per-user cache, built into it when absent or
+    unusable. Raises OSError when the cache directory cannot be made or
+    trusted, or the build fails, and OSError or AttributeError when the
+    built library cannot be loaded."""
+    path = _cache_entry(compiler)
+    with suppress(OSError, AttributeError):  # absent, untrusted, truncated or unloadable
+        if _usable(path):
+            return _load(path)
+    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    if not _trusted(path.parent, directory=True):
+        raise PermissionError(f"untrusted cache directory {path.parent}")
+    import tempfile
+
+    # Built under a name of its own and renamed into place, so that a
+    # process that starts meanwhile finds either no file or a whole one.
+    fd, name = tempfile.mkstemp(prefix=".native-", suffix=".so", dir=path.parent)
+    os.close(fd)
+    tmp = Path(name)
+    try:
+        if not _compile(compiler, tmp):
+            raise OSError(f"gcc could not build {_SOURCE}")
+        tmp.chmod(0o700)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return _load(path)
+
+
+def _in_cache() -> bool:
+    """Whether ``library()`` would load the cache without running gcc."""
+    compiler = shutil.which("gcc")
+    try:
+        return compiler is not None and _usable(_cache_entry(compiler))
+    except OSError:
+        return False
 
 
 # Bound here, so that built() still reads the real cache when a test
@@ -202,11 +337,11 @@ _library_cache_info = library.cache_info
 
 
 def built() -> ctypes.CDLL | None:
-    """``library()`` once this process has called it, else None without
-    building it. Writing or reading one trace saves less time than the gcc
-    build costs, so trace CSV I/O uses the library only when a compiled
-    run has already built it."""
-    return library() if _library_cache_info().currsize else None
+    """``library()`` once this process has called it or the per-user cache
+    holds it, else None without building it. Writing or reading one trace
+    saves less time than the gcc build costs, so trace CSV I/O uses the
+    library only when no build is needed."""
+    return library() if _library_cache_info().currsize or _in_cache() else None
 
 
 def _as_struct(prog: Program, keep: list) -> _Program:
@@ -349,7 +484,7 @@ def parse_rows(text: bytes, cols: int) -> np.ndarray | None:
     lib = library()
     if lib is None:
         raise RuntimeError("no C compiler: the compiled reader is unavailable")
-    capacity = text.count(b"\n")
+    capacity = lib.ptc_count_rows(text, len(text))
     out = np.empty((capacity, cols))
     rows = lib.ptc_parse_rows(text, len(text), cols, out.ctypes.data_as(_DOUBLE_P), capacity)
     return out if rows == capacity > 0 else None

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -346,6 +348,49 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["design"]) == 1
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json")]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def _fresh_main(argv):
+    """``main(argv)`` as the first call of a fresh process: its exit code,
+    stdout and stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys; from ptc_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_main_reuses_its_parser_without_leaking_state(tmp_path, capsys, monkeypatch):
+    # Usage text wraps at COLUMNS, which both sides then read alike.
+    monkeypatch.setenv("COLUMNS", "80")
+    scenario = _ex2_scenario(tmp_path)
+    # Halfway under its envelope, then at rest: stable unless the mode is
+    # attractive, so a --mode left over from an earlier call would show.
+    body = ""
+    for k in range(20):
+        lam = 5 - k / 4
+        x = lam / 2 if k < 19 else 0
+        body += f"{k / 2:g},{x:g},0,{x:g},{lam:g}\n"
+    trace = tmp_path / "bare.csv"
+    trace.write_text(TRIANGLE_HEADER + body)
+    calls = [
+        ["verify", str(trace), "--mode", "attractive", "--tau", "1", "--bogus"],
+        ["simulate", "--scenario", scenario, "--tau", "12", "--tau", "13", "--seed", "3"],
+        ["verify", str(trace), "--tau", "10", "--x0-norm", "5"],
+        ["simulate", "--scenario", scenario],
+    ]
+    in_process = [(main(argv), *capsys.readouterr()) for argv in calls]
+    assert in_process == [_fresh_main(argv) for argv in calls]
+    assert in_process[0][0] == 1 and "unrecognized arguments: --bogus" in in_process[0][2]
+    assert "triangularly_stable" in in_process[2][1]
+    assert [line.split()[0] for line in in_process[3][1].splitlines()[::2]] == [
+        "[tau=10]", "[tau=15]", "[tau=20]",
+    ]
 
 
 def _custom_plant_scenario(tmp_path, f, g, x0):

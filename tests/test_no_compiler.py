@@ -65,10 +65,11 @@ def test_cli_output_is_the_same_without_a_compiler(tmp_path, capsys, monkeypatch
     assert [b"0"] * 4 in (row[1:5] for row in rows)  # a row at rest
 
 
-def test_a_failing_build_leaves_no_library(monkeypatch):
+def test_a_failing_build_leaves_no_library(tmp_path, monkeypatch):
     def fail(command, **kwargs):
         raise subprocess.CalledProcessError(1, command)
 
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # an empty cache
     monkeypatch.setattr(shutil, "which", lambda name: name)  # as if gcc were on PATH
     monkeypatch.setattr(subprocess, "run", fail)
     native.library.cache_clear()
@@ -76,3 +77,4 @@ def test_a_failing_build_leaves_no_library(monkeypatch):
         assert native.library() is None
     finally:
         native.library.cache_clear()
+    assert list((tmp_path / "ptc-lab").iterdir()) == []  # no half-built file left

@@ -27,6 +27,7 @@ from ptc_lab import native
 from ptc_lab.cli import main
 
 from test_cli import MALFORMED_BODIES, TRIANGLE_HEADER, TRIANGLE_ROWS
+from test_library_cache import fill_cache, session_library
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
 
@@ -47,6 +48,9 @@ def _assert_cells_match_python(values):
     # What the writer wrote, the reader reads back as float() does.
     text = [format(v, ".17g") for v in values if math.isfinite(v)]
     parsed = native.parse_rows("".join(f"{s}\n" for s in text).encode(), 1)
+    if not text:  # every value was inf or nan: no row, which parse_rows refuses
+        assert parsed is None
+        return
     assert parsed[:, 0].tobytes() == np.array([float(s) for s in text]).tobytes()
 
 
@@ -182,23 +186,38 @@ def test_verify_reads_its_own_csv_compiled(tmp_path, capsys, monkeypatch):
     assert parsed == [True] * (native.library() is not None)
 
 
-def test_verify_alone_builds_no_library(tmp_path):
-    # A fresh process that only verifies reads in Python rather than pay
-    # for a gcc build; subprocess is imported only to run gcc.
+def _verify_alone(tmp_path):
+    """``verify`` in a fresh process whose per-user cache is under
+    ``tmp_path``: its exit code, whether it imported subprocess (which
+    only a gcc build does), and whether it read the trace in C."""
     path = tmp_path / "trace.csv"
     path.write_text(TRIANGLE)
     code = (
-        "import sys; from ptc_lab.cli import main; "
+        "import sys; from ptc_lab import native; from ptc_lab.cli import main; "
+        "parse_rows = native.parse_rows; compiled = []; "
+        "native.parse_rows = lambda *a: compiled.append(1) or parse_rows(*a); "
         f"code = main(['verify', {str(path)!r}, '--tau', '10', '--x0-norm', '5']); "
-        "print(code, 'subprocess' in sys.modules)"
+        "print(code, 'subprocess' in sys.modules, bool(compiled))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path_var},
+        env={**os.environ, "PYTHONPATH": path_var, "XDG_CACHE_HOME": str(tmp_path / "cache")},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines()[-1] == "0 False"
+    return out.stdout.splitlines()[-1]
+
+
+def test_verify_alone_builds_no_library(tmp_path):
+    # With a cold cache, a process that only verifies reads in Python
+    # rather than pay for a gcc build.
+    assert _verify_alone(tmp_path) == "0 False False"
+
+
+@needs_gcc
+def test_verify_alone_reads_a_warm_cache_in_c(tmp_path):
+    fill_cache(tmp_path / "cache", session_library())
+    assert _verify_alone(tmp_path) == "0 False True"

@@ -441,12 +441,47 @@ int ptc_run(run_args *a)
  * ptc_format_rows writes each cell as Python's format(v, ".17g") does, and
  * ptc_parse_rows reads back what it writes. ptc_lab.cli keeps the Python
  * writer and reader as the reference and the fallback.
+ *
+ * Writer. A normal double v = m * 2^e has the decimal exponent x or x + 1,
+ * where x = floor((e + 52) * log10(2)) (the fixed-point form below is exact
+ * for every normal exponent). scale multiplies v by 10^(16 - x) once, in
+ * exact 128-bit integers, so q = floor(v * 10^(16 - x)) has 17 or 18
+ * digits and the part cut off is known exactly: below, at or above one
+ * half, and whether it is 0. With 17 digits, that part rounds q half to
+ * even. With 18, x was one low: the 18th digit r joins the rounding, which
+ * goes up when r > 5, or r = 5 with a nonzero part below it, or r = 5 at
+ * an exact tie with the 17 digits odd. A carry to 10^17 moves x up by one,
+ * as in printf. The digits come from two 32-bit halves through a table of
+ * digit pairs, and reach the output in copies of fixed size, which may
+ * write up to SLACK bytes past the cell. Zeros and non-finite values are
+ * written directly; subnormals, and magnitudes the scaling cannot hold
+ * (about 1e-6 and below, 3e38 and above), go to snprintf, which glibc
+ * rounds exactly too.
+ *
+ * Reader. Digits are taken eight at a time where eight bytes remain before
+ * the end of the text: one load, a test that all eight are digits, and
+ * three multiplies; the last few go one by one. A cell with at most 19
+ * significant digits d and a decimal scale 10^p, -21 <= p <= 19, is
+ * converted by Eisel-Lemire (Lemire, "Number parsing at a gigabyte per
+ * second", 2021): d times a 128-bit truncation of 10^p, which is exact for
+ * p >= 0. The truncation puts the true product within d units of the
+ * 192-bit result, so the top bits decide the rounding unless they sit at a
+ * boundary that those units could cross, or at an exact tie; in those
+ * cases the exact path decides. It computes d * 10^p in 128-bit integers
+ * with one rounding; for p < 0, d is shifted left to 127 bits and divided
+ * by 10^-p, which leaves a quotient of at least 55 bits, and a nonzero
+ * remainder joins it as a sticky bit below the rounding bit. Any other
+ * cell goes to strtod, which glibc rounds correctly too; a cell that strtod
+ * does not read to its end (another LC_NUMERIC locale) is refused.
  */
 
 typedef unsigned __int128 u128;
 
 /* The longest cell, "-1.2345678901234567e-308", and its separator. */
 #define CELL 25
+/* The most bytes a cell writes past its own end: its digits are copied
+ * 16 or 17 at a time. The output of ptc_format_rows has room for them. */
+#define SLACK 16
 
 /* 10^0 .. 10^19, the powers that fit in 64 bits. */
 static const uint64_t POW10[20] = {
@@ -462,10 +497,19 @@ static u128 pow10_128(int k)
     return k < 20 ? (u128)POW10[k] : (u128)POW10[19] * POW10[k - 19];
 }
 
-/* *q = floor(m * 2^e * 10^k), exactly, and *rest says whether the part
- * cut off is below (-1), at (0) or above (1) one half. Returns 0 when the
- * integers involved do not fit in 128 bits; m < 2^53. */
-static int scale(uint64_t m, int e, int k, u128 *q, int *rest)
+/* "00" .. "99". */
+static const char PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* *q = floor(m * 2^e * 10^k), exactly; *rest says whether the part cut
+ * off is below (-1), at (0) or above (1) one half, and *zero whether it is
+ * 0. Returns 0 when the integers involved do not fit in 128 bits;
+ * m < 2^53. */
+static int scale(uint64_t m, int e, int k, u128 *q, int *rest, int *zero)
 {
     u128 num = m, r, half;
     if (k >= 0) {
@@ -473,11 +517,12 @@ static int scale(uint64_t m, int e, int k, u128 *q, int *rest)
             return 0;
         num *= pow10_128(k); /* < 2^53 * 10^22 < 2^127 */
         if (e >= 0) {
-            /* v >= 2^52 puts x at 14 or above, so k <= 2: no rest. */
+            /* v >= 2^52 puts x at 15 or above, so k <= 1: nothing is cut. */
             if (k > 2 || e > 16)
                 return 0;
             *q = num << e;
             *rest = -1;
+            *zero = 1;
             return 1;
         }
         *q = num >> -e;
@@ -492,25 +537,34 @@ static int scale(uint64_t m, int e, int k, u128 *q, int *rest)
         r = num - *q * half;
         half >>= 1; /* 10^j is even */
     }
-    *rest = r < half ? -1 : r > half ? 1 : 0;
+    *rest = (r > half) - (r < half); /* without branches, as in format_cell */
+    *zero = r == 0;
     return 1;
 }
 
-/* v as format(v, ".17g") writes it; returns the length, at most CELL - 1.
+/* The eight digits of n < 10^8 at p.
  *
- * A normal double v = m * 2^e is scaled to the 17-digit integer
- * q = v * 10^(16 - x) in exact 128-bit arithmetic, where x is its decimal
- * exponent, and rounded half to even. x is settled on the truncated q, so
- * that a rounding carry to 10^17 moves x up by one, as in printf. Zeros
- * and non-finite values are written directly; subnormals, and magnitudes
- * the scaling cannot hold (about 1e-6 and below, 3e38 and above), go to
- * snprintf, which glibc rounds exactly too. */
+ * This and read_digits are inline so that gcc emits no codec function
+ * ahead of the closed loop: moved by 0x170 bytes, ptc_run took 5-15 %
+ * longer on most example3 seeds (gcc 12, x86-64). */
+static inline void put8(char *p, uint32_t n)
+{
+    uint32_t a = n / 10000, b = n % 10000;
+    memcpy(p, PAIRS + 2 * (a / 100), 2);
+    memcpy(p + 2, PAIRS + 2 * (a % 100), 2);
+    memcpy(p + 4, PAIRS + 2 * (b / 100), 2);
+    memcpy(p + 6, PAIRS + 2 * (b % 100), 2);
+}
+
+/* v as format(v, ".17g") writes it; returns the length, at most CELL - 1.
+ * It may write up to SLACK bytes past that length. */
 static int format_cell(double v, char *out)
 {
-    char digits[17], *o = out;
-    uint64_t bits, m, d;
-    uint32_t hi, lo;
-    int biased, e, x, k, rest, len, i;
+    char digits[32] = {0}; /* 17 digits, then room for copies of 16 */
+    char tmp[32], *o = out;
+    uint64_t bits, m, d, t;
+    uint32_t hi;
+    int biased, e, x, k, rest, zero, r, big, up, len;
     u128 q;
 
     memcpy(&bits, &v, sizeof bits);
@@ -530,76 +584,65 @@ static int format_cell(double v, char *out)
     }
     e = biased - 1075;
     m |= 1ULL << 52;
-    /* floor((e + 52) * log10(2)), off by at most one either way. */
     x = ((e + 52) * 78913) >> 18;
-    for (;;) {
-        k = 16 - x;
-        if (biased == 0 || !scale(m, e, k, &q, &rest)) {
-            char tmp[32]; /* subnormal, or beyond 128 bits */
-            len = snprintf(tmp, sizeof tmp, "%.17g", v);
-            memcpy(out, tmp, (size_t)len);
-            return len;
-        }
-        if (q >= POW10[17])
-            x++;
-        else if (q < POW10[16])
-            x--;
-        else
-            break;
+    k = 16 - x;
+    if (biased == 0 || !scale(m, e, k, &q, &rest, &zero)) {
+        /* subnormal, or beyond 128 bits */
+        len = snprintf(tmp, sizeof tmp, "%.17g", v);
+        memcpy(out, tmp, (size_t)len);
+        return len;
     }
-    d = (uint64_t)q;
-    if (rest > 0 || (rest == 0 && (d & 1)))
-        d++;
+    /* Round, without branches: which way a cell rounds is a coin flip to
+     * a branch predictor. With 18 digits, the last, r, joins the part
+     * below it. */
+    d = (uint64_t)q; /* < 10^18 */
+    t = d / 10;
+    r = (int)(d - 10 * t);
+    big = d >= POW10[17];
+    up = big ? (r > 5) | ((r == 5) & ((zero == 0) | (int)(t & 1)))
+             : (rest > 0) | ((rest == 0) & (int)(d & 1));
+    d = (big ? t : d) + (uint64_t)up;
+    x += big;
     if (d == POW10[17]) {
         d = POW10[16];
         x++;
     }
-    /* Two independent runs of 32-bit divisions: the last 8 digits and the
-     * first 9. */
-    lo = (uint32_t)(d % 100000000);
     hi = (uint32_t)(d / 100000000);
-    for (i = 16; i >= 9; i--) {
-        digits[i] = (char)('0' + lo % 10);
-        lo /= 10;
-    }
-    for (; i >= 0; i--) {
-        digits[i] = (char)('0' + hi % 10);
-        hi /= 10;
-    }
+    digits[0] = (char)('0' + hi / 100000000);
+    put8(digits + 1, hi % 100000000);
+    put8(digits + 9, (uint32_t)(d % 100000000));
     for (len = 17; digits[len - 1] == '0'; len--)
         ;
     if (bits >> 63)
         *o++ = '-';
     if (x < -4 || x >= 17) {
-        *o++ = digits[0];
-        if (len > 1) {
-            *o++ = '.';
-            memcpy(o, digits + 1, (size_t)len - 1);
-            o += len - 1;
-        }
+        o[0] = digits[0];
+        o[1] = '.';
+        memcpy(o + 2, digits + 1, 16);
+        o += len > 1 ? len + 1 : 1;
         *o++ = 'e';
         *o++ = x < 0 ? '-' : '+';
         if (x < 0)
             x = -x;
-        if (x >= 100)
+        if (x >= 100) {
             *o++ = (char)('0' + x / 100);
-        *o++ = (char)('0' + x / 10 % 10);
-        *o++ = (char)('0' + x % 10);
+            x %= 100;
+        }
+        memcpy(o, PAIRS + 2 * x, 2);
+        o += 2;
     } else if (x >= 0) {
         /* x + 1 integer digits, zero-padded, then the fraction if any. */
-        for (i = 0; i <= x; i++)
-            *o++ = i < len ? digits[i] : '0';
+        memcpy(o, digits, 17);
+        o += x + 1;
         if (len > x + 1) {
-            *o++ = '.';
-            memcpy(o, digits + x + 1, (size_t)(len - x - 1));
-            o += len - x - 1;
+            *o = '.';
+            memcpy(o + 1, digits + x + 1, 16);
+            o += len - x;
         }
     } else {
-        *o++ = '0';
-        *o++ = '.';
-        for (i = -1; i > x; i--)
-            *o++ = '0';
-        memcpy(o, digits, (size_t)len);
+        memcpy(o, "0.0000", 6);
+        o += 1 - x;
+        memcpy(o, digits, 17);
         o += len;
     }
     return (int)(o - out);
@@ -607,8 +650,8 @@ static int format_cell(double v, char *out)
 
 /* Rows first .. first + count - 1 of cols columns, as comma-separated
  * cells with a newline after each row. Column c's value in row r is
- * data[c][r * stride[c]]. out holds count * cols * CELL bytes; returns the
- * number written. */
+ * data[c][r * stride[c]]. out holds count * cols * CELL + SLACK bytes;
+ * returns the number of bytes of the rows. */
 long ptc_format_rows(int cols, const double *const *data, const long *stride,
                      long first, long count, char *out)
 {
@@ -623,43 +666,184 @@ long ptc_format_rows(int cols, const double *const *data, const long *stride,
     return o - out;
 }
 
+/* The eight bytes at s, the first in the lowest byte. */
+static uint64_t load8(const char *s)
+{
+    uint64_t w;
+    memcpy(&w, s, sizeof w);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    return w;
+}
+
+/* Whether every byte of w is '0' .. '9': adding 0x46 sets the top bit of
+ * a byte above '9', and subtracting 0x30 that of a byte below '0' (or
+ * above 0x7f); a carry or borrow starts only at such a byte. */
+static int eight_digits(uint64_t w)
+{
+    return !(((w + 0x4646464646464646ULL) | (w - 0x3030303030303030ULL)) &
+             0x8080808080808080ULL);
+}
+
+/* The number the eight digits of w spell: pairs, then fours, then all. */
+static uint64_t eight_value(uint64_t w)
+{
+    w -= 0x3030303030303030ULL;
+    w = w * 10 + (w >> 8);
+    return (((w & 0x000000FF000000FFULL) * 0x000F424000000064ULL) +
+            (((w >> 16) & 0x000000FF000000FFULL) * 0x0000271000000001ULL)) >> 32;
+}
+
+/* Appends the run of digits at s to *d (modulo 2^64) and returns its end. */
+static inline const char *read_digits(const char *s, const char *end, uint64_t *d)
+{
+    uint64_t w, acc = *d;
+    while (end - s >= 8 && eight_digits(w = load8(s))) {
+        acc = acc * 100000000 + eight_value(w);
+        s += 8;
+    }
+    for (; s < end && *s >= '0' && *s <= '9'; s++)
+        acc = acc * 10 + (uint64_t)(*s - '0');
+    *d = acc;
+    return s;
+}
+
+/* 10^-21 .. 10^19 as {high, low} words of a 128-bit integer T with its top
+ * bit set and 10^p = T * 2^(floor(p * log2(10)) - 127), truncated: exact
+ * for p >= 0. */
+static const uint64_t TEN[41][2] = {
+    {0x971da05074da7beeULL, 0xd3f6fc16ebca5e03ULL}, /* 1e-21 */
+    {0xbce5086492111aeaULL, 0x88f4bb1ca6bcf584ULL},
+    {0xec1e4a7db69561a5ULL, 0x2b31e9e3d06c32e5ULL},
+    {0x9392ee8e921d5d07ULL, 0x3aff322e62439fcfULL},
+    {0xb877aa3236a4b449ULL, 0x09befeb9fad487c2ULL},
+    {0xe69594bec44de15bULL, 0x4c2ebe687989a9b3ULL},
+    {0x901d7cf73ab0acd9ULL, 0x0f9d37014bf60a10ULL}, /* 1e-15 */
+    {0xb424dc35095cd80fULL, 0x538484c19ef38c94ULL},
+    {0xe12e13424bb40e13ULL, 0x2865a5f206b06fb9ULL},
+    {0x8cbccc096f5088cbULL, 0xf93f87b7442e45d3ULL},
+    {0xafebff0bcb24aafeULL, 0xf78f69a51539d748ULL},
+    {0xdbe6fecebdedd5beULL, 0xb573440e5a884d1bULL}, /* 1e-10 */
+    {0x89705f4136b4a597ULL, 0x31680a88f8953030ULL},
+    {0xabcc77118461cefcULL, 0xfdc20d2b36ba7c3dULL},
+    {0xd6bf94d5e57a42bcULL, 0x3d32907604691b4cULL},
+    {0x8637bd05af6c69b5ULL, 0xa63f9a49c2c1b10fULL},
+    {0xa7c5ac471b478423ULL, 0x0fcf80dc33721d53ULL}, /* 1e-5 */
+    {0xd1b71758e219652bULL, 0xd3c36113404ea4a8ULL},
+    {0x83126e978d4fdf3bULL, 0x645a1cac083126e9ULL},
+    {0xa3d70a3d70a3d70aULL, 0x3d70a3d70a3d70a3ULL},
+    {0xccccccccccccccccULL, 0xccccccccccccccccULL},
+    {0x8000000000000000ULL, 0}, /* 1e0 */
+    {0xa000000000000000ULL, 0},
+    {0xc800000000000000ULL, 0},
+    {0xfa00000000000000ULL, 0},
+    {0x9c40000000000000ULL, 0},
+    {0xc350000000000000ULL, 0}, /* 1e5 */
+    {0xf424000000000000ULL, 0},
+    {0x9896800000000000ULL, 0},
+    {0xbebc200000000000ULL, 0},
+    {0xee6b280000000000ULL, 0},
+    {0x9502f90000000000ULL, 0}, /* 1e10 */
+    {0xba43b74000000000ULL, 0},
+    {0xe8d4a51000000000ULL, 0},
+    {0x9184e72a00000000ULL, 0},
+    {0xb5e620f480000000ULL, 0},
+    {0xe35fa931a0000000ULL, 0}, /* 1e15 */
+    {0x8e1bc9bf04000000ULL, 0},
+    {0xb1a2bc2ec5000000ULL, 0},
+    {0xde0b6b3a76400000ULL, 0},
+    {0x8ac7230489e80000ULL, 0}, /* 1e19 */
+};
+
+/* d * 10^p, correctly rounded, by Eisel-Lemire (Go's eiselLemire64);
+ * 0 < d, -21 <= p <= 19, so the result, 1e-21 .. 2e38, is a normal
+ * double. Returns 0 when the product's top bits cannot decide the
+ * rounding. */
+static int lemire(uint64_t d, int p, double *v)
+{
+    const uint64_t *t = TEN[p + 21];
+    int clz = __builtin_clzll(d), msb;
+    int e2 = ((217706 * p) >> 16) + 64 + 1023 - clz; /* floor(p*log2(10)) */
+    uint64_t m = d << clz, hi, lo, low, mantissa, bits;
+    u128 x = (u128)m * t[0], y;
+
+    hi = (uint64_t)(x >> 64);
+    lo = (uint64_t)x;
+    if ((hi & 0x1ff) == 0x1ff && lo + m < m) {
+        /* The truncated low word of 10^p could carry into hi: add it. */
+        y = (u128)m * t[1];
+        low = (uint64_t)y;
+        lo += (uint64_t)(y >> 64);
+        hi += lo < (uint64_t)(y >> 64);
+        if ((hi & 0x1ff) == 0x1ff && lo + 1 == 0 && low + m < m)
+            return 0;
+    }
+    msb = (int)(hi >> 63);
+    mantissa = hi >> (msb + 9); /* 54 bits: the double's and a rounding bit */
+    e2 -= 1 ^ msb;
+    if (lo == 0 && (hi & 0x1ff) == 0 && (mantissa & 3) == 1)
+        return 0; /* perhaps halfway with an even mantissa */
+    mantissa += mantissa & 1;
+    mantissa >>= 1;
+    if (mantissa >> 53) {
+        mantissa >>= 1;
+        e2++;
+    }
+    bits = (uint64_t)e2 << 52 | (mantissa & ((1ULL << 52) - 1));
+    memcpy(v, &bits, sizeof bits);
+    return 1;
+}
+
+/* d * 10^p, correctly rounded, in exact 128-bit integers; 0 < d,
+ * -21 <= p <= 19. */
+static double exact(uint64_t d, int p)
+{
+    uint64_t bits;
+    int shift;
+    u128 num, q;
+    double v;
+
+    if (p >= 0)
+        return (double)((u128)d * pow10_128(p));
+    shift = 127 - (64 - __builtin_clzll(d));
+    num = (u128)d << shift;
+    q = num / pow10_128(-p);
+    bits = (uint64_t)(1023 - shift) << 52; /* 2^-shift, a normal double */
+    memcpy(&v, &bits, sizeof bits);
+    return v * (double)(q | (num != q * pow10_128(-p)));
+}
+
 /* Reads one cell, -?digits[.digits][e[+-]digits], ended by sep, into *v
- * and advances *p past sep; 0 when the text there is anything else.
- *
- * The value is correctly rounded, as Python's float() rounds it. A cell
- * with at most 19 significant digits d and a decimal scale 10^p with
- * -21 <= p <= 19 is converted exactly in 128-bit integers: d * 10^p
- * converts with one rounding; for p < 0, d is shifted left to 127 bits
- * and divided by 10^-p, which leaves a quotient of at least 55 bits, and
- * a nonzero remainder joins it as a sticky bit below the rounding bit.
- * Any other cell goes to strtod, which glibc rounds correctly too; a cell
- * that strtod does not read to its end (another LC_NUMERIC locale) is
- * refused. */
+ * and advances *p past sep; 0 when the text there is anything else. The
+ * value is correctly rounded, as Python's float() rounds it. */
 static int read_cell(const char **p, const char *end, char sep, double *v)
 {
-    const char *s = *p, *cell = s, *run;
-    uint64_t d = 0, bits;
-    int negative = 0, digits = 0, power = 0, exponent = 0, shift;
-    u128 num, q;
+    const char *s = *p, *cell = s, *run, *first;
+    uint64_t d = 0;
+    int negative = 0, digits, power = 0, exponent = 0;
     char *stop;
 
     if (s < end && *s == '-') {
         negative = 1;
         s++;
     }
-    for (run = s; s < end && *s >= '0' && *s <= '9'; s++)
-        if (d || *s != '0') {
-            d = d * 10 + (uint64_t)(*s - '0');
-            digits++;
-        }
+    for (run = s; s < end && *s == '0'; s++)
+        ;
+    first = s;
+    s = read_digits(s, end, &d);
+    digits = (int)(s - first);
     if (s == run)
         return 0;
     if (s < end && *s == '.') {
-        for (run = ++s; s < end && *s >= '0' && *s <= '9'; s++, power--)
-            if (d || *s != '0') {
-                d = d * 10 + (uint64_t)(*s - '0');
-                digits++;
-            }
+        run = ++s;
+        if (d == 0)
+            while (s < end && *s == '0')
+                s++;
+        first = s;
+        s = read_digits(s, end, &d);
+        digits += (int)(s - first);
+        power = (int)(run - s);
         if (s == run)
             return 0;
     }
@@ -682,18 +866,10 @@ static int read_cell(const char **p, const char *end, char sep, double *v)
         *v = strtod(cell, &stop);
         return stop == s;
     }
-    if (d == 0) {
+    if (d == 0)
         *v = 0.0;
-    } else if (power >= 0) {
-        *v = (double)((u128)d * pow10_128(power));
-    } else {
-        shift = 127 - (64 - __builtin_clzll(d));
-        num = (u128)d << shift;
-        q = num / pow10_128(-power);
-        bits = (uint64_t)(1023 - shift) << 52; /* 2^-shift, a normal double */
-        memcpy(v, &bits, sizeof bits);
-        *v *= (double)(q | (num != q * pow10_128(-power)));
-    }
+    else if (!lemire(d, power, v))
+        *v = exact(d, power);
     if (negative)
         *v = -*v;
     return 1;

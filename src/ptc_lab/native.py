@@ -444,8 +444,10 @@ def _run_interruptibly(ptc_run, args: _RunArgs, keep: list) -> int:
     return status[0]
 
 
-# native.c's CELL: the longest cell and its separator, in bytes.
+# native.c's CELL, the longest cell and its separator, and SLACK, the most
+# bytes a cell writes past its own end; in bytes.
 CELL = 25
+SLACK = 16
 # Rows formatted per call of ptc_format_rows, which bounds the buffer.
 _CHUNK_ROWS = 4096
 
@@ -465,7 +467,7 @@ def write_rows(fh: BinaryIO, columns: Sequence[np.ndarray]) -> None:
     arrays = [a if a.strides[0] % a.itemsize == 0 else a.copy() for a in arrays]
     data = (_DOUBLE_P * len(arrays))(*(a.ctypes.data_as(_DOUBLE_P) for a in arrays))
     strides = (ctypes.c_long * len(arrays))(*(a.strides[0] // a.itemsize for a in arrays))
-    buffer = bytearray(min(rows, _CHUNK_ROWS) * len(arrays) * CELL)
+    buffer = bytearray(min(rows, _CHUNK_ROWS) * len(arrays) * CELL + SLACK)
     out = (ctypes.c_char * len(buffer)).from_buffer(buffer)
     view = memoryview(buffer)
     for first in range(0, rows, _CHUNK_ROWS):

@@ -3,17 +3,6 @@ import pytest
 import ptc_lab as pl
 
 
-@pytest.fixture(scope="session", autouse=True)
-def library_cache(tmp_path_factory):
-    """The compiled library's per-user cache, in a directory of this
-    session's own: no test reads or writes the real one. The variable is
-    set in ``os.environ``, so the fresh processes of the tests inherit it."""
-    with pytest.MonkeyPatch.context() as patch:
-        path = tmp_path_factory.mktemp("xdg-cache")
-        patch.setenv("XDG_CACHE_HOME", str(path))
-        yield path
-
-
 @pytest.fixture(scope="session")
 def example2_trace():
     """One closed-loop run of the second-order example at tau = 10."""

@@ -97,3 +97,7 @@ def test_exported_functions_match_their_signatures():
 
 def test_cell_width_matches_native_py():
     assert native.CELL == int(re.search(r"#define CELL (\d+)", CODE).group(1))
+
+
+def test_cell_slack_matches_native_py():
+    assert native.SLACK == int(re.search(r"#define SLACK (\d+)", CODE).group(1))

@@ -1,0 +1,217 @@
+"""The trace CSV codec of ``native.c`` under AddressSanitizer and
+UndefinedBehaviorSanitizer.
+
+The writer copies digits in blocks of fixed size, which may reach past a
+cell, and the reader loads eight bytes at a time, so both touch memory
+next to the ends of their buffers. A small C driver, built with
+``native.c`` under both sanitizers, writes and reads at those ends: any
+access out of bounds, and any undefined operation, ends it with an error.
+The driver writes into a buffer of exactly the size ``native.write_rows``
+allocates for one chunk, and reads texts that end exactly at the end of a
+``malloc``'d block, with no NUL after them. It needs gcc with libasan and
+skips without them.
+"""
+
+import ctypes
+import io
+import os
+import re
+import shutil
+import subprocess
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ptc_lab import native
+
+DRIVER = r"""
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+long ptc_format_rows(int cols, const double *const *data, const long *stride,
+                     long first, long count, char *out);
+long ptc_parse_rows(const char *text, long length, int cols, double *out, long capacity);
+
+/* "w SIZE ROWS COLS V W": format ROWS rows of COLS cells, all V but the
+ * last, W, into a malloc'd buffer of SIZE bytes; print the text.
+ * "r HEX": parse the bytes HEX spells, the only contents of a malloc'd
+ * block, as rows of one cell; print the row count and the values. */
+int main(void)
+{
+    char line[4096], kind;
+    while (fgets(line, sizeof line, stdin)) {
+        kind = line[0];
+        if (kind == 'w') {
+            long size, rows, n, i, strides[8];
+            int cols;
+            double v, w;
+            const double *data[8];
+            if (sscanf(line + 2, "%ld %ld %d %la %la", &size, &rows, &cols, &v, &w) != 5 ||
+                cols < 1 || cols > 8)
+                return 2;
+            double *values = malloc((size_t)(rows * cols) * sizeof *values);
+            char *out = malloc((size_t)size);
+            for (i = 0; i < rows * cols; i++)
+                values[i] = v;
+            values[rows * cols - 1] = w;
+            for (i = 0; i < cols; i++) { /* row-major: column i, stride cols */
+                data[i] = values + i;
+                strides[i] = cols;
+            }
+            n = ptc_format_rows(cols, data, strides, 0, rows, out);
+            fwrite(out, 1, (size_t)n, stdout);
+            free(out);
+            free(values);
+        } else if (kind == 'r') {
+            size_t length = strlen(line + 2) / 2, i;
+            unsigned byte;
+            char *text = malloc(length ? length : 1);
+            double *values = malloc((length + 1) * sizeof *values);
+            for (i = 0; i < length; i++) {
+                if (sscanf(line + 2 + 2 * i, "%2x", &byte) != 1)
+                    return 2;
+                text[i] = (char)byte;
+            }
+            long rows = ptc_parse_rows(text, (long)length, 1, values, (long)length + 1);
+            printf("%ld", rows);
+            for (long r = 0; r < rows; r++)
+                printf(" %a", values[r]);
+            printf("\n");
+            free(values);
+            free(text);
+        } else {
+            return 2;
+        }
+    }
+    return 0;
+}
+"""
+
+
+def _asan_gcc():
+    """gcc, when it has libasan."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return None
+    found = subprocess.run(
+        [gcc, "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    return gcc if os.path.isabs(found) else None
+
+
+GCC = _asan_gcc()
+pytestmark = pytest.mark.skipif(GCC is None, reason="no gcc with libasan")
+
+
+@pytest.fixture(scope="module")
+def driver(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sanitized")
+    source = tmp / "driver.c"
+    source.write_text(DRIVER)
+    binary = tmp / "driver"
+    subprocess.run(
+        [
+            GCC, "-g", "-O1", "-ffp-contract=off", "-fsanitize=address,undefined",
+            "-fno-sanitize-recover", "-o", str(binary), str(source),
+            str(Path(native.__file__).with_name("native.c")), "-lm",
+        ],
+        check=True,
+        capture_output=True,
+    )
+    return binary
+
+
+def _run(driver, commands):
+    """The driver's stdout for ``commands``; fails on any sanitizer error."""
+    result = subprocess.run(
+        [str(driver)],
+        input="".join(f"{c}\n" for c in commands).encode(),
+        capture_output=True,
+        env={**os.environ, "ASAN_OPTIONS": "detect_leaks=0"},
+    )
+    assert result.returncode == 0, result.stderr.decode(errors="replace")[-3000:]
+    return result.stdout
+
+
+def _chunk_buffer_size(monkeypatch, cols):
+    """The bytes ``native.write_rows`` allocates for a full chunk of rows
+    of ``cols`` columns, as its call to ``ptc_format_rows`` receives them."""
+    sizes = []
+
+    class Recorder:
+        def ptc_format_rows(self, ncols, data, strides, first, count, out):
+            sizes.append(ctypes.sizeof(out))
+            return 0
+
+    monkeypatch.setattr(native, "library", Recorder)
+    rows = native._CHUNK_ROWS
+    native.write_rows(io.BytesIO(), [np.zeros(rows)] * cols)
+    assert len(sizes) == 1
+    return rows, sizes[0]
+
+
+LONGEST = -1.2345678901234567e-300
+# x = 15 with one fraction digit: its copies reach furthest from its start.
+FARTHEST = -1234567890123456.8
+
+
+@pytest.mark.parametrize("last", [LONGEST, FARTHEST], ids=["longest", "farthest-last"])
+def test_writer_stays_in_the_buffer_write_rows_allocates(driver, monkeypatch, last):
+    cols = 3
+    rows, size = _chunk_buffer_size(monkeypatch, cols)
+    text = _run(driver, [f"w {size} {rows} {cols} {LONGEST.hex()} {last.hex()}"]).decode()
+    cell = format(LONGEST, ".17g")
+    assert len(cell) == native.CELL - 1
+    row = ",".join([cell] * cols) + "\n"
+    assert text == row * (rows - 1) + ",".join([cell] * (cols - 1) + [format(last, ".17g")]) + "\n"
+
+
+# The grammar the compiled reader accepts, for the expected results.
+CELL_GRAMMAR = re.compile(rb"-?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?")
+
+
+def _expected(text):
+    """What the reader should print for ``text``: its rows of one cell and
+    their values, or -1 outside its grammar."""
+    if not text.endswith(b"\n"):
+        return "-1"
+    cells = text[:-1].split(b"\n")
+    if not all(CELL_GRAMMAR.fullmatch(c) for c in cells):
+        return "-1"
+    return " ".join([str(len(cells)), *(float(c).hex() for c in cells)])
+
+
+def _check_parses(driver, texts):
+    out = _run(driver, [f"r {t.hex()}" for t in texts]).decode().splitlines()
+    assert len(out) == len(texts)
+    for text, line in zip(texts, out):
+        rows, *values = line.split()
+        got = " ".join([rows, *(float.fromhex(v).hex() for v in values)])
+        assert got == _expected(text), text
+
+
+def test_reader_stays_in_texts_that_end_at_their_block(driver):
+    texts = []
+    for length in range(1, 25):
+        for source in (
+            "123456789012345678901234",
+            "0.1234567890123456789012",
+            "-1.2345678901234567e-300",
+            "1234567890123456.7890123",
+            "-0.000012345678901234567",
+        ):
+            cell = source[:length].encode()
+            texts += [cell + b"\n", cell, b"1\n" + cell + b"\n", b"1\n" + cell]
+    _check_parses(driver, texts)
+
+
+def test_reader_judges_a_stray_byte_at_every_window_offset(driver):
+    cell = b"12345678901234567"
+    texts = [
+        cell[:i] + bytes([bad]) + cell[i + 1:] + b"\n"
+        for i in range(16)
+        for bad in b"x/:. -e\x00\x80\xff"
+    ]
+    _check_parses(driver, texts)

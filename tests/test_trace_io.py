@@ -16,6 +16,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,80 @@ def test_parser_matches_float(strings):
     assert parsed[:, 0].tobytes() == np.array([float(s) for s in strings]).tobytes()
 
 
+def _decimal(digits, point):
+    """The decimal string of the integer ``digits`` times 10^-point."""
+    text = str(digits).rjust(point + 1, "0")
+    return f"{text[:-point]}.{text[-point:]}" if point > 0 else text
+
+
+def _halfway_decimals():
+    """Exact ties between adjacent doubles, each with its last digit moved
+    one down and one up: the tie (2a + 1) * 2^t of a * 2^(t+1) and
+    (a + 1) * 2^(t+1), for 53-bit a. t = -1 gives n + 0.5 for n in
+    [2^52, 2^53), and t = 0 the odd integers in [2^53, 2^54). Every string
+    has at most 19 significant digits and a scale within 10^-3 .. 10^0, so
+    the fast path sees them all."""
+    strings = []
+    for t in range(-3, 10):
+        for a in (2**52, 2**52 + 1, 3 * 2**51, 3 * 2**51 + 1, 2**53 - 2, 2**53 - 1):
+            point = max(-t, 0)
+            tie = (2 * a + 1) * (5**point if t < 0 else 2**t)
+            strings += [_decimal(tie + step, point) for step in (-1, 0, 1)]
+    return strings + ["-" + s for s in strings]
+
+
+@needs_gcc
+def test_parser_rounds_exact_ties_to_even():
+    strings = _halfway_decimals()
+    parsed = native.parse_rows("".join(f"{s}\n" for s in strings).encode(), 1)
+    assert parsed[:, 0].tobytes() == np.array([float(s) for s in strings]).tobytes()
+
+
+@needs_gcc
+@pytest.mark.parametrize(
+    "text",
+    [
+        # 19 digits with the top bit of 64 set, and values around 2^63 and 2^64.
+        "9999999999999999999", "-9999999999999999999", "9223372036854775807",
+        "9223372036854775808", "9223372036854775809", "1844674407370955161e1",
+        "1844674407370955162e1", "1.844674407370955161e19", "0.1844674407370955162",
+        # The ends of the fast path's scales, 10^-21 and 10^19, and past them.
+        "1e-21", "0.000000000000000000001", "9999999999999999999e-21", "4503599627370497e-21",
+        "1e19", "1234567890123456789e19", "9999999999999999999e19", "4503599627370497e19",
+        "1e-22", "1e20", "9999999999999999999e-22", "12345678901234567890", "0e-21", "0e19",
+    ],
+)
+def test_parser_matches_float_at_the_ends_of_its_fast_range(text):
+    assert native.parse_rows(f"{text}\n".encode(), 1)[0, 0].hex() == float(text).hex()
+
+
+def _ties_of_18_digits():
+    """Doubles whose exact decimal has 18 significant digits and ends in
+    5, from the part of a binade at or above its power of ten 10^x. There
+    the writer's first scaling gives 18 digits, and the 18th decides an
+    exact tie: v = D / 10^(17 - x) = M / 2^(17 - x) with M = D / 5^(17 - x)
+    odd and below 2^53."""
+    values = []
+    for x in range(-4, 16):
+        a = 17 - x
+        top = Fraction(2) ** (math.floor(math.log2(10.0**x)) + 1)  # the binade's end
+        low = -(-(10**17) // 5**a)
+        high = math.ceil(10**17 * top / Fraction(10) ** x / 5**a) - 1
+        for m in [*range(low, low + 8), *range(high - 7, high + 1)]:
+            if m % 2:
+                v = m / 2**a
+                digits = Fraction(v) * 10**a
+                assert digits.denominator == 1 and len(str(digits.numerator)) == 18
+                assert 10.0**x <= v < top and str(digits.numerator).endswith("5")
+                values += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    return values + [-v for v in values]
+
+
+@needs_gcc
+def test_writer_rounds_ties_of_an_18th_digit_to_even():
+    _assert_cells_match_python(_ties_of_18_digits())
+
+
 @needs_gcc
 @pytest.mark.parametrize(
     "text",
@@ -108,6 +183,10 @@ def test_parser_matches_float(strings):
         b"", b"1\n\n2\n", b"1\r\n", b"1", b" 1\n", b"1 \n", b'"1"\n', b"1_0\n", b"0x1\n",
         b"inf\n", b"nan\n", b"1E5\n", b"+1\n", b".5\n", b"5.\n", b"1e\n", b"--1\n",
         b"1,2\n", "\N{BYTE ORDER MARK}1\n".encode(), b"1\x00\n",
+        # Breaks inside the eight bytes the reader takes at once.
+        b"1234567x\n", b"12345678.", b"1\n12345678.", b"12345678.\n", b"12345678-\n",
+        b"1.234567-8\n", b"0.12345678-1\n", b"1234/678\n", b"12345:78\n", b"1234\x80678\n",
+        b"1.2345678901234\xff67\n", b"12345678901234567", b"0.12345678901234567",
     ],
 )
 def test_parser_hands_back_what_leaves_its_grammar(text):
@@ -131,6 +210,15 @@ def _verify_both_ways(tmp_path, capsys, monkeypatch, data):
 
 TRIANGLE = TRIANGLE_HEADER + "".join(TRIANGLE_ROWS)
 
+# Rows that leave the grammar inside the eight bytes the C reader takes at
+# once.
+WINDOW_BREAKS = {
+    "letter-at-byte-7": "1,1234567x,0,4.5,4.5\n",
+    "point-at-the-end": "1,4.5,0,4.5,12345678.",
+    "minus-at-byte-8": "1,12345678-9,0,4.5,4.5\n",
+    "minus-in-fraction": "1,4.5,0,4.5,0.1234567-8\n",
+}
+
 
 @pytest.mark.parametrize(
     "data",
@@ -147,11 +235,12 @@ TRIANGLE = TRIANGLE_HEADER + "".join(TRIANGLE_ROWS)
         (TRIANGLE + "10,\xff,0,0,0\n").encode("latin-1"),
         (TRIANGLE_HEADER.replace("\n", "\r\n") + "".join(TRIANGLE_ROWS)).encode(),
         TRIANGLE.replace("t,x1", '"t",x1').encode(),
+        *((TRIANGLE_HEADER + "0,5,0,5,5\n" + row).encode() for row in WINDOW_BREAKS.values()),
     ],
     ids=[
         *MALFORMED_BODIES,
         "quoted-cells", "crlf", "blank-line", "no-final-newline", "leading-space", "bom",
-        "nul-byte", "1e999", "non-utf8-byte", "crlf-header", "quoted-header",
+        "nul-byte", "1e999", "non-utf8-byte", "crlf-header", "quoted-header", *WINDOW_BREAKS,
     ],
 )
 def test_verify_answers_the_same_without_the_library(tmp_path, capsys, monkeypatch, data):

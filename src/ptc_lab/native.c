@@ -3,8 +3,15 @@
  * ptc_run repeats the Python loop of sim.run operation for operation: the
  * same IEEE double operations on the same operands in the same order, so
  * that every value it records is bitwise the value the Python loop
- * records. The one exception is the rest step below, which skips work
- * whose result it can prove. The plant's f and g arrive as postfix
+ * records. It departs from the letter of that loop in three places, none
+ * of which changes a bit:
+ * - the rest step below skips work whose result it can prove;
+ * - a step whose state has a nonzero component below TINY computes its
+ *   products and quotients with xmul and xdiv, in integers, which give
+ *   the hardware's bits without its slow path for subnormals;
+ * - every doubling, 2.0 * s, is written s + s, which is exact and so
+ *   gives the same bits, in either kind of step.
+ * The plant's f and g arrive as postfix
  * programs that a small stack machine interprets, on a stack sized from
  * the deeper program; no plant text is ever compiled.
  *
@@ -79,11 +86,155 @@ typedef struct {
     volatile int cancel; /* set by another thread: stop at the next step */
 } run_args;
 
+typedef unsigned __int128 u128;
+
+/* The closed loop's functions each start a cache line of their own, so
+ * that nothing gcc emits ahead of them can move their instructions across
+ * line and fetch-block boundaries: a 0x170-byte shift once made ptc_run
+ * 5-15 % slower on most example3 seeds (gcc 12, x86-64).
+ * tests/test_native_layout.py checks the alignment in a build. */
+#define HOT __attribute__((aligned(64)))
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* ---- Exact products and quotients ----------------------------------------
+ *
+ * A multiply or divide that reads or makes a subnormal takes a microcode
+ * assist on x86-64 cores: about 55 ns for a multiply and 60 ns for a
+ * divide on a Sapphire Rapids Xeon, against 1 and 2 ns; an add costs no
+ * more. About 1 in 4 example3 disturbance seeds leave the state
+ * subnormal, never exactly zero, for most of the run, and spent most of
+ * their time in those assists. xmul and xdiv give the hardware's bits
+ * without one: they multiply or divide the integer significands in 128
+ * bits and round to nearest, ties to even, into the normal range, into
+ * the subnormal range or to infinity. A zero operand gives a zero of the
+ * result's sign at once; infinities and NaNs go to the hardware op. This
+ * is not flush-to-zero: every result is the IEEE one. */
+
+#define SIGN (1ULL << 63)
+#define HIDDEN (1ULL << 52)
+#define INF_BITS (0x7ffULL << 52)
+
+static uint64_t bits_of(double v)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+static double of_bits(uint64_t bits)
+{
+    double v;
+    memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+/* The hardware ops, for infinities and NaNs. Out of line, so that gcc
+ * cannot compute them ahead of the test that picks them, which would
+ * take the assist xmul and xdiv exist to avoid. */
+static __attribute__((noinline, cold)) double hw_mul(double a, double b)
+{
+    return a * b;
+}
+
+static __attribute__((noinline, cold)) double hw_div(double a, double b)
+{
+    return a / b;
+}
+
+/* The significand of a finite nonzero double, in [2^52, 2^53), and its
+ * exponent e: v = +-m * 2^(e - 1075). Subnormals are shifted up. */
+ALWAYS_INLINE uint64_t unpack(uint64_t bits, int *e)
+{
+    uint64_t m = bits & (HIDDEN - 1);
+    int k;
+    *e = (int)(bits >> 52) & 0x7ff;
+    if (*e)
+        return m | HIDDEN;
+    k = __builtin_clzll(m) - 11;
+    *e = 1 - k;
+    return m << k;
+}
+
+/* sign | the bits of the double nearest m * 2^(e - 1085), ties to even;
+ * 2^62 <= m < 2^63. m's low 10 bits are rounded off, or more where the
+ * result is subnormal. Where the exact value has bits below m's last, one
+ * of m's low 9 bits must be set (a sticky bit), so that the value cannot
+ * pass for a tie. */
+ALWAYS_INLINE uint64_t round_bits(uint64_t sign, uint64_t m, int e)
+{
+    uint64_t low;
+    int shift;
+
+    if (e >= 0x7ff)
+        return sign | INF_BITS;
+    if (e < 1) {
+        /* Subnormal: shift the last bit to 2^-1074, keeping what falls
+         * off as a sticky bit. */
+        shift = 1 - e;
+        m = shift < 63 ? m >> shift | (m << (64 - shift) != 0) : m != 0;
+        e = 1;
+    }
+    low = m & 0x3ff;
+    m = (m + 0x200) >> 10;
+    m &= ~(uint64_t)(low == 0x200 ? 1 : 0); /* a tie goes to the even neighbour */
+    /* m < 2^52 is a subnormal's significand, with field 0; m >= 2^52
+     * adds 1 to e - 1 through its leading bit, and a round up to 2^53
+     * adds 2, up to the bits of infinity. */
+    return sign | (((uint64_t)(e - 1) << 52) + m);
+}
+
+/* a * b, with the hardware's bits. */
+static HOT double xmul(double a, double b)
+{
+    uint64_t x = bits_of(a), y = bits_of(b), sign = (x ^ y) & SIGN, m;
+    int ex, ey;
+    u128 product;
+
+    if ((x & INF_BITS) == INF_BITS || (y & INF_BITS) == INF_BITS)
+        return hw_mul(a, b);
+    if (!(x & ~SIGN) || !(y & ~SIGN))
+        return of_bits(sign);
+    /* [2^52, 2^53) squared, shifted to [2^125, 2^127): its top 64 bits,
+     * with the rest as a sticky bit, in [2^61, 2^63). */
+    product = (u128)(unpack(x, &ex) << 10) * (unpack(y, &ey) << 11);
+    m = (uint64_t)(product >> 64) | ((uint64_t)product != 0);
+    ex += ey - 1022;
+    if (m < 1ULL << 62) {
+        m <<= 1;
+        ex--;
+    }
+    return of_bits(round_bits(sign, m, ex));
+}
+
+/* a / b, with the hardware's bits. */
+static HOT double xdiv(double a, double b)
+{
+    uint64_t x = bits_of(a), y = bits_of(b), sign = (x ^ y) & SIGN, mx, my, q;
+    int ex, ey;
+    u128 num;
+
+    if ((x & INF_BITS) == INF_BITS || (y & INF_BITS) == INF_BITS || !(y & ~SIGN))
+        return hw_div(a, b);
+    if (!(x & ~SIGN))
+        return of_bits(sign);
+    mx = unpack(x, &ex);
+    my = unpack(y, &ey);
+    ex += 1023 - ey;
+    if (mx < my) {
+        mx <<= 1;
+        ex--;
+    }
+    /* mx / my in [1, 2), times 2^62, with the remainder as a sticky bit. */
+    num = (u128)mx << 62;
+    q = (uint64_t)(num / my);
+    return of_bits(round_bits(sign, q | (num != (u128)q * my), ex));
+}
+
 /* CPython's math.fsum (Shewchuk's partials with half-even correction),
  * for finite and special values alike. FAULT where math.fsum raises. The
  * partials overwrite the items: while item k is added, they number at
- * most k, and items from k on are still unread. */
-static int fsum(double *items, int count, double *out)
+ * most k, and items from k on are still unread. out may be an item. */
+static HOT int fsum(double *items, int count, double *out)
 {
     double *p = items;
     double x, y, t, hi, yr, lo = 0.0, xsave;
@@ -140,7 +291,7 @@ static int fsum(double *items, int count, double *out)
                 break;
         }
         if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
-            y = lo * 2.0;
+            y = lo + lo; /* lo * 2.0 */
             x = hi + y;
             yr = x - hi;
             if (y == yr)
@@ -167,19 +318,26 @@ static int math_1(double (*fn)(double), double *v)
 /* The stack machine: direct threading (GCC's labels as values), with the
  * top of the stack kept in tos. Binary ops take the value below tos as
  * their left operand, as Python evaluates left to right. st holds
- * p->depth + 1 values: st[0] takes the empty stack's tos. */
-static int eval(const program *p, double *st, const double *x, double u, double t,
-                double *out)
+ * p->depth + 1 values: st[0] takes the empty stack's tos. With exact set,
+ * the machine runs from a second table, whose products and quotients go
+ * through xmul and xdiv. */
+static HOT int eval(const program *p, double *st, const double *x, double u, double t,
+                    int exact, double *out)
 {
     static const void *const labels[] = {
         &&op_const, &&op_x, &&op_u, &&op_t, &&op_add, &&op_sub, &&op_mul,
         &&op_div, &&op_neg, &&op_sin, &&op_cos, &&op_exp, &&op_abs, &&op_fsum,
         &&op_end};
+    static const void *const exact_labels[] = {
+        &&op_const, &&op_x, &&op_u, &&op_t, &&op_add, &&op_sub, &&op_xmul,
+        &&op_xdiv, &&op_neg, &&op_sin, &&op_cos, &&op_exp, &&op_abs, &&op_fsum,
+        &&op_end};
+    const void *const *ops = exact ? exact_labels : labels;
     double tos = 0.0;
     const int *pc = p->code;
     int sp = 0, arg;
 
-#define NEXT() do { arg = pc[1]; pc += 2; goto *labels[pc[-2]]; } while (0)
+#define NEXT() do { arg = pc[1]; pc += 2; goto *ops[pc[-2]]; } while (0)
     NEXT();
 op_const: st[sp++] = tos; tos = p->consts[arg]; NEXT();
 op_x: st[sp++] = tos; tos = x[arg]; NEXT();
@@ -188,10 +346,16 @@ op_t: st[sp++] = tos; tos = t; NEXT();
 op_add: tos = st[--sp] + tos; NEXT();
 op_sub: tos = st[--sp] - tos; NEXT();
 op_mul: tos = st[--sp] * tos; NEXT();
+op_xmul: tos = xmul(st[--sp], tos); NEXT();
 op_div:
     if (tos == 0.0)
         return FAULT; /* ZeroDivisionError */
     tos = st[--sp] / tos;
+    NEXT();
+op_xdiv:
+    if (tos == 0.0)
+        return FAULT;
+    tos = xdiv(st[--sp], tos);
     NEXT();
 op_neg: tos = -tos; NEXT();
 op_sin: if (math_1(sin, &tos)) return FAULT; NEXT();
@@ -199,10 +363,13 @@ op_cos: if (math_1(cos, &tos)) return FAULT; NEXT();
 op_exp: if (math_1(exp, &tos)) return FAULT; NEXT();
 op_abs: tos = fabs(tos); NEXT();
 op_fsum:
+    /* The sum goes to the first item's slot, not to tos: an address
+     * taken of tos would keep it in memory in every op. */
     st[sp] = tos;
     sp -= arg - 1;
-    if (fsum(&st[sp], arg, &tos))
+    if (fsum(&st[sp], arg, &st[sp]))
         return FAULT;
+    tos = st[sp];
     NEXT();
 op_end:
     *out = tos;
@@ -210,13 +377,35 @@ op_end:
 #undef NEXT
 }
 
-/* One evaluation of a program on its own, for tests. */
-int ptc_eval(const program *p, const double *x, double u, double t, double *out)
+/* One evaluation of a program on its own, for tests; exact selects the
+ * machine's table. */
+int ptc_eval(const program *p, const double *x, double u, double t, int exact, double *out)
 {
     double *st = malloc(((size_t)p->depth + 1) * sizeof *st);
-    int status = st ? eval(p, st, x, u, t, out) : FAULT;
+    int status = st ? eval(p, st, x, u, t, exact, out) : FAULT;
     free(st);
     return status;
+}
+
+/* xmul (divide = 0) or xdiv (divide = 1) on its own, for tests. */
+double ptc_exact(int divide, double a, double b)
+{
+    return divide ? xdiv(a, b) : xmul(a, b);
+}
+
+/* A step runs in one of two copies of the same source (see run), told
+ * apart by exact, a constant in each: where it is 1, every product and
+ * quotient of values that depend on the state goes through xmul and
+ * xdiv. Products of times and plant constants alone (the powers of
+ * tau - s, gamma * g, h / 6) stay hardware ops in both. */
+ALWAYS_INLINE double mul(int exact, double a, double b)
+{
+    return exact ? xmul(a, b) : a * b;
+}
+
+ALWAYS_INLINE double quo(int exact, double a, double b)
+{
+    return exact ? xdiv(a, b) : a / b;
 }
 
 /* p[i] = (tau - s)**(n - i), each power the one above it times d. */
@@ -230,35 +419,35 @@ static void powers(int n, double tau, double s, double *p)
 }
 
 /* u = (0.0 + q[n-1]*y[n-1]/p[n-1] + ... + q[0]*y[0]/p[0]) / den */
-static int control(int n, const double *q, const double *y, const double *p,
-                   double den, double *u)
+ALWAYS_INLINE int control(int n, const double *q, const double *y, const double *p,
+                          double den, int exact, double *u)
 {
     double acc = 0.0;
     int i;
     for (i = n - 1; i >= 0; i--) {
         if (p[i] == 0.0)
             return FAULT;
-        acc = acc + q[i] * y[i] / p[i];
+        acc = acc + quo(exact, mul(exact, q[i], y[i]), p[i]);
     }
     if (den == 0.0)
         return FAULT;
-    *u = acc / den;
+    *u = quo(exact, acc, den);
     return OK;
 }
 
 /* One RK4 stage past the first: the derivative's last component at the
  * stage state y, whose other components are y's next entries. */
-static int stage(const run_args *a, double *st, const double *y, const double *p,
-                 double s, double den, double gain, double *k)
+ALWAYS_INLINE int stage(const run_args *a, double *st, const double *y, const double *p,
+                        double s, double den, double gain, int exact, double *k)
 {
     double u, fv;
-    if (control(a->n, a->q, y, p, den, &u) || eval(&a->f, st, y, u, s, &fv))
+    if (control(a->n, a->q, y, p, den, exact, &u) || eval(&a->f, st, y, u, s, exact, &fv))
         return FAULT;
-    *k = fv + gain * u;
+    *k = fv + mul(exact, gain, u);
     return OK;
 }
 
-static int record(run_args *a, double t, const double *x, double u)
+static HOT int record(run_args *a, double t, const double *x, double u)
 {
     if (a->rows >= a->capacity)
         return FULL;
@@ -269,17 +458,197 @@ static int record(run_args *a, double t, const double *x, double u)
     return OK;
 }
 
-static int run(run_args *a, double *st)
+/* A step whose state has a nonzero component below TINY runs exact.
+ * Either way the bits are the same: the bound decides only which ops
+ * compute them, and it sits far from both ends. From components at or
+ * above 2^-400, the audit's squares stay above 2^-800, and the step's
+ * other products and quotients, the state times gains, powers of
+ * tau - s and step sizes, reach the subnormal range only through factors
+ * whose product is below 2^-622, which no run's gains and steps come
+ * near; such steps keep the hardware ops. And a component that decays
+ * towards the subnormal range crosses 2^-400 hundreds of steps before it
+ * gets there (example3: step 301, and step 771). */
+#define TINY 0x1p-400
+
+/* Whether a component of x is nonzero and below TINY in magnitude. */
+static int tiny(int n, const double *x)
+{
+    int i;
+    for (i = 0; i < n; i++)
+        if (x[i] != 0.0 && fabs(x[i]) < TINY)
+            return 1;
+    return 0;
+}
+
+/* What one pass of run's loop hands the next: the time and g at it, the
+ * steps so far, and the loop's scratch space, n values per array. */
+typedef struct {
+    double t, g_now;
+    long step_index;
+    int can_rest;
+    double *p, *m, *ya, *yb, *yc, *sq;
+} loop;
+
+/* MORE: a pass has taken its step; the next pass starts from it. */
+enum { MORE = -1 };
+
+/* One pass: the first stage at the step start, its checks and its
+ * record, then rest steps, if any, and one general step. OK once it has
+ * recorded the last sample at t_end. */
+ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
 {
     const int n = a->n, top = n - 1;
     const double tau = a->tau, t_end = a->t_end, stop = a->stop;
     const double gamma_min = a->gamma_min, gamma = a->gamma;
-    double *x = a->x;
+    double *x = a->x, *p = l->p, *m = l->m, *ya = l->ya, *yb = l->yb, *yc = l->yc;
+    double t = l->t, u1, f1, k1, amp, norm, limit;
+    double d, h, cap, half, t_mid, t_next, g_mid, g_next, u, fv, k, k2, k3, k4, sixth, s;
+    int i, last, resting, clamped, status;
+
+    last = !(t < stop);
+    if (last) {
+        t = t_end;
+        if (eval(&a->g, st, x, 0.0, t, 0, &l->g_now))
+            return FAULT;
+    }
+    /* The first stage. */
+    powers(n, tau, t, p);
+    if (control(n, a->q, x, p, gamma_min * l->g_now, exact, &u1) ||
+        eval(&a->f, st, x, u1, t, exact, &f1))
+        return FAULT;
+    k1 = f1 + mul(exact, gamma * l->g_now, u1);
+    /* max(map(abs, x)): a NaN wins only in front. */
+    amp = fabs(x[0]);
+    for (i = 1; i < n; i++)
+        if (fabs(x[i]) > amp)
+            amp = fabs(x[i]);
+    if (!(amp <= a->threshold) || !(fabs(u1) <= a->threshold))
+        return FAULT;
+    /* plant.check_assumption */
+    for (i = 0; i < n; i++)
+        l->sq[i] = mul(exact, x[i], x[i]);
+    if (fsum(l->sq, n, &norm))
+        return FAULT;
+    limit = mul(exact, a->phi, sqrt(norm)) + a->phi0 + a->slack;
+    if (fabs(f1) > limit)
+        return FAULT;
+    if (amp > a->x_max)
+        a->x_max = amp;
+    if (fabs(u1) > a->u_max)
+        a->u_max = fabs(u1);
+    if (last || l->step_index % a->stride == 0)
+        if ((status = record(a, t, x, u1)))
+            return status;
+    if (last)
+        return OK;
+    /* An exact pass never rests: its state has a nonzero component. */
+    resting = !exact && k1 == 0.0 && l->can_rest;
+    /* Every component +0.0; a -0.0 keeps the step general. */
+    for (i = 0; i < n && resting; i++)
+        resting = x[i] == 0.0 && !signbit(x[i]);
+    /* Rest steps, if any, then one general step; a rest step that
+     * reaches the stop time leaves for the last sample instead. */
+    for (;;) {
+        /* Once per step, rest steps included. */
+        if (a->cancel)
+            return CANCELLED;
+        d = tau - t;
+        h = a->dt_base;
+        cap = d / a->shrink_divisor;
+        if (cap < h)
+            h = cap;
+        cap = a->stiff_cap * d;
+        if (cap < h)
+            h = cap;
+        clamped = h >= t_end - t;
+        if (clamped)
+            h = t_end - t;
+        half = 0.5 * h;
+        t_mid = t + half;
+        t_next = t + h;
+        if (eval(&a->g, st, x, 0.0, t_mid, 0, &g_mid) ||
+            eval(&a->g, st, x, 0.0, t_next, 0, &g_next))
+            return FAULT;
+        /* A rest step. From rest all four stage states are x itself,
+         * +0.0, so stages 2 and 3 are the same call, and stage 4's
+         * values at t_next are the next step's first stage. When both
+         * derivatives are 0.0 the general step would leave x as it is:
+         * each stage state and the update add products with +-0.0 to
+         * +0.0, which gives +0.0. So a rest step calls f once at t_mid
+         * and once at t_next and keeps x. It skips the divergence check
+         * and the envelope audit of the next step start, which both
+         * pass: x = +0.0 and u = +-0.0, so |v| = 0 <= threshold;
+         * k = f + gain*u == 0.0 with gain*u either +-0.0 or NaN forces
+         * f = 0.0, so |f| = 0 <= phi*0 + phi0 + slack; and neither peak
+         * can grow from 0. A clamped step ends the loop, which
+         * evaluates t_end afresh, so it is never a rest step. */
+        if (resting && !clamped) {
+            if (gamma_min * g_mid == 0.0)
+                return FAULT;
+            u = 0.0 / (gamma_min * g_mid);
+            if (eval(&a->f, st, x, u, t_mid, 0, &fv))
+                return FAULT;
+            if (fv + gamma * g_mid * u == 0.0) {
+                if (gamma_min * g_next == 0.0)
+                    return FAULT;
+                u = 0.0 / (gamma_min * g_next);
+                if (eval(&a->f, st, x, u, t_next, 0, &fv))
+                    return FAULT;
+                k = fv + gamma * g_next * u;
+                if (k == 0.0) {
+                    k1 = k;
+                    t = t_next;
+                    l->step_index++;
+                    if (!(t < stop))
+                        break;
+                    if (l->step_index % a->stride == 0)
+                        if ((status = record(a, t, x, u)))
+                            return status;
+                    continue;
+                }
+            }
+        }
+        /* The general step: stages 2 to 4 and the update. */
+        powers(n, tau, t_mid, m);
+        for (i = 0; i < n; i++)
+            ya[i] = x[i] + mul(exact, half, i < top ? x[i + 1] : k1);
+        if (stage(a, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, exact, &k2))
+            return FAULT;
+        for (i = 0; i < n; i++)
+            yb[i] = x[i] + mul(exact, half, i < top ? ya[i + 1] : k2);
+        if (stage(a, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, exact, &k3))
+            return FAULT;
+        powers(n, tau, t_next, p);
+        for (i = 0; i < n; i++)
+            yc[i] = x[i] + mul(exact, h, i < top ? yb[i + 1] : k3);
+        if (stage(a, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, exact, &k4))
+            return FAULT;
+        sixth = h / 6.0;
+        /* In place: x[i] reads x[i + 1] before the next pass writes it.
+         * s + s is 2.0 * s. */
+        for (i = 0; i < top; i++) {
+            s = ya[i + 1] + yb[i + 1];
+            x[i] = x[i] + mul(exact, sixth, x[i + 1] + (s + s) + yc[i + 1]);
+        }
+        s = k2 + k3;
+        x[top] = x[top] + mul(exact, sixth, k1 + (s + s) + k4);
+        l->g_now = g_next;
+        t = clamped ? t_end : t_next;
+        l->step_index++;
+        break;
+    }
+    l->t = t;
+    return MORE;
+}
+
+/* The passes of the loop, each in the copy that its state calls for: the
+ * choice is made once per pass, so neither copy tests it per op. */
+static HOT int run(run_args *a, double *st)
+{
+    const int n = a->n;
     double p[n], m[n], ya[n], yb[n], yc[n], sq[n];
-    double t = 0.0, g_now, u1, f1, k1 = 0.0, amp, norm, limit;
-    double d, h, cap, half, t_mid, t_next, g_mid, g_next, u, fv, k, k2, k3, k4, sixth;
-    long step_index = 0;
-    int i, last, can_rest, resting, clamped, status;
+    loop l = {0.0, 0.0, 0, 0, p, m, ya, yb, yc, sq};
+    int status;
 
     /* From the state +0.0 a stage sums only zeros, so the gain sum is +0.0
      * and u = 0.0 / (gamma_min * g), when every q is finite
@@ -287,147 +656,22 @@ static int run(run_args *a, double *st)
      * stage times of a step that is not clamped lie at or before t_end,
      * and the powers shrink with tau - s, so the n-th power at t_end, the
      * smallest when tau - t_end < 1, settles that for the whole run. */
-    powers(n, tau, t_end, p);
-    can_rest = p[0] != 0.0;
+    powers(n, a->tau, a->t_end, p);
+    l.can_rest = p[0] != 0.0;
     a->rows = 0;
     a->u_max = 0.0;
     a->x_max = 0.0;
-    if (eval(&a->g, st, x, 0.0, t, &g_now))
+    if (eval(&a->g, st, a->x, 0.0, l.t, 0, &l.g_now))
         return FAULT;
-    for (;;) {
-        last = !(t < stop);
-        if (last) {
-            t = t_end;
-            if (eval(&a->g, st, x, 0.0, t, &g_now))
-                return FAULT;
-        }
-        /* The first stage. */
-        powers(n, tau, t, p);
-        if (control(n, a->q, x, p, gamma_min * g_now, &u1) || eval(&a->f, st, x, u1, t, &f1))
-            return FAULT;
-        k1 = f1 + gamma * g_now * u1;
-        /* max(map(abs, x)): a NaN wins only in front. */
-        amp = fabs(x[0]);
-        for (i = 1; i < n; i++)
-            if (fabs(x[i]) > amp)
-                amp = fabs(x[i]);
-        if (!(amp <= a->threshold) || !(fabs(u1) <= a->threshold))
-            return FAULT;
-        /* plant.check_assumption */
-        for (i = 0; i < n; i++)
-            sq[i] = x[i] * x[i];
-        if (fsum(sq, n, &norm))
-            return FAULT;
-        limit = a->phi * sqrt(norm) + a->phi0 + a->slack;
-        if (fabs(f1) > limit)
-            return FAULT;
-        if (amp > a->x_max)
-            a->x_max = amp;
-        if (fabs(u1) > a->u_max)
-            a->u_max = fabs(u1);
-        if (last || step_index % a->stride == 0)
-            if ((status = record(a, t, x, u1)))
-                return status;
-        if (last)
-            break;
-        resting = k1 == 0.0 && can_rest;
-        /* Every component +0.0; a -0.0 keeps the step general. */
-        for (i = 0; i < n && resting; i++)
-            resting = x[i] == 0.0 && !signbit(x[i]);
-        /* Rest steps, if any, then one general step; a rest step that
-         * reaches the stop time leaves for the last sample instead. */
-        for (;;) {
-            /* Once per step, rest steps included. */
-            if (a->cancel)
-                return CANCELLED;
-            d = tau - t;
-            h = a->dt_base;
-            cap = d / a->shrink_divisor;
-            if (cap < h)
-                h = cap;
-            cap = a->stiff_cap * d;
-            if (cap < h)
-                h = cap;
-            clamped = h >= t_end - t;
-            if (clamped)
-                h = t_end - t;
-            half = 0.5 * h;
-            t_mid = t + half;
-            t_next = t + h;
-            if (eval(&a->g, st, x, 0.0, t_mid, &g_mid) ||
-                eval(&a->g, st, x, 0.0, t_next, &g_next))
-                return FAULT;
-            /* A rest step. From rest all four stage states are x itself,
-             * +0.0, so stages 2 and 3 are the same call, and stage 4's
-             * values at t_next are the next step's first stage. When both
-             * derivatives are 0.0 the general step would leave x as it is:
-             * each stage state and the update add products with +-0.0 to
-             * +0.0, which gives +0.0. So a rest step calls f once at t_mid
-             * and once at t_next and keeps x. It skips the divergence check
-             * and the envelope audit of the next step start, which both
-             * pass: x = +0.0 and u = +-0.0, so |v| = 0 <= threshold;
-             * k = f + gain*u == 0.0 with gain*u either +-0.0 or NaN forces
-             * f = 0.0, so |f| = 0 <= phi*0 + phi0 + slack; and neither peak
-             * can grow from 0. A clamped step ends the loop, which
-             * evaluates t_end afresh, so it is never a rest step. */
-            if (resting && !clamped) {
-                if (gamma_min * g_mid == 0.0)
-                    return FAULT;
-                u = 0.0 / (gamma_min * g_mid);
-                if (eval(&a->f, st, x, u, t_mid, &fv))
-                    return FAULT;
-                if (fv + gamma * g_mid * u == 0.0) {
-                    if (gamma_min * g_next == 0.0)
-                        return FAULT;
-                    u = 0.0 / (gamma_min * g_next);
-                    if (eval(&a->f, st, x, u, t_next, &fv))
-                        return FAULT;
-                    k = fv + gamma * g_next * u;
-                    if (k == 0.0) {
-                        k1 = k;
-                        t = t_next;
-                        step_index++;
-                        if (!(t < stop))
-                            break;
-                        if (step_index % a->stride == 0)
-                            if ((status = record(a, t, x, u)))
-                                return status;
-                        continue;
-                    }
-                }
-            }
-            /* The general step: stages 2 to 4 and the update. */
-            powers(n, tau, t_mid, m);
-            for (i = 0; i < n; i++)
-                ya[i] = x[i] + half * (i < top ? x[i + 1] : k1);
-            if (stage(a, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k2))
-                return FAULT;
-            for (i = 0; i < n; i++)
-                yb[i] = x[i] + half * (i < top ? ya[i + 1] : k2);
-            if (stage(a, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k3))
-                return FAULT;
-            powers(n, tau, t_next, p);
-            for (i = 0; i < n; i++)
-                yc[i] = x[i] + h * (i < top ? yb[i + 1] : k3);
-            if (stage(a, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, &k4))
-                return FAULT;
-            sixth = h / 6.0;
-            /* In place: x[i] reads x[i + 1] before the next pass writes it. */
-            for (i = 0; i < top; i++)
-                x[i] = x[i] + sixth * (x[i + 1] + 2.0 * (ya[i + 1] + yb[i + 1]) + yc[i + 1]);
-            x[top] = x[top] + sixth * (k1 + 2.0 * (k2 + k3) + k4);
-            g_now = g_next;
-            t = clamped ? t_end : t_next;
-            step_index++;
-            break;
-        }
-    }
-    a->steps = step_index;
-    return OK;
+    do
+        status = tiny(n, a->x) ? pass(a, st, &l, 1) : pass(a, st, &l, 0);
+    while (status == MORE);
+    a->steps = l.step_index;
+    return status;
 }
 
 /* run, on one stack for f and g. */
-int ptc_run(run_args *a)
+HOT int ptc_run(run_args *a)
 {
     int depth = a->f.depth > a->g.depth ? a->f.depth : a->g.depth;
     double *st = malloc(((size_t)depth + 1) * sizeof *st);
@@ -474,8 +718,6 @@ int ptc_run(run_args *a)
  * cell goes to strtod, which glibc rounds correctly too; a cell that strtod
  * does not read to its end (another LC_NUMERIC locale) is refused.
  */
-
-typedef unsigned __int128 u128;
 
 /* The longest cell, "-1.2345678901234567e-308", and its separator. */
 #define CELL 25

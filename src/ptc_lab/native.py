@@ -161,8 +161,12 @@ SIGNATURES = {
     "ptc_run": (ctypes.c_int, [ctypes.POINTER(_RunArgs)]),
     "ptc_eval": (
         ctypes.c_int,
-        [ctypes.POINTER(_Program), _DOUBLE_P, ctypes.c_double, ctypes.c_double, _DOUBLE_P],
+        [
+            ctypes.POINTER(_Program), _DOUBLE_P, ctypes.c_double, ctypes.c_double,
+            ctypes.c_int, _DOUBLE_P,
+        ],
     ),
+    "ptc_exact": (ctypes.c_double, [ctypes.c_int, ctypes.c_double, ctypes.c_double]),
     "ptc_format_rows": (
         ctypes.c_long,
         [
@@ -351,16 +355,20 @@ def _as_struct(prog: Program, keep: list) -> _Program:
     return _Program(code, consts, prog.depth)
 
 
-def evaluate(prog: Program, x: Sequence[float], u: float, t: float) -> float | None:
+def evaluate(
+    prog: Program, x: Sequence[float], u: float, t: float, exact: bool = False
+) -> float | None:
     """``prog`` at ``(x, u, t)`` in the compiled machine, or None where it
-    faults. Raises RuntimeError when no compiled machine is available."""
+    faults; with ``exact``, its products and quotients take the integer
+    routines of the loop's exact steps. Raises RuntimeError when no
+    compiled machine is available."""
     lib = library()
     if lib is None:
         raise RuntimeError("no C compiler: the compiled machine is unavailable")
     keep: list = []
     state = (ctypes.c_double * max(len(x), 1))(*x)
     out = ctypes.c_double()
-    if lib.ptc_eval(ctypes.byref(_as_struct(prog, keep)), state, u, t, ctypes.byref(out)):
+    if lib.ptc_eval(ctypes.byref(_as_struct(prog, keep)), state, u, t, exact, ctypes.byref(out)):
         return None
     return out.value
 

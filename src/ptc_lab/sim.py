@@ -26,10 +26,14 @@ included, so its trace and metadata are bitwise the same. It also has a
 rest rule the Python loop lacks: once the state is exactly +0.0 in every
 component, a step evaluates its coinciding stages once and produces the
 bits of the general step with two f calls instead of four (``native.c``
-gives the proof). Wherever the Python loop would raise, and when its row
-buffer (sized by ``_row_capacity``) is full, it hands the run back and
-the Python loop runs it from t = 0, so exceptions, messages and partial
-traces are the Python loop's own.
+gives the proof). A step whose state has a nonzero component below
+2^-400 computes its products and quotients in integer arithmetic that
+rounds as the hardware does: the same bits, without the hardware's slow
+path for subnormal operands and results, in which never-resting runs of
+``example3`` spend most of their steps. Wherever the Python loop would
+raise, and when its row buffer (sized by ``_row_capacity``) is full, it
+hands the run back and the Python loop runs it from t = 0, so
+exceptions, messages and partial traces are the Python loop's own.
 
 The Python loop is plain RK4, which the C loop repeats, and the
 fallback: it runs plants with other callables (such as a

@@ -8,6 +8,7 @@ gcc there is no compiled loop, and these tests skip.
 
 import math
 import os
+import random
 import shutil
 import signal
 import struct
@@ -147,17 +148,35 @@ def test_compiled_loop_matches_python_loop(
     _assert_same(plant, design, cfg, compiled)
 
 
-@pytest.mark.parametrize("seed", [6, 42], ids=["resting", "subnormal"])
-def test_example3_matches_python_loop(seed, compiled):
-    # Half the deadline: 41,234 steps. Seed 6 rests from step 7,715 on;
-    # seed 42 never rests and spends 40k steps in subnormal states.
+def _exact_phases(states):
+    """Whether each run of recorded rows starts steps that native.c runs
+    exact (a nonzero component below its TINY, 2^-400), in run order."""
+    phases = []
+    for row in states:
+        exact = any(v != 0.0 and abs(v) < 2.0**-400 for v in row)
+        if not phases or phases[-1] != exact:
+            phases.append(exact)
+    return phases
+
+
+@pytest.mark.parametrize(
+    "seed, phases",
+    [(6, [False, True, False]), (42, [False, True]), (5, [False, True])],
+    ids=["resting", "subnormal", "subnormal-seed5"],
+)
+def test_example3_matches_python_loop(seed, phases, compiled):
+    # Half the deadline: 41,234 steps. All three seeds turn to exact
+    # steps at step 301. Seed 6 turns back to hardware ops when it comes
+    # to rest at step 7,715; seeds 42 and 5 never rest, and spend 40k
+    # steps in subnormal states.
     plant = pl.builtin_plant("example3", seed=seed)
     design = pl.design_controller(
         (-1.0, -4.0, -6.0, -4.0), 10.0, phi=plant.phi, phi0=plant.phi0,
         eps_guard_fraction=0.5,
     )
     cfg = pl.SimConfig(x0=(10.0,) * 4, epsilon_fraction=0.5, record_stride=7)
-    _assert_same(plant, design, cfg, compiled)
+    _, states, _, _ = _assert_same(plant, design, cfg, compiled)
+    assert _exact_phases(struct.iter_unpack("=4d", states)) == phases
 
 
 @pytest.mark.parametrize("phase", ["general", "rest"])
@@ -240,7 +259,8 @@ _doubles = st.one_of(st.floats(allow_subnormal=True), _specials)
 def test_fsum_op_matches_math_fsum(items):
     prog = native.program([*((native.CONST, v) for v in items), (native.FSUM, len(items))])
     want = _python_value(lambda x, u, t: math.fsum(items), [], 0.0, 0.0)
-    assert _bits(native.evaluate(prog, [], 0.0, 0.0)) == _bits(want)
+    for exact in (False, True):
+        assert _bits(native.evaluate(prog, [], 0.0, 0.0, exact)) == _bits(want)
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
@@ -262,7 +282,9 @@ def test_programs_match_their_callables(rnd, x, u, t, seed):
     cases += [(g, lambda x, u, t, g=g: g(t)) for g in (expression.g, example2.g)]
     for registered, call in cases:
         want = _python_value(call, x, u, t)
-        assert _bits(native.evaluate(native.program_of(registered), x, u, t)) == _bits(want)
+        for exact in (False, True):
+            got = native.evaluate(native.program_of(registered), x, u, t, exact)
+            assert _bits(got) == _bits(want)
 
 
 def _deep_text(depth):
@@ -291,7 +313,98 @@ def test_deep_programs_run_compiled(depth, compiled):
     points += [([0.0, -0.0], 0.0, 0.0), ([1e308, -1e308], 1e308, 1.0), ([math.nan, 1.0], 1.0, 1.0)]
     for x, u, t in points:
         want = _python_value(plant.f, x, u, t)
-        assert _bits(native.evaluate(prog, x, u, t)) == _bits(want)
+        for exact in (False, True):
+            assert _bits(native.evaluate(prog, x, u, t, exact)) == _bits(want)
+
+
+def _float(pattern):
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+def _pattern(v):
+    return struct.unpack("<Q", struct.pack("<d", v))[0]
+
+
+def _hex(text):
+    return _pattern(float.fromhex(text))
+
+
+def _assert_exact_ops(x, y):
+    """native.c's xmul and xdiv give the bits of Python's * and /."""
+    exact = native.library().ptc_exact
+    assert hex(_pattern(exact(0, x, y))) == hex(_pattern(x * y)), (x, y)
+    if y != 0.0:  # Python raises; xdiv returns the hardware's result
+        assert hex(_pattern(exact(1, x, y))) == hex(_pattern(x / y)), (x, y)
+
+
+_signs = st.sampled_from((0, 1 << 63))
+_fields = st.one_of(
+    st.sampled_from((0, 1, 2, 1022, 1023, 2045, 2046)),
+    st.integers(1, 80),  # products and quotients that underflow
+    st.integers(960, 1090),
+    st.integers(1970, 2046),  # and that overflow
+)
+_fractions = st.one_of(
+    st.sampled_from((0, 1, 2**51, 2**52 - 1)), st.integers(0, 2**52 - 1)
+)
+# Raw 64-bit patterns: anything at all; subnormals with many or few
+# significant bits; exponent fields on both sides of 2^-1022 and near
+# both ends of the range; signed zeros, infinities and NaNs, quiet and
+# signalling.
+_patterns = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda s, m, k: s | max(m >> k, 1), _signs, st.integers(1, 2**52 - 1),
+              st.integers(0, 52)),
+    st.builds(lambda s, f, m: s | f << 52 | m, _signs, _fields, _fractions),
+    st.sampled_from((
+        0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48,
+        0x7FF0000000000001, 0x7FF4000000000123, 0xFFF8000000000ABC,
+    )),
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(a=_patterns, b=_patterns)
+# Rounding up past the largest significand carries into the exponent.
+@example(a=_hex("0x1.5bc8fbde5c099p+0"), b=_hex("0x1.78e05ce63eb11p+0"))
+@example(a=_hex("0x1.d76d4f1446beap+0"), b=_hex("-0x1.16084e94e6ed2p+0"))
+@example(a=_hex("0x0.fffffffffffffp-1022"), b=_hex("0x1.0000000000001p+0"))
+@example(a=_pattern(5e-324), b=_pattern(0.5))  # a tie, to +0.0
+@example(a=_pattern(-5e-324), b=_pattern(0.5))  # and to -0.0
+@example(a=_pattern(1.7976931348623157e308), b=_pattern(2.0))
+@example(a=_pattern(-0.0), b=_pattern(3.0))
+def test_exact_ops_match_the_hardware(a, b):
+    _assert_exact_ops(_float(a), _float(b))
+
+
+_odd = st.integers(0, 2**19).map(lambda k: 2 * k + 1)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(o=_odd, c=_odd, j=st.integers(1, 31), off=st.sampled_from((-1, 0, 1)), sign=_signs)
+def test_exact_ops_round_ties_on_the_subnormal_grid_to_even(o, c, j, off, sign):
+    # With o and c odd, (o * 2^(j-1) * 2^-1074) * (c * 2^-j) is o*c/2 times
+    # 2^-1074, halfway between two multiples of 2^-1074, and so is
+    # (o*c * 2^(j-1) * 2^-1074) / (c * 2^j). off moves the first operand
+    # one step of 2^-1074 off the tie, by less than a step in the result:
+    # only bits far below the rounding position say which way it goes.
+    signed = -1.0 if sign else 1.0
+    a = math.ldexp(o * 2 ** (j - 1) + off, -1074)
+    _assert_exact_ops(signed * a, math.ldexp(c, -j))
+    a = math.ldexp(o * c * 2 ** (j - 1) + off, -1074)
+    _assert_exact_ops(signed * a, math.ldexp(c, j))
+
+
+def test_exact_ops_match_the_hardware_on_random_patterns():
+    # Full-width significands, whose products' low 64 bits decide some
+    # roundings; the patterns above hold few significant bits as often.
+    rnd = random.Random(20)
+    for _ in range(20_000):
+        f, g = rnd.choice((0, 1, 2, 30, 1000, 1023, 2040)), rnd.choice((0, 1, 1023, 1100))
+        x = _float(rnd.getrandbits(1) << 63 | f << 52 | rnd.getrandbits(52))
+        y = _float(rnd.getrandbits(1) << 63 | g << 52 | rnd.getrandbits(52))
+        _assert_exact_ops(x, y)
+        _assert_exact_ops(y, x)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None,
@@ -323,8 +436,8 @@ def test_row_buffer_holds_every_run(
     assert compiled == [True]
 
 
-# A run of about 6.7 s in C on a 2-core VM: seed 42 never rests, and a
-# quarter of the stiffness cap makes 1.6M steps.
+# A run of about 5 s in C on a 2-core VM: seed 42 never rests, and a
+# tenth of the stiffness cap makes 4.1M steps.
 _LONG_RUN = textwrap.dedent("""
     import ptc_lab as pl
     from ptc_lab import native
@@ -333,7 +446,7 @@ _LONG_RUN = textwrap.dedent("""
     design = pl.design_controller(
         (-1.0, -4.0, -6.0, -4.0), 10.0, phi=plant.phi, phi0=plant.phi0
     )
-    cfg = pl.SimConfig(x0=(10.0,) * 4, record_stride=50, stiffness_safety=0.25)
+    cfg = pl.SimConfig(x0=(10.0,) * 4, record_stride=50, stiffness_safety=0.1)
     print("ready", flush=True)
     pl.run(plant, design, cfg)
 """)

@@ -3,11 +3,14 @@
 ctypes trusts ``_RunArgs`` to lay out ``run_args``, ``SIGNATURES`` to give
 each exported function's parameter and return types, and the opcode
 numbers to match the C enum; a mismatch corrupts memory or runs the wrong
-ops instead of failing. These tests parse the source, so they need no gcc.
+ops instead of failing. These tests parse the source, so they need no gcc,
+except the last, which checks where gcc places the closed loop's code.
 """
 
 import ctypes
 import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,9 +58,14 @@ def test_opcodes_match_native_py():
     names = re.findall(r"\bOP_(\w+)", re.search(r"enum \{(\s*OP_[^}]*)\}", CODE).group(1))
     assert [getattr(native, name) for name in names] == list(range(len(names)))
     assert names[-1] == "END"
-    # eval's jump table lists one label per opcode, in enum order.
-    labels = re.search(r"labels\[\] = \{([^}]*)\}", CODE).group(1)
-    assert re.findall(r"&&op_(\w+)", labels) == [name.lower() for name in names]
+    # eval's jump tables list one label per opcode, in enum order; the
+    # exact table differs only in its products and quotients.
+    tables = dict(re.findall(r"\b(\w*labels)\[\] = \{([^}]*)\}", CODE))
+    assert sorted(tables) == ["exact_labels", "labels"]
+    plain = [name.lower() for name in names]
+    exact = [{"mul": "xmul", "div": "xdiv"}.get(name, name) for name in plain]
+    assert re.findall(r"&&op_(\w+)", tables["labels"]) == plain
+    assert re.findall(r"&&op_(\w+)", tables["exact_labels"]) == exact
 
 
 # The base types of the exported functions' parameters, as ctypes spells them.
@@ -85,7 +93,9 @@ def _parameter_type(declaration):
 
 
 def test_exported_functions_match_their_signatures():
-    prototypes = re.findall(r"^(int|long) (ptc_\w+)\(([^)]*)\)\s*\{", CODE, flags=re.M)
+    prototypes = re.findall(
+        r"^(?:HOT )?(int|long|double) (ptc_\w+)\(([^)]*)\)\s*\{", CODE, flags=re.M
+    )
     declared = {
         name: (BASE_TYPES[restype], [_parameter_type(p) for p in parameters.split(",")])
         for restype, name, parameters in prototypes
@@ -101,3 +111,32 @@ def test_cell_width_matches_native_py():
 
 def test_cell_slack_matches_native_py():
     assert native.SLACK == int(re.search(r"#define SLACK (\d+)", CODE).group(1))
+
+
+# The functions native.c marks HOT, the closed loop's.
+HOT = re.findall(r"^(?:static )?HOT \w+ \*?(\w+)\(", CODE, flags=re.M)
+
+
+@pytest.mark.skipif(
+    shutil.which("gcc") is None or shutil.which("nm") is None, reason="no gcc or nm"
+)
+def test_hot_functions_start_on_a_cache_line(tmp_path):
+    # Each HOT function that gcc emits on its own starts at a multiple of
+    # 64 bytes, so that code emitted ahead of it cannot shift its
+    # instructions; some are always inlined and have no symbol.
+    assert {"fsum", "eval", "run", "ptc_run", "xmul", "xdiv"} <= set(HOT)
+    library = tmp_path / "native.so"
+    assert native._compile(shutil.which("gcc"), library)
+    symbols = subprocess.run(
+        ["nm", str(library)], capture_output=True, text=True, check=True
+    ).stdout
+    addresses = {
+        name: int(address, 16)
+        for address, kind, name in (line.split() for line in symbols.splitlines()
+                                    if len(line.split()) == 3)
+        if kind in "tT"
+    }
+    emitted = {name: addresses[name] for name in HOT if name in addresses}
+    # ptc_run is exported, and gcc inlines no function with computed gotos.
+    assert {"eval", "ptc_run"} <= set(emitted)
+    assert {name: address % 64 for name, address in emitted.items()} == dict.fromkeys(emitted, 0)

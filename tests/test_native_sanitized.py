@@ -1,5 +1,5 @@
-"""The trace CSV codec of ``native.c`` under AddressSanitizer and
-UndefinedBehaviorSanitizer.
+"""The trace CSV codec and the exact products and quotients of
+``native.c`` under AddressSanitizer and UndefinedBehaviorSanitizer.
 
 The writer copies digits in blocks of fixed size, which may reach past a
 cell, and the reader loads eight bytes at a time, so both touch memory
@@ -8,15 +8,20 @@ next to the ends of their buffers. A small C driver, built with
 access out of bounds, and any undefined operation, ends it with an error.
 The driver writes into a buffer of exactly the size ``native.write_rows``
 allocates for one chunk, and reads texts that end exactly at the end of a
-``malloc``'d block, with no NUL after them. It needs gcc with libasan and
-skips without them.
+``malloc``'d block, with no NUL after them. The exact multiply and divide
+shift 64- and 128-bit integers by amounts that depend on the operands'
+exponents; the driver runs them where those amounts reach the width of
+the integers, and a shift by the width or more ends it too. It needs gcc
+with libasan and skips without them.
 """
 
 import ctypes
 import io
+import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 from pathlib import Path
 
@@ -33,11 +38,14 @@ DRIVER = r"""
 long ptc_format_rows(int cols, const double *const *data, const long *stride,
                      long first, long count, char *out);
 long ptc_parse_rows(const char *text, long length, int cols, double *out, long capacity);
+double ptc_exact(int divide, double a, double b);
 
 /* "w SIZE ROWS COLS V W": format ROWS rows of COLS cells, all V but the
  * last, W, into a malloc'd buffer of SIZE bytes; print the text.
  * "r HEX": parse the bytes HEX spells, the only contents of a malloc'd
- * block, as rows of one cell; print the row count and the values. */
+ * block, as rows of one cell; print the row count and the values.
+ * "x A B": print the bits of the exact product and quotient of the
+ * doubles whose bits A and B spell in hex. */
 int main(void)
 {
     char line[4096], kind;
@@ -81,6 +89,17 @@ int main(void)
             printf("\n");
             free(values);
             free(text);
+        } else if (kind == 'x') {
+            unsigned long long bits[2], out[2];
+            double operand[2], r;
+            if (sscanf(line + 2, "%llx %llx", &bits[0], &bits[1]) != 2)
+                return 2;
+            memcpy(operand, bits, sizeof operand);
+            for (int divide = 0; divide < 2; divide++) {
+                r = ptc_exact(divide, operand[0], operand[1]);
+                memcpy(&out[divide], &r, sizeof r);
+            }
+            printf("%016llx %016llx\n", out[0], out[1]);
         } else {
             return 2;
         }
@@ -215,3 +234,25 @@ def test_reader_judges_a_stray_byte_at_every_window_offset(driver):
         for bad in b"x/:. -e\x00\x80\xff"
     ]
     _check_parses(driver, texts)
+
+
+def _bits(v):
+    return struct.unpack("<Q", struct.pack("<d", v))[0]
+
+
+def test_exact_ops_shift_within_their_integers(driver):
+    # Results from far below the subnormal range up to overflow: the
+    # shifts that round them run from 0 past 128 bits.
+    values = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.0, 1.5,
+              (2 - 2**-52), 1.7976931348623157e308, math.inf, math.nan]
+    values += [math.ldexp(1.0, -1074 + k) for k in range(0, 53, 4)]
+    values += [math.ldexp(0.75, k) for k in range(-1100, 1025, 50)]
+    values += [math.ldexp(1.0, -k) for k in (52, 53, 62, 63, 64, 65, 127, 128, 129)]
+    values += [-v for v in values]
+    pairs = [(x, y) for x in values for y in values]
+    out = _run(driver, [f"x {_bits(x):x} {_bits(y):x}" for x, y in pairs]).decode().split("\n")
+    for (x, y), line in zip(pairs, out):
+        product, quotient = (int(word, 16) for word in line.split())
+        assert product == _bits(x * y), (x, y)
+        if y != 0.0:
+            assert quotient == _bits(x / y), (x, y)

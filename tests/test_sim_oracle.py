@@ -330,7 +330,10 @@ def test_example3_prefix_matches_reference():
 # SHA-256 of the times, states and inputs bytes and of repr(dict(metadata))
 # of full runs, recorded with the list-based loop of ``reference_run``'s
 # era. example3 at seed 30 spends about 118k steps in
-# subnormal states; seed 6 rests for most of its 410,926 steps.
+# subnormal states; seed 6 rests for most of its 410,926 steps. Seed 42
+# never rests: from step 301 on, every step of the compiled loop runs its
+# exact products and quotients. Its pin was recorded by both loops while
+# the compiled one still used hardware ops in those steps.
 FULL_RUN_PINS = {
     "example2": (
         "3ddcca8c415440963527de5421c7d923536407b2c58d24ad485ed4447bd74b0d",
@@ -350,6 +353,12 @@ FULL_RUN_PINS = {
         "50faa9cae1214e6053cafd490b698dfc354aff34e15245b9f9c683bdb295d938",
         "7c2219fe2af8e0ac00c2b8030156bd8ff455b8b99e890309314af6ee07b3ae73",
     ),
+    "example3-seed42": (
+        "28dc54828aa40d331dad09c1e0d94a4b0ab0f182fe83b5572c248ff46ad048d7",
+        "f59f7080088ba1e075744a9f99b1c323b572aa444c36f0e41ece9c8be1fea422",
+        "7b544baaca43349bb79dc2b6b74058768117db4c78ef9b03526705a9ec34edf5",
+        "84260052ae6b1d6a7a0b28db9a91f5bfb1fc716ef0be9ec585e3c2d6621516d0",
+    ),
 }
 
 
@@ -367,10 +376,11 @@ def test_full_runs_match_pins(example2_trace, example3_trace):
     assert _digests(example2_trace) == FULL_RUN_PINS["example2"]
     assert _digests(example3_trace) == FULL_RUN_PINS["example3-seed6"]
     meta = example3_trace.metadata
-    plant = pl.builtin_plant("example3", seed=30)
-    design = pl.design_controller(meta["c"], meta["tau"], phi=plant.phi, phi0=plant.phi0)
     cfg = pl.SimConfig(x0=meta["x0"], dt_base=meta["dt_base"], record_stride=50)
-    assert _digests(pl.run(plant, design, cfg)) == FULL_RUN_PINS["example3-seed30"]
+    for seed in (30, 42):
+        plant = pl.builtin_plant("example3", seed=seed)
+        design = pl.design_controller(meta["c"], meta["tau"], phi=plant.phi, phi0=plant.phi0)
+        assert _digests(pl.run(plant, design, cfg)) == FULL_RUN_PINS[f"example3-seed{seed}"]
 
 
 @pytest.mark.parametrize("phase", ["general", "rest"])

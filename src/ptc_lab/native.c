@@ -698,9 +698,9 @@ HOT int ptc_run(run_args *a)
  * as in printf. The digits come from two 32-bit halves through a table of
  * digit pairs, and reach the output in copies of fixed size, which may
  * write up to SLACK bytes past the cell. Zeros and non-finite values are
- * written directly; subnormals, and magnitudes the scaling cannot hold
- * (about 1e-6 and below, 3e38 and above), go to snprintf, which glibc
- * rounds exactly too.
+ * written directly. scale takes magnitudes from about 1e-6 up to 2^52,
+ * which hold nearly every cell of a trace; subnormals and every other
+ * magnitude go to snprintf, which glibc rounds exactly too.
  *
  * Reader. Digits are taken eight at a time where eight bytes remain before
  * the end of the text: one load, a test that all eight are digits, and
@@ -710,13 +710,10 @@ HOT int ptc_run(run_args *a)
  * second", 2021): d times a 128-bit truncation of 10^p, which is exact for
  * p >= 0. The truncation puts the true product within d units of the
  * 192-bit result, so the top bits decide the rounding unless they sit at a
- * boundary that those units could cross, or at an exact tie; in those
- * cases the exact path decides. It computes d * 10^p in 128-bit integers
- * with one rounding; for p < 0, d is shifted left to 127 bits and divided
- * by 10^-p, which leaves a quotient of at least 55 bits, and a nonzero
- * remainder joins it as a sticky bit below the rounding bit. Any other
- * cell goes to strtod, which glibc rounds correctly too; a cell that strtod
- * does not read to its end (another LC_NUMERIC locale) is refused.
+ * boundary that those units could cross, or at an exact tie. Such a cell,
+ * like any other cell, goes to strtod, which glibc rounds correctly too; a
+ * cell that strtod does not read to its end (another LC_NUMERIC locale) is
+ * refused.
  */
 
 /* The longest cell, "-1.2345678901234567e-308", and its separator. */
@@ -749,36 +746,18 @@ static const char PAIRS[201] =
 
 /* *q = floor(m * 2^e * 10^k), exactly; *rest says whether the part cut
  * off is below (-1), at (0) or above (1) one half, and *zero whether it is
- * 0. Returns 0 when the integers involved do not fit in 128 bits;
- * m < 2^53. */
+ * 0. Returns 0 unless 0 <= k <= 22 and e < 0, which holds from about 1e-6
+ * up to 2^52; m < 2^53. k <= 22 puts x at -6 or above, so e >= -71: no
+ * shift below passes 71 bits. */
 static int scale(uint64_t m, int e, int k, u128 *q, int *rest, int *zero)
 {
-    u128 num = m, r, half;
-    if (k >= 0) {
-        if (k > 22 || e < -126)
-            return 0;
-        num *= pow10_128(k); /* < 2^53 * 10^22 < 2^127 */
-        if (e >= 0) {
-            /* v >= 2^52 puts x at 15 or above, so k <= 1: nothing is cut. */
-            if (k > 2 || e > 16)
-                return 0;
-            *q = num << e;
-            *rest = -1;
-            *zero = 1;
-            return 1;
-        }
-        *q = num >> -e;
-        r = num - (*q << -e);
-        half = (u128)1 << (-e - 1);
-    } else {
-        if (k < -38 || e < 0 || e > 74)
-            return 0;
-        num <<= e; /* < 2^127 */
-        half = pow10_128(-k);
-        *q = num / half;
-        r = num - *q * half;
-        half >>= 1; /* 10^j is even */
-    }
+    u128 num, r, half;
+    if (k < 0 || k > 22 || e >= 0)
+        return 0;
+    num = (u128)m * pow10_128(k); /* < 2^53 * 10^22 < 2^127 */
+    *q = num >> -e;
+    r = num - (*q << -e);
+    half = (u128)1 << (-e - 1);
     *rest = (r > half) - (r < half); /* without branches, as in format_cell */
     *zero = r == 0;
     return 1;
@@ -786,9 +765,8 @@ static int scale(uint64_t m, int e, int k, u128 *q, int *rest, int *zero)
 
 /* The eight digits of n < 10^8 at p.
  *
- * This and read_digits are inline so that gcc emits no codec function
- * ahead of the closed loop: moved by 0x170 bytes, ptc_run took 5-15 %
- * longer on most example3 seeds (gcc 12, x86-64). */
+ * This and read_digits are inline: without the keyword, gcc 12 at -O2
+ * emits both as functions of their own and calls them for every cell. */
 static inline void put8(char *p, uint32_t n)
 {
     uint32_t a = n / 10000, b = n % 10000;
@@ -829,7 +807,7 @@ static int format_cell(double v, char *out)
     x = ((e + 52) * 78913) >> 18;
     k = 16 - x;
     if (biased == 0 || !scale(m, e, k, &q, &rest, &zero)) {
-        /* subnormal, or beyond 128 bits */
+        /* subnormal, or outside scale's range */
         len = snprintf(tmp, sizeof tmp, "%.17g", v);
         memcpy(out, tmp, (size_t)len);
         return len;
@@ -866,11 +844,7 @@ static int format_cell(double v, char *out)
         *o++ = x < 0 ? '-' : '+';
         if (x < 0)
             x = -x;
-        if (x >= 100) {
-            *o++ = (char)('0' + x / 100);
-            x %= 100;
-        }
-        memcpy(o, PAIRS + 2 * x, 2);
+        memcpy(o, PAIRS + 2 * x, 2); /* -6 <= x <= 16 in scale's range */
         o += 2;
     } else if (x >= 0) {
         /* x + 1 integer digits, zero-padded, then the fraction if any. */
@@ -1037,25 +1011,6 @@ static int lemire(uint64_t d, int p, double *v)
     return 1;
 }
 
-/* d * 10^p, correctly rounded, in exact 128-bit integers; 0 < d,
- * -21 <= p <= 19. */
-static double exact(uint64_t d, int p)
-{
-    uint64_t bits;
-    int shift;
-    u128 num, q;
-    double v;
-
-    if (p >= 0)
-        return (double)((u128)d * pow10_128(p));
-    shift = 127 - (64 - __builtin_clzll(d));
-    num = (u128)d << shift;
-    q = num / pow10_128(-p);
-    bits = (uint64_t)(1023 - shift) << 52; /* 2^-shift, a normal double */
-    memcpy(&v, &bits, sizeof bits);
-    return v * (double)(q | (num != q * pow10_128(-p)));
-}
-
 /* Reads one cell, -?digits[.digits][e[+-]digits], ended by sep, into *v
  * and advances *p past sep; 0 when the text there is anything else. The
  * value is correctly rounded, as Python's float() rounds it. */
@@ -1104,14 +1059,13 @@ static int read_cell(const char **p, const char *end, char sep, double *v)
     if (s == end || *s != sep)
         return 0;
     *p = s + 1;
-    if (digits > 19 || exponent >= 100000 || power < -21 || power > 19) {
-        *v = strtod(cell, &stop);
+    if (digits > 19 || exponent >= 100000 || power < -21 || power > 19 ||
+        (d != 0 && !lemire(d, power, v))) {
+        *v = strtod(cell, &stop); /* which reads the sign itself */
         return stop == s;
     }
     if (d == 0)
         *v = 0.0;
-    else if (!lemire(d, power, v))
-        *v = exact(d, power);
     if (negative)
         *v = -*v;
     return 1;

@@ -174,9 +174,13 @@ def _chunk_buffer_size(monkeypatch, cols):
 LONGEST = -1.2345678901234567e-300
 # x = 15 with one fraction digit: its copies reach furthest from its start.
 FARTHEST = -1234567890123456.8
+# 2^52 + 1, the least magnitude past the writer's scaling: to snprintf.
+LARGE = -4503599627370497.0
 
 
-@pytest.mark.parametrize("last", [LONGEST, FARTHEST], ids=["longest", "farthest-last"])
+@pytest.mark.parametrize(
+    "last", [LONGEST, FARTHEST, LARGE], ids=["longest", "farthest-last", "large-last"]
+)
 def test_writer_stays_in_the_buffer_write_rows_allocates(driver, monkeypatch, last):
     cols = 3
     rows, size = _chunk_buffer_size(monkeypatch, cols)
@@ -220,6 +224,7 @@ def test_reader_stays_in_texts_that_end_at_their_block(driver):
             "-1.2345678901234567e-300",
             "1234567890123456.7890123",
             "-0.000012345678901234567",
+            "-9007199254740993",  # a tie between two doubles: to strtod
         ):
             cell = source[:length].encode()
             texts += [cell + b"\n", cell, b"1\n" + cell + b"\n", b"1\n" + cell]

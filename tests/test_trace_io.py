@@ -114,7 +114,8 @@ def _halfway_decimals():
     (a + 1) * 2^(t+1), for 53-bit a. t = -1 gives n + 0.5 for n in
     [2^52, 2^53), and t = 0 the odd integers in [2^53, 2^54). Every string
     has at most 19 significant digits and a scale within 10^-3 .. 10^0, so
-    the fast path sees them all."""
+    Eisel-Lemire sees them all, and the ties it cannot decide go to
+    strtod."""
     strings = []
     for t in range(-3, 10):
         for a in (2**52, 2**52 + 1, 3 * 2**51, 3 * 2**51 + 1, 2**53 - 2, 2**53 - 1):

@@ -3,14 +3,20 @@
  * ptc_run repeats the Python loop of sim.run operation for operation: the
  * same IEEE double operations on the same operands in the same order, so
  * that every value it records is bitwise the value the Python loop
- * records. It departs from the letter of that loop in three places, none
+ * records. It departs from the letter of that loop in five places, none
  * of which changes a bit:
  * - the rest step below skips work whose result it can prove;
+ * - when neither f nor g reads t, the rest steps that follow a rest step
+ *   in one pass repeat it bit for bit, and only advance the clock;
  * - a step whose state has a nonzero component below TINY computes its
  *   products and quotients with xmul and xdiv, in integers, which give
  *   the hardware's bits without its slow path for subnormals;
+ * - such a step whose components are all below DEEP runs on the grid of
+ *   2^-1074 instead: its values times 2^1074, in hardware doubles, with
+ *   each product and quotient rounded once more where the unscaled one
+ *   is subnormal;
  * - every doubling, 2.0 * s, is written s + s, which is exact and so
- *   gives the same bits, in either kind of step.
+ *   gives the same bits, in every kind of step.
  * The plant's f and g arrive as postfix
  * programs that a small stack machine interprets, on a stack sized from
  * the deeper program; no plant text is ever compiled.
@@ -101,14 +107,15 @@ typedef unsigned __int128 u128;
  * A multiply or divide that reads or makes a subnormal takes a microcode
  * assist on x86-64 cores: about 55 ns for a multiply and 60 ns for a
  * divide on a Sapphire Rapids Xeon, against 1 and 2 ns; an add costs no
- * more. About 1 in 4 example3 disturbance seeds leave the state
- * subnormal, never exactly zero, for most of the run, and spent most of
- * their time in those assists. xmul and xdiv give the hardware's bits
- * without one: they multiply or divide the integer significands in 128
- * bits and round to nearest, ties to even, into the normal range, into
- * the subnormal range or to infinity. A zero operand gives a zero of the
- * result's sign at once; infinities and NaNs go to the hardware op. This
- * is not flush-to-zero: every result is the IEEE one. */
+ * more. 11 of the 40 example3 disturbance seeds in 0-127 whose plants
+ * keep their envelope leave the state subnormal, never exactly zero, for
+ * most of the run, and would spend most of their time in those assists.
+ * xmul and xdiv give the hardware's bits without one: they multiply or
+ * divide the integer significands in 128 bits and round to nearest, ties
+ * to even, into the normal range, into the subnormal range or to
+ * infinity. A zero operand gives a zero of the result's sign at once;
+ * infinities and NaNs go to the hardware op. This is not flush-to-zero:
+ * every result is the IEEE one. */
 
 #define SIGN (1ULL << 63)
 #define HIDDEN (1ULL << 52)
@@ -458,7 +465,8 @@ static HOT int record(run_args *a, double t, const double *x, double u)
     return OK;
 }
 
-/* A step whose state has a nonzero component below TINY runs exact.
+/* A step whose state has a nonzero component below TINY runs exact, on
+ * the grid (below) when every component is below DEEP as well.
  * Either way the bits are the same: the bound decides only which ops
  * compute them, and it sits far from both ends. From components at or
  * above 2^-400, the audit's squares stay above 2^-800, and the step's
@@ -469,28 +477,101 @@ static HOT int record(run_args *a, double t, const double *x, double u)
  * towards the subnormal range crosses 2^-400 hundreds of steps before it
  * gets there (example3: step 301, and step 771). */
 #define TINY 0x1p-400
+#define DEEP 0x1p-600
 
-/* Whether a component of x is nonzero and below TINY in magnitude. */
-static int tiny(int n, const double *x)
+/* The passes a state calls for: plain, exact (a nonzero component below
+ * TINY), or on the grid (and every component below DEEP). */
+enum { PLAIN, EXACT, GRID };
+
+static int kind(int n, const double *x)
 {
-    int i;
-    for (i = 0; i < n; i++)
-        if (x[i] != 0.0 && fabs(x[i]) < TINY)
-            return 1;
-    return 0;
+    int i, tiny = 0, deep = 1;
+    for (i = 0; i < n; i++) {
+        tiny |= x[i] != 0.0 && fabs(x[i]) < TINY;
+        deep &= fabs(x[i]) < DEEP;
+    }
+    return tiny ? (deep ? GRID : EXACT) : PLAIN;
 }
 
 /* What one pass of run's loop hands the next: the time and g at it, the
- * steps so far, and the loop's scratch space, n values per array. */
+ * steps so far, whether f and g are free of t, and the loop's scratch
+ * space, n values per array. */
 typedef struct {
     double t, g_now;
     long step_index;
-    int can_rest;
-    double *p, *m, *ya, *yb, *yc, *sq;
+    int can_rest, time_free;
+    double *p, *m, *ya, *yb, *yc, *sq, *xs;
 } loop;
 
-/* MORE: a pass has taken its step; the next pass starts from it. */
-enum { MORE = -1 };
+/* MORE: a pass has taken its step; the next pass starts from it. REDO: a
+ * grid pass leaves its step to the exact pass. */
+enum { MORE = -1, REDO = -2 };
+
+/* Whether a step from the state +0.0 is a rest step (see pass): OK with
+ * *u and *k, the input and derivative at t_next; MORE where it is not. */
+ALWAYS_INLINE int rest_step(const run_args *a, double *st, const double *x, double t_mid,
+                            double g_mid, double t_next, double g_next, double *u, double *k)
+{
+    double fv;
+    if (a->gamma_min * g_mid == 0.0)
+        return FAULT;
+    *u = 0.0 / (a->gamma_min * g_mid);
+    if (eval(&a->f, st, x, *u, t_mid, 0, &fv))
+        return FAULT;
+    if (fv + a->gamma * g_mid * *u != 0.0)
+        return MORE;
+    if (a->gamma_min * g_next == 0.0)
+        return FAULT;
+    *u = 0.0 / (a->gamma_min * g_next);
+    if (eval(&a->f, st, x, *u, t_next, 0, &fv))
+        return FAULT;
+    *k = fv + a->gamma * g_next * *u;
+    return *k == 0.0 ? OK : MORE;
+}
+
+/* The first stage's checks at the step start t, in the Python loop's
+ * order: the divergence bound on x and u1, the audit of f1 against limit,
+ * phi * ||x|| + phi0 + slack, the peaks, and the record of every
+ * stride-th step and of the last sample. */
+ALWAYS_INLINE int checks(run_args *a, const loop *l, double t, double u1, double f1,
+                         double limit, int last)
+{
+    const double *x = a->x;
+    double amp = fabs(x[0]);
+    int i;
+    /* max(map(abs, x)): a NaN wins only in front. */
+    for (i = 1; i < a->n; i++)
+        if (fabs(x[i]) > amp)
+            amp = fabs(x[i]);
+    if (!(amp <= a->threshold) || !(fabs(u1) <= a->threshold) || fabs(f1) > limit)
+        return FAULT;
+    if (amp > a->x_max)
+        a->x_max = amp;
+    if (fabs(u1) > a->u_max)
+        a->u_max = fabs(u1);
+    if (last || l->step_index % a->stride == 0)
+        return record(a, t, x, u1);
+    return OK;
+}
+
+/* The step from t: h = min(dt_base, d / shrink_divisor, stiff_cap * d)
+ * with d = tau - t, cut to t_end - t where it reaches it, which clamps
+ * the step. Returns whether it does. */
+ALWAYS_INLINE int step_size(const run_args *a, double t, double *h)
+{
+    double d = a->tau - t, cap;
+    *h = a->dt_base;
+    cap = d / a->shrink_divisor;
+    if (cap < *h)
+        *h = cap;
+    cap = a->stiff_cap * d;
+    if (cap < *h)
+        *h = cap;
+    if (!(*h >= a->t_end - t))
+        return 0;
+    *h = a->t_end - t;
+    return 1;
+}
 
 /* One pass: the first stage at the step start, its checks and its
  * record, then rest steps, if any, and one general step. OK once it has
@@ -501,9 +582,9 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
     const double tau = a->tau, t_end = a->t_end, stop = a->stop;
     const double gamma_min = a->gamma_min, gamma = a->gamma;
     double *x = a->x, *p = l->p, *m = l->m, *ya = l->ya, *yb = l->yb, *yc = l->yc;
-    double t = l->t, u1, f1, k1, amp, norm, limit;
-    double d, h, cap, half, t_mid, t_next, g_mid, g_next, u, fv, k, k2, k3, k4, sixth, s;
-    int i, last, resting, clamped, status;
+    double t = l->t, u1, f1, k1, norm;
+    double h, half, t_mid, t_next, g_mid, g_next, u, k, k2, k3, k4, sixth, s;
+    int i, last, resting, clamped, status, again = 0;
 
     last = !(t < stop);
     if (last) {
@@ -517,30 +598,15 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
         eval(&a->f, st, x, u1, t, exact, &f1))
         return FAULT;
     k1 = f1 + mul(exact, gamma * l->g_now, u1);
-    /* max(map(abs, x)): a NaN wins only in front. */
-    amp = fabs(x[0]);
-    for (i = 1; i < n; i++)
-        if (fabs(x[i]) > amp)
-            amp = fabs(x[i]);
-    if (!(amp <= a->threshold) || !(fabs(u1) <= a->threshold))
-        return FAULT;
-    /* plant.check_assumption */
+    /* plant.check_assumption's limit; a state that fails the divergence
+     * bound faults either way. */
     for (i = 0; i < n; i++)
         l->sq[i] = mul(exact, x[i], x[i]);
     if (fsum(l->sq, n, &norm))
         return FAULT;
-    limit = mul(exact, a->phi, sqrt(norm)) + a->phi0 + a->slack;
-    if (fabs(f1) > limit)
-        return FAULT;
-    if (amp > a->x_max)
-        a->x_max = amp;
-    if (fabs(u1) > a->u_max)
-        a->u_max = fabs(u1);
-    if (last || l->step_index % a->stride == 0)
-        if ((status = record(a, t, x, u1)))
-            return status;
-    if (last)
-        return OK;
+    status = checks(a, l, t, u1, f1, mul(exact, a->phi, sqrt(norm)) + a->phi0 + a->slack, last);
+    if (status || last)
+        return status;
     /* An exact pass never rests: its state has a nonzero component. */
     resting = !exact && k1 == 0.0 && l->can_rest;
     /* Every component +0.0; a -0.0 keeps the step general. */
@@ -552,22 +618,12 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
         /* Once per step, rest steps included. */
         if (a->cancel)
             return CANCELLED;
-        d = tau - t;
-        h = a->dt_base;
-        cap = d / a->shrink_divisor;
-        if (cap < h)
-            h = cap;
-        cap = a->stiff_cap * d;
-        if (cap < h)
-            h = cap;
-        clamped = h >= t_end - t;
-        if (clamped)
-            h = t_end - t;
+        clamped = step_size(a, t, &h);
         half = 0.5 * h;
         t_mid = t + half;
         t_next = t + h;
-        if (eval(&a->g, st, x, 0.0, t_mid, 0, &g_mid) ||
-            eval(&a->g, st, x, 0.0, t_next, 0, &g_next))
+        if (!again && (eval(&a->g, st, x, 0.0, t_mid, 0, &g_mid) ||
+                       eval(&a->g, st, x, 0.0, t_next, 0, &g_next)))
             return FAULT;
         /* A rest step. From rest all four stage states are x itself,
          * +0.0, so stages 2 and 3 are the same call, and stage 4's
@@ -581,31 +637,26 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
          * k = f + gain*u == 0.0 with gain*u either +-0.0 or NaN forces
          * f = 0.0, so |f| = 0 <= phi*0 + phi0 + slack; and neither peak
          * can grow from 0. A clamped step ends the loop, which
-         * evaluates t_end afresh, so it is never a rest step. */
+         * evaluates t_end afresh, so it is never a rest step.
+         * When neither f nor g reads t, every value of a rest step but
+         * its times is the same at any t, so the rest steps after it in
+         * this pass repeat it: they keep g_mid, g_next, u and k, and
+         * only advance the clock. */
         if (resting && !clamped) {
-            if (gamma_min * g_mid == 0.0)
+            status = again ? OK : rest_step(a, st, x, t_mid, g_mid, t_next, g_next, &u, &k);
+            if (status == FAULT)
                 return FAULT;
-            u = 0.0 / (gamma_min * g_mid);
-            if (eval(&a->f, st, x, u, t_mid, 0, &fv))
-                return FAULT;
-            if (fv + gamma * g_mid * u == 0.0) {
-                if (gamma_min * g_next == 0.0)
-                    return FAULT;
-                u = 0.0 / (gamma_min * g_next);
-                if (eval(&a->f, st, x, u, t_next, 0, &fv))
-                    return FAULT;
-                k = fv + gamma * g_next * u;
-                if (k == 0.0) {
-                    k1 = k;
-                    t = t_next;
-                    l->step_index++;
-                    if (!(t < stop))
-                        break;
-                    if (l->step_index % a->stride == 0)
-                        if ((status = record(a, t, x, u)))
-                            return status;
-                    continue;
-                }
+            if (status == OK) {
+                again = l->time_free;
+                k1 = k;
+                t = t_next;
+                l->step_index++;
+                if (!(t < stop))
+                    break;
+                if (l->step_index % a->stride == 0)
+                    if ((status = record(a, t, x, u)))
+                        return status;
+                continue;
             }
         }
         /* The general step: stages 2 to 4 and the update. */
@@ -641,13 +692,199 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
     return MORE;
 }
 
+/* ---- Grid passes ----------------------------------------------------------
+ *
+ * Once every component of the state is below DEEP, an exact pass spends
+ * its time in xmul and xdiv. A grid pass computes the same step in
+ * hardware doubles instead: every value that depends on the state is
+ * carried times 2^1074, which makes each double, subnormals included, an
+ * integer-valued normal double. A sum of two carried values is the
+ * carried sum: both round to 53 bits at the same place, or, below 2^-1021,
+ * are exact. Every product and quotient in the step has one time-only
+ * factor (see mul), and grid_op computes it as one hardware op, which
+ * rounds to 53 bits. Where that is below 2^52, the unscaled result is
+ * subnormal and rounds to an integer instead: grid_op rounds once more,
+ * to the nearest integer, ties to even, which gives the same integer
+ * unless the first rounding made a tie. At a half-integer, the exact
+ * residual from fma says on which side of it the true value lies (Muller
+ * et al., Handbook of Floating-Point Arithmetic, 2nd ed., 2018). f's
+ * program still runs on the values themselves, with the exact table.
+ *
+ * Below DEEP (2^-600) the state stays below 2^474 carried, and the
+ * audit's squares are below 2^-1200, which rounds to +0.0: its limit is
+ * phi * 0.0 + phi0 + slack. The pass carries its step only where every
+ * product and quotient stays below CEILING and every f value below 2^-50,
+ * so that every carried value is finite; otherwise, at the last sample,
+ * and wherever f, g or a divisor could fault, it leaves the step to the
+ * exact pass, which is why it has no side effects before its step is
+ * computed. The first stage's checks come after the step, on the values
+ * the exact pass would check before it. */
+
+#define CEILING 0x1p1000
+#define SHIFT (1074ULL << 52) /* 2^1074 in the exponent field */
+
+/* v * 2^1074, for |v| < 2^-50: a subnormal's bits are its integer. */
+ALWAYS_INLINE double to_grid(double v)
+{
+    uint64_t b = bits_of(v), m = b & ~SIGN;
+    if (m < HIDDEN)
+        return of_bits(bits_of((double)(int64_t)m) | (b & SIGN));
+    return of_bits(b + SHIFT);
+}
+
+/* k * 2^-1074, for an integer-valued k. */
+ALWAYS_INLINE double from_grid(double k)
+{
+    uint64_t b = bits_of(k);
+    double m = fabs(k);
+    if (m < 0x1p52)
+        return of_bits((uint64_t)(int64_t)m | (b & SIGN));
+    return of_bits(b - SHIFT);
+}
+
+/* a * b (divide = 0) or a / b (divide = 1) for a carried a and a
+ * time-only b, carried; sets *bad where the result is not below CEILING. */
+ALWAYS_INLINE double grid_op(int divide, double a, double b, int *bad)
+{
+    double p = divide ? a / b : a * b, m = fabs(p), k, r;
+    if (!(m < 0x1p52)) {
+        *bad |= !(m < CEILING);
+        return p;
+    }
+    k = (m + 0x1p52) - 0x1p52; /* the nearest integer, ties to even */
+    if (fabs(k - m) == 0.5) {
+        /* r has the sign of the true value minus p: a - p*b is that
+         * times b. */
+        r = divide ? fma(-p, b, a) : fma(a, b, -p);
+        if (divide && b < 0.0)
+            r = -r;
+        if (r != 0.0)
+            k = (r > 0.0) == (p > 0.0) ? m + 0.5 : m - 0.5;
+    }
+    return copysign(k, p);
+}
+
+/* One product or quotient on the grid, for tests: a, below 2^-50, is
+ * carried, grid_op takes it with b, and *out is the result brought back.
+ * Returns 1 where a grid pass would not carry it. */
+int ptc_grid(int divide, double a, double b, double *out)
+{
+    int bad = !(fabs(a) < 0x1p-50);
+    *out = from_grid(grid_op(divide, to_grid(a), b, &bad));
+    return bad;
+}
+
+/* control, carried. A zero divisor makes an infinity or a NaN, so bad. */
+ALWAYS_INLINE double grid_control(int n, const double *q, const double *y, const double *p,
+                                  double den, int *bad)
+{
+    double acc = 0.0;
+    int i;
+    for (i = n - 1; i >= 0; i--)
+        acc = acc + grid_op(1, grid_op(0, y[i], q[i], bad), p[i], bad);
+    return grid_op(1, acc, den, bad);
+}
+
+/* A stage at the carried state ys: its carried input *u and derivative
+ * *k, and f's value *fv, from f run on the state brought back into y.
+ * FAULT where f faults or its value cannot be carried. */
+ALWAYS_INLINE int grid_stage(const run_args *a, double *st, double *y, const double *ys,
+                             const double *p, double s, double den, double gain, int *bad,
+                             double *u, double *fv, double *k)
+{
+    int i;
+    *u = grid_control(a->n, a->q, ys, p, den, bad);
+    for (i = 0; i < a->n; i++)
+        y[i] = from_grid(ys[i]);
+    if (eval(&a->f, st, y, from_grid(*u), s, 1, fv) || !(fabs(*fv) < 0x1p-50))
+        return FAULT;
+    *k = to_grid(*fv) + grid_op(0, *u, gain, bad);
+    return OK;
+}
+
+/* pass(a, st, l, 1) for a state that calls for the grid, which never
+ * rests: the first stage and the general step, then the checks, peaks and
+ * record that pass makes before its step, and the step's commit. REDO
+ * where the exact pass must take the step. */
+static HOT int grid(run_args *a, double *st, loop *l)
+{
+    const int n = a->n, top = n - 1;
+    const double tau = a->tau, t_end = a->t_end;
+    const double gamma_min = a->gamma_min, gamma = a->gamma;
+    /* y takes the stage states brought back for f: the audit needs no sq. */
+    double *x = a->x, *xs = l->xs, *y = l->sq, *p = l->p, *m = l->m;
+    double *ya = l->ya, *yb = l->yb, *yc = l->yc;
+    double t = l->t, u1, f1, k1, u, fv, h, half, t_mid, t_next, g_mid, g_next;
+    double k2, k3, k4, sixth, s;
+    int i, clamped, status, bad = 0;
+
+    if (!(t < a->stop))
+        return REDO;
+    if (a->cancel)
+        return CANCELLED;
+    for (i = 0; i < n; i++)
+        xs[i] = to_grid(x[i]);
+    powers(n, tau, t, p);
+    if (grid_stage(a, st, y, xs, p, t, gamma_min * l->g_now, gamma * l->g_now, &bad, &u1, &f1,
+                   &k1))
+        return REDO;
+    clamped = step_size(a, t, &h);
+    half = 0.5 * h;
+    t_mid = t + half;
+    t_next = t + h;
+    if (eval(&a->g, st, x, 0.0, t_mid, 0, &g_mid) || eval(&a->g, st, x, 0.0, t_next, 0, &g_next))
+        return REDO;
+    powers(n, tau, t_mid, m);
+    for (i = 0; i < n; i++)
+        ya[i] = xs[i] + grid_op(0, i < top ? xs[i + 1] : k1, half, &bad);
+    if (grid_stage(a, st, y, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &bad, &u, &fv, &k2))
+        return REDO;
+    for (i = 0; i < n; i++)
+        yb[i] = xs[i] + grid_op(0, i < top ? ya[i + 1] : k2, half, &bad);
+    if (grid_stage(a, st, y, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &bad, &u, &fv, &k3))
+        return REDO;
+    powers(n, tau, t_next, p);
+    for (i = 0; i < n; i++)
+        yc[i] = xs[i] + grid_op(0, i < top ? yb[i + 1] : k3, h, &bad);
+    if (grid_stage(a, st, y, yc, p, t_next, gamma_min * g_next, gamma * g_next, &bad, &u, &fv,
+                   &k4))
+        return REDO;
+    sixth = h / 6.0;
+    for (i = 0; i < top; i++) {
+        s = ya[i + 1] + yb[i + 1];
+        xs[i] = xs[i] + grid_op(0, xs[i + 1] + (s + s) + yc[i + 1], sixth, &bad);
+    }
+    s = k2 + k3;
+    xs[top] = xs[top] + grid_op(0, k1 + (s + s) + k4, sixth, &bad);
+    if (bad)
+        return REDO;
+    if ((status = checks(a, l, t, from_grid(u1), f1, a->phi * 0.0 + a->phi0 + a->slack, 0)))
+        return status;
+    for (i = 0; i < n; i++)
+        x[i] = from_grid(xs[i]);
+    l->g_now = g_next;
+    l->t = clamped ? t_end : t_next;
+    l->step_index++;
+    return MORE;
+}
+
+/* Whether a program reads t. */
+static int reads_t(const program *p)
+{
+    const int *pc;
+    for (pc = p->code; *pc != OP_END; pc += 2)
+        if (*pc == OP_T)
+            return 1;
+    return 0;
+}
+
 /* The passes of the loop, each in the copy that its state calls for: the
- * choice is made once per pass, so neither copy tests it per op. */
+ * choice is made once per pass, so no copy tests it per op. */
 static HOT int run(run_args *a, double *st)
 {
     const int n = a->n;
-    double p[n], m[n], ya[n], yb[n], yc[n], sq[n];
-    loop l = {0.0, 0.0, 0, 0, p, m, ya, yb, yc, sq};
+    double p[n], m[n], ya[n], yb[n], yc[n], sq[n], xs[n];
+    loop l = {0.0, 0.0, 0, 0, !reads_t(&a->f) && !reads_t(&a->g), p, m, ya, yb, yc, sq, xs};
     int status;
 
     /* From the state +0.0 a stage sums only zeros, so the gain sum is +0.0
@@ -663,9 +900,19 @@ static HOT int run(run_args *a, double *st)
     a->x_max = 0.0;
     if (eval(&a->g, st, a->x, 0.0, l.t, 0, &l.g_now))
         return FAULT;
-    do
-        status = tiny(n, a->x) ? pass(a, st, &l, 1) : pass(a, st, &l, 0);
-    while (status == MORE);
+    do {
+        switch (kind(n, a->x)) {
+        case PLAIN:
+            status = pass(a, st, &l, 0);
+            break;
+        case GRID:
+            if ((status = grid(a, st, &l)) != REDO)
+                break;
+            /* fall through */
+        default:
+            status = pass(a, st, &l, 1);
+        }
+    } while (status == MORE);
     a->steps = l.step_index;
     return status;
 }

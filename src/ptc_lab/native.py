@@ -167,6 +167,7 @@ SIGNATURES = {
         ],
     ),
     "ptc_exact": (ctypes.c_double, [ctypes.c_int, ctypes.c_double, ctypes.c_double]),
+    "ptc_grid": (ctypes.c_int, [ctypes.c_int, ctypes.c_double, ctypes.c_double, _DOUBLE_P]),
     "ptc_format_rows": (
         ctypes.c_long,
         [

@@ -6,6 +6,7 @@ compares the two, or a program with the callable it stands for. Without
 gcc there is no compiled loop, and these tests skip.
 """
 
+import ctypes
 import math
 import os
 import random
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,23 @@ def test_a_wrapped_plant_takes_the_python_path(compiled):
     assert native.program_of(_python_path(plant).f) is None
 
 
+def _plant(n, kind, rnd, g_text, envelope):
+    """A builtin plant of order 2 or 4, or an expression plant."""
+    if kind == "builtin" and n in (2, 4):
+        return pl.builtin_plant("example2" if n == 2 else "example3", seed=3)
+    f_text = "0.001*x1*cos(t)"
+    if kind == "grammar":
+        # A random text of the expression grammar, scaled down so that
+        # many runs complete; the rest fault, in both loops alike. The
+        # tight envelope makes the audit refuse some of them.
+        text = _grammar_text(rnd, rnd.randint(0, 5))
+        f_text = f"1e-3*({text.replace('x2', 'x1') if n == 1 else text})"
+    phi, phi0 = envelope
+    return pl.plant_from_expressions(
+        n, f_text, g_text, gamma=1.2, gamma_min=1.0, phi=phi, phi0=phi0
+    )
+
+
 @settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(
@@ -126,25 +145,46 @@ def test_a_wrapped_plant_takes_the_python_path(compiled):
 def test_compiled_loop_matches_python_loop(
     compiled, n, poles, tau, alpha, x0, stride, kind, rnd, g_text, envelope, eps, dt_base
 ):
-    if kind == "builtin" and n in (2, 4):
-        plant = pl.builtin_plant("example2" if n == 2 else "example3", seed=3)
-    else:
-        f_text = "0.001*x1*cos(t)"
-        if kind == "grammar":
-            # A random text of the expression grammar, scaled down so that
-            # many runs complete; the rest fault, in both loops alike. The
-            # tight envelope makes the audit refuse some of them.
-            text = _grammar_text(rnd, rnd.randint(0, 5))
-            f_text = f"1e-3*({text.replace('x2', 'x1') if n == 1 else text})"
-        phi, phi0 = envelope
-        plant = pl.plant_from_expressions(
-            n, f_text, g_text, gamma=1.2, gamma_min=1.0, phi=phi, phi0=phi0
-        )
+    plant = _plant(n, kind, rnd, g_text, envelope)
     design = _stand_in_design(_hurwitz_coefficients(poles[:n]), tau, alpha, 1.0)
     cfg = pl.SimConfig(
         x0=tuple(x0[:n]), dt_base=dt_base, epsilon_fraction=eps,
         shrink_divisor=10.0, record_stride=stride,
     )
+    _assert_same(plant, design, cfg, compiled)
+
+
+_deep = st.one_of(
+    st.floats(-(2.0**-600), 2.0**-600),
+    st.floats(-1e-310, 1e-310),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(1, 4),
+    poles=st.lists(st.floats(-2.0, -0.5), min_size=4, max_size=4),
+    tau=st.floats(1.0, 4.0),
+    alpha=st.floats(0.05, 0.3),
+    x0=st.lists(_deep, min_size=4, max_size=4),
+    stride=st.sampled_from((1, 7)),
+    kind=st.sampled_from(("builtin", "vanishing", "grammar")),
+    rnd=st.randoms(use_true_random=False),
+    g_text=st.sampled_from(GAINS),
+    dt_base=st.floats(0.01, 0.2),
+)
+def test_grid_passes_match_python_loop(
+    compiled, n, poles, tau, alpha, x0, stride, kind, rnd, g_text, dt_base
+):
+    # States below 2^-600 from the start: the C loop runs grid passes, or
+    # hands a step to the exact pass where a value cannot be carried (an f
+    # value of 2^-50 or more, as example2's and many grammar texts').
+    plant = _plant(n, kind, rnd, g_text, (1.0, 1e3))
+    design = _stand_in_design(_hurwitz_coefficients(poles[:n]), tau, alpha, 1.0)
+    cfg = pl.SimConfig(x0=tuple(x0[:n]), dt_base=dt_base, shrink_divisor=10.0,
+                       record_stride=stride)
     _assert_same(plant, design, cfg, compiled)
 
 
@@ -206,6 +246,32 @@ def test_faults_hand_back_to_the_python_loop(phase, fault, compiled):
     with pytest.raises(pl.DivergenceError) as err:
         pl.run(plant, design, cfg)
     assert err.value.trace.states[-1].any() == (phase == "general")
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize(
+    "f_text, g_text",
+    [("abs(t - 5) + (t - 5)", "1"), ("0.001*x1", "cos(t)"), ("0.001*x1", "1")],
+    ids=["f-reads-t", "g-reads-t", "time-free"],
+)
+def test_only_time_free_plants_repeat_rest_steps(f_text, g_text, stride, compiled):
+    # From x0 = 0 all three plants rest. When neither f nor g reads t,
+    # the C loop's rest steps after the first in a pass repeat it; the
+    # other two must not. f is exactly 0 at rest until t = 5 and positive
+    # after it, which ends the rest; g changes sign, and so does the input
+    # 0.0 / g that rest steps record.
+    plant = pl.plant_from_expressions(
+        1, f_text, g_text, gamma=1.2, gamma_min=1.0, phi=0.0, phi0=20.0
+    )
+    design = _stand_in_design(COEFFICIENTS[1], 10.0, 0.05, 1.0)
+    cfg = pl.SimConfig(x0=(0.0,), record_stride=stride)
+    times, states, inputs, _ = _assert_same(plant, design, cfg, compiled)
+    rows = list(zip(*(struct.iter_unpack("=d", b) for b in (times, states, inputs))))
+    moved = [t for (t,), (x,), _ in rows if x != 0.0]
+    assert all(t > 5.0 for t in moved)
+    assert bool(moved) == (f_text != "0.001*x1")
+    signs = {math.copysign(1.0, u) for (t,), _, (u,) in rows if t < 5.0}
+    assert signs == ({1.0, -1.0} if g_text == "cos(t)" else {1.0})
 
 
 def test_envelope_violation_hands_back(compiled):
@@ -407,6 +473,74 @@ def test_exact_ops_match_the_hardware_on_random_patterns():
         _assert_exact_ops(y, x)
 
 
+def _assert_grid_op(divide, a, b):
+    """native.c's grid_op, on a carried, gives the bits of xmul or xdiv
+    wherever a grid pass carries it: a below 2^-50 and the result below
+    2^-74, 2^1000 carried."""
+    lib = native.library()
+    want = lib.ptc_exact(divide, a, b)
+    out = ctypes.c_double()
+    carried = lib.ptc_grid(divide, a, b, ctypes.byref(out)) == 0
+    assert carried == (abs(a) < 2.0**-50 and abs(want) < 2.0**-74), (divide, a, b)
+    if carried:
+        assert hex(_pattern(out.value)) == hex(_pattern(want)), (divide, a, b)
+
+
+# Carried results in [2^47, 2^52) are rounded to 53 bits at a multiple of
+# 2^-5 to 2^-1, so many land on a half-integer, between the two integers
+# the unscaled result rounds to; at 2^52 the subnormal range ends; below 1
+# results round to zero.
+_targets = st.one_of(
+    st.integers(2**48, 2**53 - 1).map(lambda k: k / 2),
+    st.integers(2**53 - 16, 2**53 + 16).map(lambda k: k / 2),
+    st.integers(1, 8).map(lambda k: k / 4),
+)
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(
+    target=_targets,
+    carried=st.one_of(st.just(0), st.integers(1, 2**20), st.integers(1, 2**53)),
+    ulps=st.integers(-2, 2),
+    signs=st.tuples(_signs, _signs),
+    divide=st.sampled_from((0, 1)),
+)
+def test_grid_ops_match_the_exact_ops(target, carried, ulps, signs, divide):
+    # The time-only factor b that takes the carried value to the target,
+    # moved by a few units in its last place, so that the result lies
+    # within a few units of the target's last place, on either side. A
+    # zero carried value makes a signed zero.
+    if carried == 0:
+        b = target
+    else:
+        b = carried / target if divide else target / carried
+    for _ in range(abs(ulps)):
+        b = math.nextafter(b, math.copysign(math.inf, ulps))
+    a = _float(signs[0] | _pattern(math.ldexp(carried, -1074)))
+    _assert_grid_op(divide, a, _float(signs[1] | _pattern(b)))
+
+
+@pytest.mark.parametrize("divide", [0, 1])
+def test_grid_ops_round_half_integers_by_their_residual(divide):
+    # Searched cases where the carried result is a half-integer in
+    # [2^47, 2^52) but the true value is not: the magic add alone would
+    # round half of them the wrong way.
+    rnd = random.Random(23)
+    decided = 0
+    while decided < 200:
+        target = rnd.randrange(2**48, 2**53) / 2
+        carried = rnd.randrange(1, 2**53)
+        b = carried / target if divide else target / carried
+        p = carried / b if divide else carried * b
+        exact = Fraction(carried) / Fraction(b) if divide else Fraction(carried) * Fraction(b)
+        if p % 1 != 0.5 or exact == p:
+            continue
+        decided += 1
+        sign = rnd.choice((1.0, -1.0))
+        _assert_grid_op(divide, math.ldexp(carried, -1074), sign * b)
+        _assert_grid_op(divide, -math.ldexp(carried, -1074), sign * b)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -436,9 +570,14 @@ def test_row_buffer_holds_every_run(
     assert compiled == [True]
 
 
-# A run of about 5 s in C on a 2-core VM: seed 42 never rests, and a
-# tenth of the stiffness cap makes 4.1M steps.
+# A run of about 3 s in C on a 2-core VM: seed 42 never rests, and a
+# tenth of the stiffness cap makes 4.1M steps, nearly all of them grid
+# passes, each of which checks the cancel flag before its step.
+# Python leaves SIGINT ignored when it starts with it ignored, as in a
+# background job of a shell; the child installs its handler either way.
 _LONG_RUN = textwrap.dedent("""
+    import signal
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     import ptc_lab as pl
     from ptc_lab import native
     assert native.library() is not None

@@ -1,4 +1,4 @@
-"""The trace CSV codec and the exact products and quotients of
+"""The trace CSV codec and the exact and grid products and quotients of
 ``native.c`` under AddressSanitizer and UndefinedBehaviorSanitizer.
 
 The writer copies digits in blocks of fixed size, which may reach past a
@@ -11,8 +11,11 @@ allocates for one chunk, and reads texts that end exactly at the end of a
 ``malloc``'d block, with no NUL after them. The exact multiply and divide
 shift 64- and 128-bit integers by amounts that depend on the operands'
 exponents; the driver runs them where those amounts reach the width of
-the integers, and a shift by the width or more ends it too. It needs gcc
-with libasan and skips without them.
+the integers, and a shift by the width or more ends it too. The grid
+passes convert between doubles and 64-bit integers; the driver converts
+at both ends of the integers' range and past them, where a conversion out
+of range, undefined too, ends it as well. It needs gcc with libasan and
+skips without them.
 """
 
 import ctypes
@@ -39,13 +42,16 @@ long ptc_format_rows(int cols, const double *const *data, const long *stride,
                      long first, long count, char *out);
 long ptc_parse_rows(const char *text, long length, int cols, double *out, long capacity);
 double ptc_exact(int divide, double a, double b);
+int ptc_grid(int divide, double a, double b, double *out);
 
 /* "w SIZE ROWS COLS V W": format ROWS rows of COLS cells, all V but the
  * last, W, into a malloc'd buffer of SIZE bytes; print the text.
  * "r HEX": parse the bytes HEX spells, the only contents of a malloc'd
  * block, as rows of one cell; print the row count and the values.
  * "x A B": print the bits of the exact product and quotient of the
- * doubles whose bits A and B spell in hex. */
+ * doubles whose bits A and B spell in hex.
+ * "g A B": print the bits of their grid product and quotient, each with
+ * whether a grid pass would not carry it. */
 int main(void)
 {
     char line[4096], kind;
@@ -100,6 +106,17 @@ int main(void)
                 memcpy(&out[divide], &r, sizeof r);
             }
             printf("%016llx %016llx\n", out[0], out[1]);
+        } else if (kind == 'g') {
+            unsigned long long bits[2], out;
+            double operand[2], r;
+            if (sscanf(line + 2, "%llx %llx", &bits[0], &bits[1]) != 2)
+                return 2;
+            memcpy(operand, bits, sizeof operand);
+            for (int divide = 0; divide < 2; divide++) {
+                int bad = ptc_grid(divide, operand[0], operand[1], &r);
+                memcpy(&out, &r, sizeof r);
+                printf("%016llx %d%c", out, bad, divide ? '\n' : ' ');
+            }
         } else {
             return 2;
         }
@@ -132,7 +149,9 @@ def driver(tmp_path_factory):
     binary = tmp / "driver"
     subprocess.run(
         [
-            GCC, "-g", "-O1", "-ffp-contract=off", "-fsanitize=address,undefined",
+            GCC, "-g", "-O1", "-ffp-contract=off",
+            # -fsanitize=undefined leaves out float-to-integer conversions.
+            "-fsanitize=address,undefined,float-cast-overflow",
             "-fno-sanitize-recover", "-o", str(binary), str(source),
             str(Path(native.__file__).with_name("native.c")), "-lm",
         ],
@@ -261,3 +280,26 @@ def test_exact_ops_shift_within_their_integers(driver):
         assert product == _bits(x * y), (x, y)
         if y != 0.0:
             assert quotient == _bits(x / y), (x, y)
+
+
+def test_grid_conversions_stay_in_range(driver):
+    # Carried values from 0 and one unit, 2^-1074, through the last
+    # subnormal, 2^52 - 1 units, and the first normal, 2^52 units, up to
+    # CEILING, 2^1000 units, and past it; times and over factors that
+    # keep them, round them to zero, and take them past CEILING.
+    units = [0, 1, 2, 3, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53]
+    values = [math.ldexp(k, -1074) for k in units]
+    values += [math.ldexp(1.0, k) for k in (-75, -74, -51, -50, 0)]
+    values += [math.nextafter(math.ldexp(1.0, -74), 0.0), 5e-324 * 3, math.inf, math.nan]
+    values += [-v for v in values]
+    factors = [1.0, -1.0, 0.5, 0.25, 3.0, 2.0**-60, 2.0**60, 2.0**1000, 0.0, -0.0, 5e-324,
+               math.inf, math.nan]
+    pairs = [(a, b) for a in values for b in factors]
+    out = _run(driver, [f"g {_bits(a):x} {_bits(b):x}" for a, b in pairs]).decode().split("\n")
+    for (a, b), line in zip(pairs, out):
+        words = line.split()
+        for divide, want in ((0, a * b), (1, a / b if b != 0.0 else math.nan)):
+            got, bad = int(words[2 * divide], 16), words[2 * divide + 1] == "1"
+            assert bad == (not (abs(a) < 2.0**-50 and abs(want) < 2.0**-74)), (a, b, divide)
+            if not bad:
+                assert got == _bits(want), (a, b, divide)

@@ -3,18 +3,15 @@
  * ptc_run repeats the Python loop of sim.run operation for operation: the
  * same IEEE double operations on the same operands in the same order, so
  * that every value it records is bitwise the value the Python loop
- * records. It departs from the letter of that loop in five places, none
+ * records. It departs from the letter of that loop in four places, none
  * of which changes a bit:
  * - the rest step below skips work whose result it can prove;
  * - when neither f nor g reads t, the rest steps that follow a rest step
  *   in one pass repeat it bit for bit, and only advance the clock;
- * - a step whose state has a nonzero component below TINY computes its
- *   products and quotients with xmul and xdiv, in integers, which give
- *   the hardware's bits without its slow path for subnormals;
- * - such a step whose components are all below DEEP runs on the grid of
- *   2^-1074 instead: its values times 2^1074, in hardware doubles, with
- *   each product and quotient rounded once more where the unscaled one
- *   is subnormal;
+ * - when f is linear in x and u, a step whose state has every component
+ *   below DEEP, and one nonzero, runs on the grid of 2^-1074: its values
+ *   times 2^1074, in hardware doubles, with each product and quotient
+ *   rounded once more where the unscaled one is subnormal;
  * - every doubling, 2.0 * s, is written s + s, which is exact and so
  *   gives the same bits, in every kind of step.
  * The plant's f and g arrive as postfix
@@ -66,6 +63,10 @@ enum {
     OP_END
 };
 
+/* The products and quotients of f's grid copy (see linear), which no
+ * program from ptc_lab.native holds. */
+enum { OP_GMUL = OP_END + 1, OP_GDIV };
+
 /* CANCELLED: the caller set run_args.cancel, and raises KeyboardInterrupt
  * instead of handing the run to the Python loop. */
 enum { OK = 0, FAULT = 1, FULL = 2, CANCELLED = 3 };
@@ -102,7 +103,7 @@ typedef unsigned __int128 u128;
 #define HOT __attribute__((aligned(64)))
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
-/* ---- Exact products and quotients ----------------------------------------
+/* ---- The grid of 2^-1074 ---------------------------------------------------
  *
  * A multiply or divide that reads or makes a subnormal takes a microcode
  * assist on x86-64 cores: about 55 ns for a multiply and 60 ns for a
@@ -110,16 +111,24 @@ typedef unsigned __int128 u128;
  * more. 11 of the 40 example3 disturbance seeds in 0-127 whose plants
  * keep their envelope leave the state subnormal, never exactly zero, for
  * most of the run, and would spend most of their time in those assists.
- * xmul and xdiv give the hardware's bits without one: they multiply or
- * divide the integer significands in 128 bits and round to nearest, ties
- * to even, into the normal range, into the subnormal range or to
- * infinity. A zero operand gives a zero of the result's sign at once;
- * infinities and NaNs go to the hardware op. This is not flush-to-zero:
- * every result is the IEEE one. */
+ * A grid pass (below) computes such a step in hardware doubles without
+ * them: every value that depends on the state is carried times 2^1074,
+ * which makes each double, subnormals included, an integer-valued normal
+ * double. A sum of two carried values is the carried sum: both round to
+ * 53 bits at the same place, or, below 2^-1021, are exact. Every product
+ * and quotient in the step has one time-only factor, and grid_op computes
+ * it as one hardware op, which rounds to 53 bits. Where that is below
+ * 2^52, the unscaled result is subnormal and rounds to an integer
+ * instead: grid_op rounds once more, to the nearest integer, ties to
+ * even, which gives the same integer unless the first rounding made a
+ * tie. At a half-integer, the exact residual from fma says on which side
+ * of it the true value lies (Muller et al., Handbook of Floating-Point
+ * Arithmetic, 2nd ed., 2018). */
 
 #define SIGN (1ULL << 63)
 #define HIDDEN (1ULL << 52)
-#define INF_BITS (0x7ffULL << 52)
+#define CEILING 0x1p1000
+#define SHIFT (1074ULL << 52) /* 2^1074 in the exponent field */
 
 static uint64_t bits_of(double v)
 {
@@ -135,106 +144,47 @@ static double of_bits(uint64_t bits)
     return v;
 }
 
-/* The hardware ops, for infinities and NaNs. Out of line, so that gcc
- * cannot compute them ahead of the test that picks them, which would
- * take the assist xmul and xdiv exist to avoid. */
-static __attribute__((noinline, cold)) double hw_mul(double a, double b)
+/* v * 2^1074, for |v| < 2^-50: a subnormal's bits are its integer. */
+ALWAYS_INLINE double to_grid(double v)
 {
-    return a * b;
+    uint64_t b = bits_of(v), m = b & ~SIGN;
+    if (m < HIDDEN)
+        return of_bits(bits_of((double)(int64_t)m) | (b & SIGN));
+    return of_bits(b + SHIFT);
 }
 
-static __attribute__((noinline, cold)) double hw_div(double a, double b)
+/* k * 2^-1074, for an integer-valued k. */
+ALWAYS_INLINE double from_grid(double k)
 {
-    return a / b;
+    uint64_t b = bits_of(k);
+    double m = fabs(k);
+    if (m < 0x1p52)
+        return of_bits((uint64_t)(int64_t)m | (b & SIGN));
+    return of_bits(b - SHIFT);
 }
 
-/* The significand of a finite nonzero double, in [2^52, 2^53), and its
- * exponent e: v = +-m * 2^(e - 1075). Subnormals are shifted up. */
-ALWAYS_INLINE uint64_t unpack(uint64_t bits, int *e)
+/* a * b (divide = 0) or a / b (divide = 1) for a carried a and a
+ * time-only b, carried; sets *bad where the result is not below CEILING.
+ * A product may have its factors either way round: p, the residual and
+ * so the result are the same. */
+ALWAYS_INLINE double grid_op(int divide, double a, double b, int *bad)
 {
-    uint64_t m = bits & (HIDDEN - 1);
-    int k;
-    *e = (int)(bits >> 52) & 0x7ff;
-    if (*e)
-        return m | HIDDEN;
-    k = __builtin_clzll(m) - 11;
-    *e = 1 - k;
-    return m << k;
-}
-
-/* sign | the bits of the double nearest m * 2^(e - 1085), ties to even;
- * 2^62 <= m < 2^63. m's low 10 bits are rounded off, or more where the
- * result is subnormal. Where the exact value has bits below m's last, one
- * of m's low 9 bits must be set (a sticky bit), so that the value cannot
- * pass for a tie. */
-ALWAYS_INLINE uint64_t round_bits(uint64_t sign, uint64_t m, int e)
-{
-    uint64_t low;
-    int shift;
-
-    if (e >= 0x7ff)
-        return sign | INF_BITS;
-    if (e < 1) {
-        /* Subnormal: shift the last bit to 2^-1074, keeping what falls
-         * off as a sticky bit. */
-        shift = 1 - e;
-        m = shift < 63 ? m >> shift | (m << (64 - shift) != 0) : m != 0;
-        e = 1;
+    double p = divide ? a / b : a * b, m = fabs(p), k, r;
+    if (!(m < 0x1p52)) {
+        *bad |= !(m < CEILING);
+        return p;
     }
-    low = m & 0x3ff;
-    m = (m + 0x200) >> 10;
-    m &= ~(uint64_t)(low == 0x200 ? 1 : 0); /* a tie goes to the even neighbour */
-    /* m < 2^52 is a subnormal's significand, with field 0; m >= 2^52
-     * adds 1 to e - 1 through its leading bit, and a round up to 2^53
-     * adds 2, up to the bits of infinity. */
-    return sign | (((uint64_t)(e - 1) << 52) + m);
-}
-
-/* a * b, with the hardware's bits. */
-static HOT double xmul(double a, double b)
-{
-    uint64_t x = bits_of(a), y = bits_of(b), sign = (x ^ y) & SIGN, m;
-    int ex, ey;
-    u128 product;
-
-    if ((x & INF_BITS) == INF_BITS || (y & INF_BITS) == INF_BITS)
-        return hw_mul(a, b);
-    if (!(x & ~SIGN) || !(y & ~SIGN))
-        return of_bits(sign);
-    /* [2^52, 2^53) squared, shifted to [2^125, 2^127): its top 64 bits,
-     * with the rest as a sticky bit, in [2^61, 2^63). */
-    product = (u128)(unpack(x, &ex) << 10) * (unpack(y, &ey) << 11);
-    m = (uint64_t)(product >> 64) | ((uint64_t)product != 0);
-    ex += ey - 1022;
-    if (m < 1ULL << 62) {
-        m <<= 1;
-        ex--;
+    k = (m + 0x1p52) - 0x1p52; /* the nearest integer, ties to even */
+    if (fabs(k - m) == 0.5) {
+        /* r has the sign of the true value minus p: a - p*b is that
+         * times b. */
+        r = divide ? fma(-p, b, a) : fma(a, b, -p);
+        if (divide && b < 0.0)
+            r = -r;
+        if (r != 0.0)
+            k = (r > 0.0) == (p > 0.0) ? m + 0.5 : m - 0.5;
     }
-    return of_bits(round_bits(sign, m, ex));
-}
-
-/* a / b, with the hardware's bits. */
-static HOT double xdiv(double a, double b)
-{
-    uint64_t x = bits_of(a), y = bits_of(b), sign = (x ^ y) & SIGN, mx, my, q;
-    int ex, ey;
-    u128 num;
-
-    if ((x & INF_BITS) == INF_BITS || (y & INF_BITS) == INF_BITS || !(y & ~SIGN))
-        return hw_div(a, b);
-    if (!(x & ~SIGN))
-        return of_bits(sign);
-    mx = unpack(x, &ex);
-    my = unpack(y, &ey);
-    ex += 1023 - ey;
-    if (mx < my) {
-        mx <<= 1;
-        ex--;
-    }
-    /* mx / my in [1, 2), times 2^62, with the remainder as a sticky bit. */
-    num = (u128)mx << 62;
-    q = (uint64_t)(num / my);
-    return of_bits(round_bits(sign, q | (num != (u128)q * my), ex));
+    return copysign(k, p);
 }
 
 /* CPython's math.fsum (Shewchuk's partials with half-even correction),
@@ -325,26 +275,20 @@ static int math_1(double (*fn)(double), double *v)
 /* The stack machine: direct threading (GCC's labels as values), with the
  * top of the stack kept in tos. Binary ops take the value below tos as
  * their left operand, as Python evaluates left to right. st holds
- * p->depth + 1 values: st[0] takes the empty stack's tos. With exact set,
- * the machine runs from a second table, whose products and quotients go
- * through xmul and xdiv. */
+ * p->depth + 1 values: st[0] takes the empty stack's tos. The grid ops
+ * occur only in f's grid copy, and fault where grid_op sets bad. */
 static HOT int eval(const program *p, double *st, const double *x, double u, double t,
-                    int exact, double *out)
+                    double *out)
 {
     static const void *const labels[] = {
         &&op_const, &&op_x, &&op_u, &&op_t, &&op_add, &&op_sub, &&op_mul,
         &&op_div, &&op_neg, &&op_sin, &&op_cos, &&op_exp, &&op_abs, &&op_fsum,
-        &&op_end};
-    static const void *const exact_labels[] = {
-        &&op_const, &&op_x, &&op_u, &&op_t, &&op_add, &&op_sub, &&op_xmul,
-        &&op_xdiv, &&op_neg, &&op_sin, &&op_cos, &&op_exp, &&op_abs, &&op_fsum,
-        &&op_end};
-    const void *const *ops = exact ? exact_labels : labels;
+        &&op_end, &&op_gmul, &&op_gdiv};
     double tos = 0.0;
     const int *pc = p->code;
-    int sp = 0, arg;
+    int sp = 0, arg, bad = 0;
 
-#define NEXT() do { arg = pc[1]; pc += 2; goto *ops[pc[-2]]; } while (0)
+#define NEXT() do { arg = pc[1]; pc += 2; goto *labels[pc[-2]]; } while (0)
     NEXT();
 op_const: st[sp++] = tos; tos = p->consts[arg]; NEXT();
 op_x: st[sp++] = tos; tos = x[arg]; NEXT();
@@ -353,16 +297,10 @@ op_t: st[sp++] = tos; tos = t; NEXT();
 op_add: tos = st[--sp] + tos; NEXT();
 op_sub: tos = st[--sp] - tos; NEXT();
 op_mul: tos = st[--sp] * tos; NEXT();
-op_xmul: tos = xmul(st[--sp], tos); NEXT();
 op_div:
     if (tos == 0.0)
         return FAULT; /* ZeroDivisionError */
     tos = st[--sp] / tos;
-    NEXT();
-op_xdiv:
-    if (tos == 0.0)
-        return FAULT;
-    tos = xdiv(st[--sp], tos);
     NEXT();
 op_neg: tos = -tos; NEXT();
 op_sin: if (math_1(sin, &tos)) return FAULT; NEXT();
@@ -381,38 +319,153 @@ op_fsum:
 op_end:
     *out = tos;
     return OK;
+op_gmul:
+    tos = grid_op(0, st[--sp], tos, &bad);
+    if (bad)
+        return FAULT;
+    NEXT();
+op_gdiv:
+    tos = grid_op(1, st[--sp], tos, &bad);
+    if (bad)
+        return FAULT;
+    NEXT();
 #undef NEXT
 }
 
-/* One evaluation of a program on its own, for tests; exact selects the
- * machine's table. */
-int ptc_eval(const program *p, const double *x, double u, double t, int exact, double *out)
+/* The ints of a program's code, OP_END's pair included. */
+static size_t length(const program *p)
+{
+    const int *pc = p->code;
+    while (*pc != OP_END)
+        pc += 2;
+    return (size_t)(pc - p->code) + 2;
+}
+
+/* Whether f's program p is linear in x and u, so that a grid pass can run
+ * it on carried values; if so, code (length(p) ints) holds its grid copy,
+ * and *carried says whether its value is carried.
+ *
+ * A value is carried when it depends on x or u, and time-only when it
+ * depends on t and the constants alone; flags (p->depth of them) marks
+ * each value on the stack. The copy keeps every op but the products and
+ * quotients of a carried value by a time-only one, which become OP_GMUL
+ * and OP_GDIV. Each op of the copy gives the bits of the op it stands for,
+ * carried where that op's value is carried:
+ * - a time-only op is that op, on the same operands;
+ * - OP_GMUL and OP_GDIV are grid_op, above; a result that is not below
+ *   CEILING, as a zero divisor makes, sets bad, and the op faults;
+ * - a sum or difference of two carried values is their carried sum, above;
+ *   a negation or absolute value changes only the sign bit, at any scale;
+ * - fsum of carried values is made of sums, differences, comparisons and
+ *   one doubling, lo + lo, each of which scales as the sums do while no
+ *   value overflows; an overflow makes it fault, or leaves an infinity or
+ *   a NaN in its value.
+ * A value that is not finite stays so through every op of the copy, or
+ * makes a grid op fault, so a finite carried value of f is the carried
+ * value of f itself. Any other op does not scale: a product of two
+ * carried values, a quotient by one, sin, cos or exp of one, or a sum of
+ * a carried and a time-only value. Such a program is not linear. */
+static int linear(const program *p, int *code, char *flags, int *carried)
+{
+    const int *pc;
+    int sp = 0, a, b, i;
+
+    for (pc = p->code;; pc += 2, code += 2) {
+        code[0] = pc[0];
+        code[1] = pc[1];
+        switch (pc[0]) {
+        case OP_CONST:
+        case OP_T:
+            flags[sp++] = 0;
+            break;
+        case OP_X:
+        case OP_U:
+            flags[sp++] = 1;
+            break;
+        case OP_ADD:
+        case OP_SUB:
+            sp--;
+            if (flags[sp] != flags[sp - 1])
+                return 0;
+            break;
+        case OP_MUL:
+        case OP_DIV:
+            b = flags[--sp];
+            a = flags[sp - 1];
+            if (b && (a || pc[0] == OP_DIV))
+                return 0;
+            if (a || b)
+                code[0] = pc[0] == OP_MUL ? OP_GMUL : OP_GDIV;
+            flags[sp - 1] = a || b;
+            break;
+        case OP_SIN:
+        case OP_COS:
+        case OP_EXP:
+            if (flags[sp - 1])
+                return 0;
+            break;
+        case OP_FSUM: /* the sum of no values is a time-only 0.0 */
+            sp -= pc[1];
+            a = pc[1] ? flags[sp] : 0;
+            for (i = 1; i < pc[1]; i++)
+                if (flags[sp + i] != a)
+                    return 0;
+            flags[sp++] = (char)a;
+            break;
+        case OP_END:
+            *carried = flags[0];
+            return 1;
+        }
+    }
+}
+
+/* f's grid copy fg at the carried x and u: its value *fv, carried. FAULT
+ * where f faults, or its value cannot be carried: a carried value that is
+ * not finite, or a time-only one that is not below 2^-50. */
+ALWAYS_INLINE int grid_eval(const program *fg, int carried, double *st, const double *x,
+                            double u, double t, double *fv)
+{
+    if (eval(fg, st, x, u, t, fv))
+        return FAULT;
+    if (carried)
+        return isfinite(*fv) ? OK : FAULT;
+    if (!(fabs(*fv) < 0x1p-50))
+        return FAULT;
+    *fv = to_grid(*fv);
+    return OK;
+}
+
+/* One evaluation of a program of n states on its own, for tests. With
+ * grid set, it runs as f runs in a grid pass: x and u are carried in, the
+ * program's grid copy runs, and its value is brought back. FAULT where
+ * the program is not linear, or x or u is not below 2^-50, or a grid pass
+ * would not carry the value. */
+int ptc_eval(const program *p, int n, const double *x, double u, double t, int grid,
+             double *out)
 {
     double *st = malloc(((size_t)p->depth + 1) * sizeof *st);
-    int status = st ? eval(p, st, x, u, t, exact, out) : FAULT;
+    double *xs = malloc(((size_t)n + 1) * sizeof *xs);
+    int *code = malloc(length(p) * sizeof *code);
+    char *flags = malloc((size_t)p->depth);
+    const program fg = {code, p->consts, p->depth};
+    int i, carried, status = !st || !xs || !code || !flags;
+
+    if (!status && !grid) {
+        status = eval(p, st, x, u, t, out);
+    } else if (!status) {
+        status = !linear(p, code, flags, &carried) || !(fabs(u) < 0x1p-50);
+        for (i = 0; i < n; i++) {
+            status |= !(fabs(x[i]) < 0x1p-50);
+            xs[i] = to_grid(x[i]);
+        }
+        if (!status && !(status = grid_eval(&fg, carried, st, xs, to_grid(u), t, out)))
+            *out = from_grid(*out);
+    }
+    free(flags);
+    free(code);
+    free(xs);
     free(st);
-    return status;
-}
-
-/* xmul (divide = 0) or xdiv (divide = 1) on its own, for tests. */
-double ptc_exact(int divide, double a, double b)
-{
-    return divide ? xdiv(a, b) : xmul(a, b);
-}
-
-/* A step runs in one of two copies of the same source (see run), told
- * apart by exact, a constant in each: where it is 1, every product and
- * quotient of values that depend on the state goes through xmul and
- * xdiv. Products of times and plant constants alone (the powers of
- * tau - s, gamma * g, h / 6) stay hardware ops in both. */
-ALWAYS_INLINE double mul(int exact, double a, double b)
-{
-    return exact ? xmul(a, b) : a * b;
-}
-
-ALWAYS_INLINE double quo(int exact, double a, double b)
-{
-    return exact ? xdiv(a, b) : a / b;
+    return status ? FAULT : OK;
 }
 
 /* p[i] = (tau - s)**(n - i), each power the one above it times d. */
@@ -427,30 +480,30 @@ static void powers(int n, double tau, double s, double *p)
 
 /* u = (0.0 + q[n-1]*y[n-1]/p[n-1] + ... + q[0]*y[0]/p[0]) / den */
 ALWAYS_INLINE int control(int n, const double *q, const double *y, const double *p,
-                          double den, int exact, double *u)
+                          double den, double *u)
 {
     double acc = 0.0;
     int i;
     for (i = n - 1; i >= 0; i--) {
         if (p[i] == 0.0)
             return FAULT;
-        acc = acc + quo(exact, mul(exact, q[i], y[i]), p[i]);
+        acc = acc + q[i] * y[i] / p[i];
     }
     if (den == 0.0)
         return FAULT;
-    *u = quo(exact, acc, den);
+    *u = acc / den;
     return OK;
 }
 
 /* One RK4 stage past the first: the derivative's last component at the
  * stage state y, whose other components are y's next entries. */
 ALWAYS_INLINE int stage(const run_args *a, double *st, const double *y, const double *p,
-                        double s, double den, double gain, int exact, double *k)
+                        double s, double den, double gain, double *k)
 {
     double u, fv;
-    if (control(a->n, a->q, y, p, den, exact, &u) || eval(&a->f, st, y, u, s, exact, &fv))
+    if (control(a->n, a->q, y, p, den, &u) || eval(&a->f, st, y, u, s, &fv))
         return FAULT;
-    *k = fv + mul(exact, gain, u);
+    *k = fv + gain * u;
     return OK;
 }
 
@@ -465,46 +518,38 @@ static HOT int record(run_args *a, double t, const double *x, double u)
     return OK;
 }
 
-/* A step whose state has a nonzero component below TINY runs exact, on
- * the grid (below) when every component is below DEEP as well.
- * Either way the bits are the same: the bound decides only which ops
- * compute them, and it sits far from both ends. From components at or
- * above 2^-400, the audit's squares stay above 2^-800, and the step's
- * other products and quotients, the state times gains, powers of
- * tau - s and step sizes, reach the subnormal range only through factors
- * whose product is below 2^-622, which no run's gains and steps come
- * near; such steps keep the hardware ops. And a component that decays
- * towards the subnormal range crosses 2^-400 hundreds of steps before it
- * gets there (example3: step 301, and step 771). */
-#define TINY 0x1p-400
+/* A state whose components are all below DEEP, one of them nonzero, takes
+ * a grid pass when f is linear; every other state, and every step a grid
+ * pass leaves, takes the plain pass. The bits are the same either way:
+ * the bound decides only which ops compute them. */
 #define DEEP 0x1p-600
 
-/* The passes a state calls for: plain, exact (a nonzero component below
- * TINY), or on the grid (and every component below DEEP). */
-enum { PLAIN, EXACT, GRID };
-
-static int kind(int n, const double *x)
+static int deep(int n, const double *x)
 {
-    int i, tiny = 0, deep = 1;
+    int i, nonzero = 0;
     for (i = 0; i < n; i++) {
-        tiny |= x[i] != 0.0 && fabs(x[i]) < TINY;
-        deep &= fabs(x[i]) < DEEP;
+        if (!(fabs(x[i]) < DEEP))
+            return 0;
+        nonzero |= x[i] != 0.0;
     }
-    return tiny ? (deep ? GRID : EXACT) : PLAIN;
+    return nonzero;
 }
 
 /* What one pass of run's loop hands the next: the time and g at it, the
- * steps so far, whether f and g are free of t, and the loop's scratch
- * space, n values per array. */
+ * steps so far, whether f and g are free of t, the loop's scratch space,
+ * n values per array, and f's grid copy fg, where f is linear, with
+ * whether its value is carried. */
 typedef struct {
     double t, g_now;
     long step_index;
     int can_rest, time_free;
     double *p, *m, *ya, *yb, *yc, *sq, *xs;
+    program fg;
+    int linear, carried;
 } loop;
 
 /* MORE: a pass has taken its step; the next pass starts from it. REDO: a
- * grid pass leaves its step to the exact pass. */
+ * grid pass leaves its step to the plain pass. */
 enum { MORE = -1, REDO = -2 };
 
 /* Whether a step from the state +0.0 is a rest step (see pass): OK with
@@ -516,14 +561,14 @@ ALWAYS_INLINE int rest_step(const run_args *a, double *st, const double *x, doub
     if (a->gamma_min * g_mid == 0.0)
         return FAULT;
     *u = 0.0 / (a->gamma_min * g_mid);
-    if (eval(&a->f, st, x, *u, t_mid, 0, &fv))
+    if (eval(&a->f, st, x, *u, t_mid, &fv))
         return FAULT;
     if (fv + a->gamma * g_mid * *u != 0.0)
         return MORE;
     if (a->gamma_min * g_next == 0.0)
         return FAULT;
     *u = 0.0 / (a->gamma_min * g_next);
-    if (eval(&a->f, st, x, *u, t_next, 0, &fv))
+    if (eval(&a->f, st, x, *u, t_next, &fv))
         return FAULT;
     *k = fv + a->gamma * g_next * *u;
     return *k == 0.0 ? OK : MORE;
@@ -576,7 +621,7 @@ ALWAYS_INLINE int step_size(const run_args *a, double t, double *h)
 /* One pass: the first stage at the step start, its checks and its
  * record, then rest steps, if any, and one general step. OK once it has
  * recorded the last sample at t_end. */
-ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
+ALWAYS_INLINE int pass(run_args *a, double *st, loop *l)
 {
     const int n = a->n, top = n - 1;
     const double tau = a->tau, t_end = a->t_end, stop = a->stop;
@@ -589,26 +634,24 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
     last = !(t < stop);
     if (last) {
         t = t_end;
-        if (eval(&a->g, st, x, 0.0, t, 0, &l->g_now))
+        if (eval(&a->g, st, x, 0.0, t, &l->g_now))
             return FAULT;
     }
     /* The first stage. */
     powers(n, tau, t, p);
-    if (control(n, a->q, x, p, gamma_min * l->g_now, exact, &u1) ||
-        eval(&a->f, st, x, u1, t, exact, &f1))
+    if (control(n, a->q, x, p, gamma_min * l->g_now, &u1) || eval(&a->f, st, x, u1, t, &f1))
         return FAULT;
-    k1 = f1 + mul(exact, gamma * l->g_now, u1);
+    k1 = f1 + gamma * l->g_now * u1;
     /* plant.check_assumption's limit; a state that fails the divergence
      * bound faults either way. */
     for (i = 0; i < n; i++)
-        l->sq[i] = mul(exact, x[i], x[i]);
+        l->sq[i] = x[i] * x[i];
     if (fsum(l->sq, n, &norm))
         return FAULT;
-    status = checks(a, l, t, u1, f1, mul(exact, a->phi, sqrt(norm)) + a->phi0 + a->slack, last);
+    status = checks(a, l, t, u1, f1, a->phi * sqrt(norm) + a->phi0 + a->slack, last);
     if (status || last)
         return status;
-    /* An exact pass never rests: its state has a nonzero component. */
-    resting = !exact && k1 == 0.0 && l->can_rest;
+    resting = k1 == 0.0 && l->can_rest;
     /* Every component +0.0; a -0.0 keeps the step general. */
     for (i = 0; i < n && resting; i++)
         resting = x[i] == 0.0 && !signbit(x[i]);
@@ -622,8 +665,8 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
         half = 0.5 * h;
         t_mid = t + half;
         t_next = t + h;
-        if (!again && (eval(&a->g, st, x, 0.0, t_mid, 0, &g_mid) ||
-                       eval(&a->g, st, x, 0.0, t_next, 0, &g_next)))
+        if (!again && (eval(&a->g, st, x, 0.0, t_mid, &g_mid) ||
+                       eval(&a->g, st, x, 0.0, t_next, &g_next)))
             return FAULT;
         /* A rest step. From rest all four stage states are x itself,
          * +0.0, so stages 2 and 3 are the same call, and stage 4's
@@ -662,27 +705,27 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
         /* The general step: stages 2 to 4 and the update. */
         powers(n, tau, t_mid, m);
         for (i = 0; i < n; i++)
-            ya[i] = x[i] + mul(exact, half, i < top ? x[i + 1] : k1);
-        if (stage(a, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, exact, &k2))
+            ya[i] = x[i] + half * (i < top ? x[i + 1] : k1);
+        if (stage(a, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k2))
             return FAULT;
         for (i = 0; i < n; i++)
-            yb[i] = x[i] + mul(exact, half, i < top ? ya[i + 1] : k2);
-        if (stage(a, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, exact, &k3))
+            yb[i] = x[i] + half * (i < top ? ya[i + 1] : k2);
+        if (stage(a, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k3))
             return FAULT;
         powers(n, tau, t_next, p);
         for (i = 0; i < n; i++)
-            yc[i] = x[i] + mul(exact, h, i < top ? yb[i + 1] : k3);
-        if (stage(a, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, exact, &k4))
+            yc[i] = x[i] + h * (i < top ? yb[i + 1] : k3);
+        if (stage(a, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, &k4))
             return FAULT;
         sixth = h / 6.0;
         /* In place: x[i] reads x[i + 1] before the next pass writes it.
          * s + s is 2.0 * s. */
         for (i = 0; i < top; i++) {
             s = ya[i + 1] + yb[i + 1];
-            x[i] = x[i] + mul(exact, sixth, x[i + 1] + (s + s) + yc[i + 1]);
+            x[i] = x[i] + sixth * (x[i + 1] + (s + s) + yc[i + 1]);
         }
         s = k2 + k3;
-        x[top] = x[top] + mul(exact, sixth, k1 + (s + s) + k4);
+        x[top] = x[top] + sixth * (k1 + (s + s) + k4);
         l->g_now = g_next;
         t = clamped ? t_end : t_next;
         l->step_index++;
@@ -694,85 +737,17 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, int exact)
 
 /* ---- Grid passes ----------------------------------------------------------
  *
- * Once every component of the state is below DEEP, an exact pass spends
- * its time in xmul and xdiv. A grid pass computes the same step in
- * hardware doubles instead: every value that depends on the state is
- * carried times 2^1074, which makes each double, subnormals included, an
- * integer-valued normal double. A sum of two carried values is the
- * carried sum: both round to 53 bits at the same place, or, below 2^-1021,
- * are exact. Every product and quotient in the step has one time-only
- * factor (see mul), and grid_op computes it as one hardware op, which
- * rounds to 53 bits. Where that is below 2^52, the unscaled result is
- * subnormal and rounds to an integer instead: grid_op rounds once more,
- * to the nearest integer, ties to even, which gives the same integer
- * unless the first rounding made a tie. At a half-integer, the exact
- * residual from fma says on which side of it the true value lies (Muller
- * et al., Handbook of Floating-Point Arithmetic, 2nd ed., 2018). f's
- * program still runs on the values themselves, with the exact table.
- *
- * Below DEEP (2^-600) the state stays below 2^474 carried, and the
- * audit's squares are below 2^-1200, which rounds to +0.0: its limit is
+ * A grid pass computes pass's step on the grid of 2^-1074 (above): the
+ * gain law, the stage states, f, by its grid copy, and the update. Below
+ * DEEP (2^-600) the state stays below 2^474 carried, and the audit's
+ * squares are below 2^-1200, which rounds to +0.0: its limit is
  * phi * 0.0 + phi0 + slack. The pass carries its step only where every
- * product and quotient stays below CEILING and every f value below 2^-50,
- * so that every carried value is finite; otherwise, at the last sample,
- * and wherever f, g or a divisor could fault, it leaves the step to the
- * exact pass, which is why it has no side effects before its step is
- * computed. The first stage's checks come after the step, on the values
- * the exact pass would check before it. */
-
-#define CEILING 0x1p1000
-#define SHIFT (1074ULL << 52) /* 2^1074 in the exponent field */
-
-/* v * 2^1074, for |v| < 2^-50: a subnormal's bits are its integer. */
-ALWAYS_INLINE double to_grid(double v)
-{
-    uint64_t b = bits_of(v), m = b & ~SIGN;
-    if (m < HIDDEN)
-        return of_bits(bits_of((double)(int64_t)m) | (b & SIGN));
-    return of_bits(b + SHIFT);
-}
-
-/* k * 2^-1074, for an integer-valued k. */
-ALWAYS_INLINE double from_grid(double k)
-{
-    uint64_t b = bits_of(k);
-    double m = fabs(k);
-    if (m < 0x1p52)
-        return of_bits((uint64_t)(int64_t)m | (b & SIGN));
-    return of_bits(b - SHIFT);
-}
-
-/* a * b (divide = 0) or a / b (divide = 1) for a carried a and a
- * time-only b, carried; sets *bad where the result is not below CEILING. */
-ALWAYS_INLINE double grid_op(int divide, double a, double b, int *bad)
-{
-    double p = divide ? a / b : a * b, m = fabs(p), k, r;
-    if (!(m < 0x1p52)) {
-        *bad |= !(m < CEILING);
-        return p;
-    }
-    k = (m + 0x1p52) - 0x1p52; /* the nearest integer, ties to even */
-    if (fabs(k - m) == 0.5) {
-        /* r has the sign of the true value minus p: a - p*b is that
-         * times b. */
-        r = divide ? fma(-p, b, a) : fma(a, b, -p);
-        if (divide && b < 0.0)
-            r = -r;
-        if (r != 0.0)
-            k = (r > 0.0) == (p > 0.0) ? m + 0.5 : m - 0.5;
-    }
-    return copysign(k, p);
-}
-
-/* One product or quotient on the grid, for tests: a, below 2^-50, is
- * carried, grid_op takes it with b, and *out is the result brought back.
- * Returns 1 where a grid pass would not carry it. */
-int ptc_grid(int divide, double a, double b, double *out)
-{
-    int bad = !(fabs(a) < 0x1p-50);
-    *out = from_grid(grid_op(divide, to_grid(a), b, &bad));
-    return bad;
-}
+ * product and quotient stays below CEILING and every value of f can be
+ * carried, so that every carried value is finite; otherwise, at the last
+ * sample, and wherever f, g or a divisor could fault, it leaves the step
+ * to the plain pass, which is why it has no side effects before its step
+ * is computed. The first stage's checks come after the step, on the
+ * values the plain pass would check before it. */
 
 /* control, carried. A zero divisor makes an infinity or a NaN, so bad. */
 ALWAYS_INLINE double grid_control(int n, const double *q, const double *y, const double *p,
@@ -785,34 +760,30 @@ ALWAYS_INLINE double grid_control(int n, const double *q, const double *y, const
     return grid_op(1, acc, den, bad);
 }
 
-/* A stage at the carried state ys: its carried input *u and derivative
- * *k, and f's value *fv, from f run on the state brought back into y.
- * FAULT where f faults or its value cannot be carried. */
-ALWAYS_INLINE int grid_stage(const run_args *a, double *st, double *y, const double *ys,
+/* A stage at the carried state ys: its carried input *u, f's value *fv
+ * and derivative *k. FAULT where f faults or its value cannot be
+ * carried. */
+ALWAYS_INLINE int grid_stage(const run_args *a, const loop *l, double *st, const double *ys,
                              const double *p, double s, double den, double gain, int *bad,
                              double *u, double *fv, double *k)
 {
-    int i;
     *u = grid_control(a->n, a->q, ys, p, den, bad);
-    for (i = 0; i < a->n; i++)
-        y[i] = from_grid(ys[i]);
-    if (eval(&a->f, st, y, from_grid(*u), s, 1, fv) || !(fabs(*fv) < 0x1p-50))
+    if (grid_eval(&l->fg, l->carried, st, ys, *u, s, fv))
         return FAULT;
-    *k = to_grid(*fv) + grid_op(0, *u, gain, bad);
+    *k = *fv + grid_op(0, *u, gain, bad);
     return OK;
 }
 
-/* pass(a, st, l, 1) for a state that calls for the grid, which never
- * rests: the first stage and the general step, then the checks, peaks and
- * record that pass makes before its step, and the step's commit. REDO
- * where the exact pass must take the step. */
+/* pass for a state that calls for the grid, which never rests: the first
+ * stage and the general step, then the checks, peaks and record that pass
+ * makes before its step, and the step's commit. REDO where the plain pass
+ * must take the step. */
 static HOT int grid(run_args *a, double *st, loop *l)
 {
     const int n = a->n, top = n - 1;
     const double tau = a->tau, t_end = a->t_end;
     const double gamma_min = a->gamma_min, gamma = a->gamma;
-    /* y takes the stage states brought back for f: the audit needs no sq. */
-    double *x = a->x, *xs = l->xs, *y = l->sq, *p = l->p, *m = l->m;
+    double *x = a->x, *xs = l->xs, *p = l->p, *m = l->m;
     double *ya = l->ya, *yb = l->yb, *yc = l->yc;
     double t = l->t, u1, f1, k1, u, fv, h, half, t_mid, t_next, g_mid, g_next;
     double k2, k3, k4, sixth, s;
@@ -825,28 +796,28 @@ static HOT int grid(run_args *a, double *st, loop *l)
     for (i = 0; i < n; i++)
         xs[i] = to_grid(x[i]);
     powers(n, tau, t, p);
-    if (grid_stage(a, st, y, xs, p, t, gamma_min * l->g_now, gamma * l->g_now, &bad, &u1, &f1,
+    if (grid_stage(a, l, st, xs, p, t, gamma_min * l->g_now, gamma * l->g_now, &bad, &u1, &f1,
                    &k1))
         return REDO;
     clamped = step_size(a, t, &h);
     half = 0.5 * h;
     t_mid = t + half;
     t_next = t + h;
-    if (eval(&a->g, st, x, 0.0, t_mid, 0, &g_mid) || eval(&a->g, st, x, 0.0, t_next, 0, &g_next))
+    if (eval(&a->g, st, x, 0.0, t_mid, &g_mid) || eval(&a->g, st, x, 0.0, t_next, &g_next))
         return REDO;
     powers(n, tau, t_mid, m);
     for (i = 0; i < n; i++)
         ya[i] = xs[i] + grid_op(0, i < top ? xs[i + 1] : k1, half, &bad);
-    if (grid_stage(a, st, y, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &bad, &u, &fv, &k2))
+    if (grid_stage(a, l, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &bad, &u, &fv, &k2))
         return REDO;
     for (i = 0; i < n; i++)
         yb[i] = xs[i] + grid_op(0, i < top ? ya[i + 1] : k2, half, &bad);
-    if (grid_stage(a, st, y, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &bad, &u, &fv, &k3))
+    if (grid_stage(a, l, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &bad, &u, &fv, &k3))
         return REDO;
     powers(n, tau, t_next, p);
     for (i = 0; i < n; i++)
         yc[i] = xs[i] + grid_op(0, i < top ? yb[i + 1] : k3, h, &bad);
-    if (grid_stage(a, st, y, yc, p, t_next, gamma_min * g_next, gamma * g_next, &bad, &u, &fv,
+    if (grid_stage(a, l, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, &bad, &u, &fv,
                    &k4))
         return REDO;
     sixth = h / 6.0;
@@ -858,7 +829,8 @@ static HOT int grid(run_args *a, double *st, loop *l)
     xs[top] = xs[top] + grid_op(0, k1 + (s + s) + k4, sixth, &bad);
     if (bad)
         return REDO;
-    if ((status = checks(a, l, t, from_grid(u1), f1, a->phi * 0.0 + a->phi0 + a->slack, 0)))
+    status = checks(a, l, t, from_grid(u1), from_grid(f1), a->phi * 0.0 + a->phi0 + a->slack, 0);
+    if (status)
         return status;
     for (i = 0; i < n; i++)
         x[i] = from_grid(xs[i]);
@@ -878,13 +850,14 @@ static int reads_t(const program *p)
     return 0;
 }
 
-/* The passes of the loop, each in the copy that its state calls for: the
- * choice is made once per pass, so no copy tests it per op. */
-static HOT int run(run_args *a, double *st)
+/* The passes of the loop, each the kind its state calls for: the choice
+ * is made once per pass. code and flags are linear's. */
+static HOT int run(run_args *a, double *st, int *code, char *flags)
 {
     const int n = a->n;
     double p[n], m[n], ya[n], yb[n], yc[n], sq[n], xs[n];
-    loop l = {0.0, 0.0, 0, 0, !reads_t(&a->f) && !reads_t(&a->g), p, m, ya, yb, yc, sq, xs};
+    loop l = {0.0, 0.0, 0, 0, !reads_t(&a->f) && !reads_t(&a->g), p, m, ya, yb, yc, sq, xs,
+              {code, a->f.consts, a->f.depth}, 0, 0};
     int status;
 
     /* From the state +0.0 a stage sums only zeros, so the gain sum is +0.0
@@ -895,34 +868,31 @@ static HOT int run(run_args *a, double *st)
      * smallest when tau - t_end < 1, settles that for the whole run. */
     powers(n, a->tau, a->t_end, p);
     l.can_rest = p[0] != 0.0;
+    l.linear = linear(&a->f, code, flags, &l.carried);
     a->rows = 0;
     a->u_max = 0.0;
     a->x_max = 0.0;
-    if (eval(&a->g, st, a->x, 0.0, l.t, 0, &l.g_now))
+    if (eval(&a->g, st, a->x, 0.0, l.t, &l.g_now))
         return FAULT;
     do {
-        switch (kind(n, a->x)) {
-        case PLAIN:
-            status = pass(a, st, &l, 0);
-            break;
-        case GRID:
-            if ((status = grid(a, st, &l)) != REDO)
-                break;
-            /* fall through */
-        default:
-            status = pass(a, st, &l, 1);
-        }
+        status = l.linear && deep(n, a->x) ? grid(a, st, &l) : REDO;
+        if (status == REDO)
+            status = pass(a, st, &l);
     } while (status == MORE);
     a->steps = l.step_index;
     return status;
 }
 
-/* run, on one stack for f and g. */
+/* run, on one stack for f and g, with room for f's grid copy. */
 HOT int ptc_run(run_args *a)
 {
     int depth = a->f.depth > a->g.depth ? a->f.depth : a->g.depth;
     double *st = malloc(((size_t)depth + 1) * sizeof *st);
-    int status = st ? run(a, st) : FAULT;
+    int *code = malloc(length(&a->f) * sizeof *code);
+    char *flags = malloc((size_t)a->f.depth);
+    int status = st && code && flags ? run(a, st, code, flags) : FAULT;
+    free(flags);
+    free(code);
     free(st);
     return status;
 }

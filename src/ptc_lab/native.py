@@ -162,12 +162,10 @@ SIGNATURES = {
     "ptc_eval": (
         ctypes.c_int,
         [
-            ctypes.POINTER(_Program), _DOUBLE_P, ctypes.c_double, ctypes.c_double,
-            ctypes.c_int, _DOUBLE_P,
+            ctypes.POINTER(_Program), ctypes.c_int, _DOUBLE_P, ctypes.c_double,
+            ctypes.c_double, ctypes.c_int, _DOUBLE_P,
         ],
     ),
-    "ptc_exact": (ctypes.c_double, [ctypes.c_int, ctypes.c_double, ctypes.c_double]),
-    "ptc_grid": (ctypes.c_int, [ctypes.c_int, ctypes.c_double, ctypes.c_double, _DOUBLE_P]),
     "ptc_format_rows": (
         ctypes.c_long,
         [
@@ -357,19 +355,22 @@ def _as_struct(prog: Program, keep: list) -> _Program:
 
 
 def evaluate(
-    prog: Program, x: Sequence[float], u: float, t: float, exact: bool = False
+    prog: Program, x: Sequence[float], u: float, t: float, grid: bool = False
 ) -> float | None:
     """``prog`` at ``(x, u, t)`` in the compiled machine, or None where it
-    faults; with ``exact``, its products and quotients take the integer
-    routines of the loop's exact steps. Raises RuntimeError when no
-    compiled machine is available."""
+    faults. With ``grid``, it runs as ``f`` runs in the loop's grid steps,
+    on ``x`` and ``u`` times 2^1074, and gives None as well where ``prog``
+    is not linear in ``x`` and ``u`` or those steps would not carry it.
+    Raises RuntimeError when no compiled machine is available."""
     lib = library()
     if lib is None:
         raise RuntimeError("no C compiler: the compiled machine is unavailable")
     keep: list = []
     state = (ctypes.c_double * max(len(x), 1))(*x)
     out = ctypes.c_double()
-    if lib.ptc_eval(ctypes.byref(_as_struct(prog, keep)), state, u, t, exact, ctypes.byref(out)):
+    if lib.ptc_eval(
+        ctypes.byref(_as_struct(prog, keep)), len(x), state, u, t, grid, ctypes.byref(out)
+    ):
         return None
     return out.value
 

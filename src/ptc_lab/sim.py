@@ -27,15 +27,14 @@ rest rule the Python loop lacks: once the state is exactly +0.0 in every
 component, a step evaluates its coinciding stages once and produces the
 bits of the general step with two f calls instead of four (``native.c``
 gives the proof); when neither f nor g reads t, the rest steps that
-follow it repeat it and only advance the clock. A step whose state has a
-nonzero component below 2^-400 computes its products and quotients in
-integer arithmetic that rounds as the hardware does: the same bits,
-without the hardware's slow path for subnormal operands and results, in
-which never-resting runs of ``example3`` spend most of their steps. Once
-every component is below 2^-600 as well, such a step runs in hardware
-doubles on the state times 2^1074, where subnormals are integers, and
-rounds each product and quotient once more to the integers, as the
-subnormal range rounds. Wherever the Python loop would
+follow it repeat it and only advance the clock. When f is linear in x
+and u, as ``example3``'s is, a step whose state has every component below
+2^-600, and one nonzero, runs in hardware doubles on the state times
+2^1074, where subnormals are integers, and rounds each product and
+quotient once more to the integers, as the subnormal range rounds: the
+same bits, without the hardware's slow path for subnormal operands and
+results, in which never-resting runs of ``example3`` spend most of their
+steps. Other plants take that slow path there. Wherever the Python loop would
 raise, and when its row buffer (sized by ``_row_capacity``) is full, it
 hands the run back and the Python loop runs it from t = 0, so
 exceptions, messages and partial traces are the Python loop's own.

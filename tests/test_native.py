@@ -6,7 +6,6 @@ compares the two, or a program with the callable it stands for. Without
 gcc there is no compiled loop, and these tests skip.
 """
 
-import ctypes
 import math
 import os
 import random
@@ -27,6 +26,7 @@ from hypothesis import strategies as st
 import ptc_lab as pl
 from ptc_lab import native, sim
 from ptc_lab.cli import main
+from ptc_lab.expressions import parse_expression
 from test_expressions import _grammar_text
 from test_sim_oracle import (
     COEFFICIENTS,
@@ -178,9 +178,12 @@ _deep = st.one_of(
 def test_grid_passes_match_python_loop(
     compiled, n, poles, tau, alpha, x0, stride, kind, rnd, g_text, dt_base
 ):
-    # States below 2^-600 from the start: the C loop runs grid passes, or
-    # hands a step to the exact pass where a value cannot be carried (an f
-    # value of 2^-50 or more, as example2's and many grammar texts').
+    # States below 2^-600 from the start: the C loop runs grid passes
+    # where f is linear, as example3's and the vanishing plant's are, and
+    # hands a step to the plain pass where a value cannot be carried (a
+    # time-only f value of 2^-50 or more, as some grammar texts have) and
+    # at the last sample. Other f, as example2's and most grammar texts,
+    # take plain passes throughout.
     plant = _plant(n, kind, rnd, g_text, (1.0, 1e3))
     design = _stand_in_design(_hurwitz_coefficients(poles[:n]), tau, alpha, 1.0)
     cfg = pl.SimConfig(x0=tuple(x0[:n]), dt_base=dt_base, shrink_divisor=10.0,
@@ -188,14 +191,15 @@ def test_grid_passes_match_python_loop(
     _assert_same(plant, design, cfg, compiled)
 
 
-def _exact_phases(states):
-    """Whether each run of recorded rows starts steps that native.c runs
-    exact (a nonzero component below its TINY, 2^-400), in run order."""
+def _grid_phases(states):
+    """Whether each run of recorded rows starts steps that native.c runs on
+    the grid for a linear f (every component below its DEEP, 2^-600, and
+    one nonzero), in run order."""
     phases = []
     for row in states:
-        exact = any(v != 0.0 and abs(v) < 2.0**-400 for v in row)
-        if not phases or phases[-1] != exact:
-            phases.append(exact)
+        grid = all(abs(v) < 2.0**-600 for v in row) and any(row)
+        if not phases or phases[-1] != grid:
+            phases.append(grid)
     return phases
 
 
@@ -205,10 +209,10 @@ def _exact_phases(states):
     ids=["resting", "subnormal", "subnormal-seed5"],
 )
 def test_example3_matches_python_loop(seed, phases, compiled):
-    # Half the deadline: 41,234 steps. All three seeds turn to exact
-    # steps at step 301. Seed 6 turns back to hardware ops when it comes
-    # to rest at step 7,715; seeds 42 and 5 never rest, and spend 40k
-    # steps in subnormal states.
+    # Half the deadline: 41,234 steps. All three seeds turn to grid
+    # passes at steps 470-472, once every component is below 2^-600.
+    # Seed 6 turns back to plain passes when it comes to rest at step
+    # 7,715; seeds 42 and 5 never rest, and spend 40k steps on the grid.
     plant = pl.builtin_plant("example3", seed=seed)
     design = pl.design_controller(
         (-1.0, -4.0, -6.0, -4.0), 10.0, phi=plant.phi, phi0=plant.phi0,
@@ -216,7 +220,7 @@ def test_example3_matches_python_loop(seed, phases, compiled):
     )
     cfg = pl.SimConfig(x0=(10.0,) * 4, epsilon_fraction=0.5, record_stride=7)
     _, states, _, _ = _assert_same(plant, design, cfg, compiled)
-    assert _exact_phases(struct.iter_unpack("=4d", states)) == phases
+    assert _grid_phases(struct.iter_unpack("=4d", states)) == phases
 
 
 @pytest.mark.parametrize("phase", ["general", "rest"])
@@ -325,8 +329,11 @@ _doubles = st.one_of(st.floats(allow_subnormal=True), _specials)
 def test_fsum_op_matches_math_fsum(items):
     prog = native.program([*((native.CONST, v) for v in items), (native.FSUM, len(items))])
     want = _python_value(lambda x, u, t: math.fsum(items), [], 0.0, 0.0)
-    for exact in (False, True):
-        assert _bits(native.evaluate(prog, [], 0.0, 0.0, exact)) == _bits(want)
+    assert _bits(native.evaluate(prog, [], 0.0, 0.0)) == _bits(want)
+    # On the grid the program is time-only, and its value is carried
+    # where it is below 2^-50.
+    carried = want if want is not None and abs(want) < 2.0**-50 else None
+    assert _bits(native.evaluate(prog, [], 0.0, 0.0, grid=True)) == _bits(carried)
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
@@ -348,9 +355,7 @@ def test_programs_match_their_callables(rnd, x, u, t, seed):
     cases += [(g, lambda x, u, t, g=g: g(t)) for g in (expression.g, example2.g)]
     for registered, call in cases:
         want = _python_value(call, x, u, t)
-        for exact in (False, True):
-            got = native.evaluate(native.program_of(registered), x, u, t, exact)
-            assert _bits(got) == _bits(want)
+        assert _bits(native.evaluate(native.program_of(registered), x, u, t)) == _bits(want)
 
 
 def _deep_text(depth):
@@ -378,9 +383,7 @@ def test_deep_programs_run_compiled(depth, compiled):
     points = [(list(x), u, t) for t, x, u in zip(trace.times, trace.states, trace.inputs)]
     points += [([0.0, -0.0], 0.0, 0.0), ([1e308, -1e308], 1e308, 1.0), ([math.nan, 1.0], 1.0, 1.0)]
     for x, u, t in points:
-        want = _python_value(plant.f, x, u, t)
-        for exact in (False, True):
-            assert _bits(native.evaluate(prog, x, u, t, exact)) == _bits(want)
+        assert _bits(native.evaluate(prog, x, u, t)) == _bits(_python_value(plant.f, x, u, t))
 
 
 def _float(pattern):
@@ -391,99 +394,21 @@ def _pattern(v):
     return struct.unpack("<Q", struct.pack("<d", v))[0]
 
 
-def _hex(text):
-    return _pattern(float.fromhex(text))
-
-
-def _assert_exact_ops(x, y):
-    """native.c's xmul and xdiv give the bits of Python's * and /."""
-    exact = native.library().ptc_exact
-    assert hex(_pattern(exact(0, x, y))) == hex(_pattern(x * y)), (x, y)
-    if y != 0.0:  # Python raises; xdiv returns the hardware's result
-        assert hex(_pattern(exact(1, x, y))) == hex(_pattern(x / y)), (x, y)
-
-
 _signs = st.sampled_from((0, 1 << 63))
-_fields = st.one_of(
-    st.sampled_from((0, 1, 2, 1022, 1023, 2045, 2046)),
-    st.integers(1, 80),  # products and quotients that underflow
-    st.integers(960, 1090),
-    st.integers(1970, 2046),  # and that overflow
-)
-_fractions = st.one_of(
-    st.sampled_from((0, 1, 2**51, 2**52 - 1)), st.integers(0, 2**52 - 1)
-)
-# Raw 64-bit patterns: anything at all; subnormals with many or few
-# significant bits; exponent fields on both sides of 2^-1022 and near
-# both ends of the range; signed zeros, infinities and NaNs, quiet and
-# signalling.
-_patterns = st.one_of(
-    st.integers(0, 2**64 - 1),
-    st.builds(lambda s, m, k: s | max(m >> k, 1), _signs, st.integers(1, 2**52 - 1),
-              st.integers(0, 52)),
-    st.builds(lambda s, f, m: s | f << 52 | m, _signs, _fields, _fractions),
-    st.sampled_from((
-        0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48,
-        0x7FF0000000000001, 0x7FF4000000000123, 0xFFF8000000000ABC,
-    )),
-)
-
-
-@settings(derandomize=True, max_examples=1000, deadline=None)
-@given(a=_patterns, b=_patterns)
-# Rounding up past the largest significand carries into the exponent.
-@example(a=_hex("0x1.5bc8fbde5c099p+0"), b=_hex("0x1.78e05ce63eb11p+0"))
-@example(a=_hex("0x1.d76d4f1446beap+0"), b=_hex("-0x1.16084e94e6ed2p+0"))
-@example(a=_hex("0x0.fffffffffffffp-1022"), b=_hex("0x1.0000000000001p+0"))
-@example(a=_pattern(5e-324), b=_pattern(0.5))  # a tie, to +0.0
-@example(a=_pattern(-5e-324), b=_pattern(0.5))  # and to -0.0
-@example(a=_pattern(1.7976931348623157e308), b=_pattern(2.0))
-@example(a=_pattern(-0.0), b=_pattern(3.0))
-def test_exact_ops_match_the_hardware(a, b):
-    _assert_exact_ops(_float(a), _float(b))
-
-
-_odd = st.integers(0, 2**19).map(lambda k: 2 * k + 1)
-
-
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(o=_odd, c=_odd, j=st.integers(1, 31), off=st.sampled_from((-1, 0, 1)), sign=_signs)
-def test_exact_ops_round_ties_on_the_subnormal_grid_to_even(o, c, j, off, sign):
-    # With o and c odd, (o * 2^(j-1) * 2^-1074) * (c * 2^-j) is o*c/2 times
-    # 2^-1074, halfway between two multiples of 2^-1074, and so is
-    # (o*c * 2^(j-1) * 2^-1074) / (c * 2^j). off moves the first operand
-    # one step of 2^-1074 off the tie, by less than a step in the result:
-    # only bits far below the rounding position say which way it goes.
-    signed = -1.0 if sign else 1.0
-    a = math.ldexp(o * 2 ** (j - 1) + off, -1074)
-    _assert_exact_ops(signed * a, math.ldexp(c, -j))
-    a = math.ldexp(o * c * 2 ** (j - 1) + off, -1074)
-    _assert_exact_ops(signed * a, math.ldexp(c, j))
-
-
-def test_exact_ops_match_the_hardware_on_random_patterns():
-    # Full-width significands, whose products' low 64 bits decide some
-    # roundings; the patterns above hold few significant bits as often.
-    rnd = random.Random(20)
-    for _ in range(20_000):
-        f, g = rnd.choice((0, 1, 2, 30, 1000, 1023, 2040)), rnd.choice((0, 1, 1023, 1100))
-        x = _float(rnd.getrandbits(1) << 63 | f << 52 | rnd.getrandbits(52))
-        y = _float(rnd.getrandbits(1) << 63 | g << 52 | rnd.getrandbits(52))
-        _assert_exact_ops(x, y)
-        _assert_exact_ops(y, x)
 
 
 def _assert_grid_op(divide, a, b):
-    """native.c's grid_op, on a carried, gives the bits of xmul or xdiv
-    wherever a grid pass carries it: a below 2^-50 and the result below
-    2^-74, 2^1000 carried."""
-    lib = native.library()
-    want = lib.ptc_exact(divide, a, b)
-    out = ctypes.c_double()
-    carried = lib.ptc_grid(divide, a, b, ctypes.byref(out)) == 0
-    assert carried == (abs(a) < 2.0**-50 and abs(want) < 2.0**-74), (divide, a, b)
+    """x1 * b or x1 / b, on the grid at x1 = a, gives the bits of Python's
+    * or / wherever a grid pass carries it: a below 2^-50 and the result
+    below 2^-74, 2^1000 carried."""
+    op = native.DIV if divide else native.MUL
+    prog = native.program([(native.X, 0), (native.CONST, b), (op, 0)])
+    want = _python_value(lambda x, u, t: x[0] / b if divide else x[0] * b, [a], 0.0, 0.0)
+    got = native.evaluate(prog, [a], 0.0, 0.0, grid=True)
+    carried = want is not None and abs(a) < 2.0**-50 and abs(want) < 2.0**-74
+    assert (got is not None) == carried, (divide, a, b)
     if carried:
-        assert hex(_pattern(out.value)) == hex(_pattern(want)), (divide, a, b)
+        assert hex(_pattern(got)) == hex(_pattern(want)), (divide, a, b)
 
 
 # Carried results in [2^47, 2^52) are rounded to 53 bits at a multiple of
@@ -539,6 +464,87 @@ def test_grid_ops_round_half_integers_by_their_residual(divide):
         sign = rnd.choice((1.0, -1.0))
         _assert_grid_op(divide, math.ldexp(carried, -1074), sign * b)
         _assert_grid_op(divide, -math.ldexp(carried, -1074), sign * b)
+
+
+# Time-only factors for linear texts. Over t in [0.5, 10] the largest
+# quotient, by cos(t) near pi/2, is about 2^54, so that three nested ones
+# keep a state below 2^-600 far below CEILING, 2^1000, carried.
+_TIME_ONLY = ("0.5", "3", "1e-3", "-2.5", "t", "cos(t)", "(1 + t)", "exp(-t)", "abs(sin(t))")
+
+
+def _linear_text(rnd, depth):
+    """A random text of the expression grammar, linear in x1..x3 and u."""
+    if depth == 0:
+        return rnd.choice(("x1", "x2", "x3", "u"))
+    a = _linear_text(rnd, depth - 1)
+    factor = rnd.choice(_TIME_ONLY)
+    return rnd.choice((
+        f"{factor}*({a})",
+        f"({a})*{factor}",
+        f"({a})/{factor}",
+        f"-({a})",
+        f"abs({a})",
+        f"({a}) + ({_linear_text(rnd, depth - 1)})",
+        f"({a}) - ({_linear_text(rnd, depth - 1)})",
+    ))
+
+
+def _ops(prog):
+    """The (opcode, argument) pairs that ``native.program`` makes ``prog`` of."""
+    pairs = zip(prog.code[:-2:2], prog.code[1:-2:2])
+    return [(op, prog.consts[arg] if op == native.CONST else arg) for op, arg in pairs]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    rnd=st.randoms(use_true_random=False),
+    x=st.lists(_deep, min_size=3, max_size=3),
+    u=_deep,
+    t=st.floats(0.5, 10.0),
+    terms=st.integers(1, 4),
+)
+def test_linear_programs_run_on_the_grid(rnd, x, u, t, terms):
+    # On x and u times 2^1074, f's grid copy gives Python's bits for
+    # random linear texts, and for math.fsum of several.
+    fs = [parse_expression(_linear_text(rnd, rnd.randint(0, 3)), 3) for _ in range(terms)]
+    progs = [native.program_of(f) for f in fs]
+    cases = list(zip(progs, fs))
+    cases.append((
+        native.program([*(op for p in progs for op in _ops(p)), (native.FSUM, terms)]),
+        lambda x, u, t: math.fsum(f(x, u, t) for f in fs),
+    ))
+    for prog, call in cases:
+        want = _python_value(call, x, u, t)
+        assert _bits(native.evaluate(prog, x, u, t, grid=True)) == _bits(want)
+
+
+@pytest.mark.parametrize("text", ["x1*x2", "sin(x1)", "x1 + 1", "1/x1", "u*cos(t)*x2"])
+def test_nonlinear_programs_take_plain_passes(text, compiled):
+    # The grid copy refuses a program that is not linear in x and u at
+    # every point, even where its carried values would stay far below
+    # CEILING, and a run from states below 2^-600 takes plain passes, in
+    # the hardware's subnormal arithmetic.
+    plant = pl.plant_from_expressions(
+        2, f"1e-3*({text})", "1 + 0.5*sin(t)", gamma=1.2, gamma_min=1.0, phi=1.0, phi0=1.0
+    )
+    prog = native.program_of(plant.f)
+    for x, u in (
+        ([1e-310, -(2.0**-700)], 1e-315),
+        ([-(2.0**-601), 5e-324], -0.0),
+        ([5e-324, -1e-320], 5e-324),
+    ):
+        want = _python_value(plant.f, x, u, 1.0)
+        assert _bits(native.evaluate(prog, x, u, 1.0)) == _bits(want)
+        assert native.evaluate(prog, x, u, 1.0, grid=True) is None
+    design = _stand_in_design(COEFFICIENTS[2], 2.0, 0.2, 1.0)
+    _assert_same(plant, design, pl.SimConfig(x0=(2.0**-700, -1e-310)), compiled)
+
+
+def test_mixed_fsum_stays_off_the_grid():
+    # math.fsum of a carried and a time-only value does not scale.
+    prog = native.program([(native.X, 0), (native.CONST, 5e-324), (native.FSUM, 2)])
+    assert native.evaluate(prog, [5e-324], 0.0, 0.0) == 1e-323
+    assert native.evaluate(prog, [5e-324], 0.0, 0.0, grid=True) is None
 
 
 @settings(derandomize=True, max_examples=200, deadline=None,

@@ -4,7 +4,8 @@ ctypes trusts ``_RunArgs`` to lay out ``run_args``, ``SIGNATURES`` to give
 each exported function's parameter and return types, and the opcode
 numbers to match the C enum; a mismatch corrupts memory or runs the wrong
 ops instead of failing. These tests parse the source, so they need no gcc,
-except the last, which checks where gcc places the closed loop's code.
+except the last two, which build it: one checks where gcc places the
+closed loop's code, the other that gcc has no warning for it.
 """
 
 import ctypes
@@ -55,17 +56,19 @@ def test_structures_match_their_ctypes_layout(name, structure):
 
 
 def test_opcodes_match_native_py():
-    names = re.findall(r"\bOP_(\w+)", re.search(r"enum \{(\s*OP_[^}]*)\}", CODE).group(1))
+    opcodes, grid = re.findall(r"enum \{(\s*OP_[^}]*)\}", CODE)
+    names = re.findall(r"\bOP_(\w+)", opcodes)
     assert [getattr(native, name) for name in names] == list(range(len(names)))
     assert names[-1] == "END"
-    # eval's jump tables list one label per opcode, in enum order; the
-    # exact table differs only in its products and quotients.
-    tables = dict(re.findall(r"\b(\w*labels)\[\] = \{([^}]*)\}", CODE))
-    assert sorted(tables) == ["exact_labels", "labels"]
-    plain = [name.lower() for name in names]
-    exact = [{"mul": "xmul", "div": "xdiv"}.get(name, name) for name in plain]
-    assert re.findall(r"&&op_(\w+)", tables["labels"]) == plain
-    assert re.findall(r"&&op_(\w+)", tables["exact_labels"]) == exact
+    # f's grid copy has opcodes of its own, numbered on from END, which no
+    # program from native.py holds.
+    first, *rest = (declaration.strip() for declaration in grid.split(","))
+    assert re.fullmatch(r"OP_\w+ = OP_END \+ 1", first)
+    names += [first.split()[0][3:], *(name[3:] for name in rest)]
+    # eval's one jump table lists one label per opcode, in enum order.
+    (table,) = re.findall(r"\b(\w*labels)\[\] = \{([^}]*)\}", CODE)
+    assert table[0] == "labels"
+    assert re.findall(r"&&op_(\w+)", table[1]) == [name.lower() for name in names]
 
 
 # The base types of the exported functions' parameters, as ctypes spells them.
@@ -124,7 +127,7 @@ def test_hot_functions_start_on_a_cache_line(tmp_path):
     # Each HOT function that gcc emits on its own starts at a multiple of
     # 64 bytes, so that code emitted ahead of it cannot shift its
     # instructions; some are always inlined and have no symbol.
-    assert {"fsum", "eval", "run", "ptc_run", "xmul", "xdiv"} <= set(HOT)
+    assert {"fsum", "eval", "record", "grid", "run", "ptc_run"} <= set(HOT)
     library = tmp_path / "native.so"
     assert native._compile(shutil.which("gcc"), library)
     symbols = subprocess.run(
@@ -140,3 +143,15 @@ def test_hot_functions_start_on_a_cache_line(tmp_path):
     # ptc_run is exported, and gcc inlines no function with computed gotos.
     assert {"eval", "ptc_run"} <= set(emitted)
     assert {name: address % 64 for name, address in emitted.items()} == dict.fromkeys(emitted, 0)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
+def test_native_c_builds_without_warnings(tmp_path):
+    # The build's own flags with -Wall -Wextra -Werror: an unused
+    # variable, parameter or function, among others, fails the build.
+    command = [
+        shutil.which("gcc"), *native._FLAGS, "-Wall", "-Wextra", "-Werror",
+        "-o", str(tmp_path / "native.so"), str(native._SOURCE), "-lm",
+    ]
+    result = subprocess.run(command, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

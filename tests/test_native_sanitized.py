@@ -1,5 +1,5 @@
-"""The trace CSV codec and the exact and grid products and quotients of
-``native.c`` under AddressSanitizer and UndefinedBehaviorSanitizer.
+"""The trace CSV codec and the grid evaluation of programs in ``native.c``
+under AddressSanitizer and UndefinedBehaviorSanitizer.
 
 The writer copies digits in blocks of fixed size, which may reach past a
 cell, and the reader loads eight bytes at a time, so both touch memory
@@ -8,14 +8,13 @@ next to the ends of their buffers. A small C driver, built with
 access out of bounds, and any undefined operation, ends it with an error.
 The driver writes into a buffer of exactly the size ``native.write_rows``
 allocates for one chunk, and reads texts that end exactly at the end of a
-``malloc``'d block, with no NUL after them. The exact multiply and divide
-shift 64- and 128-bit integers by amounts that depend on the operands'
-exponents; the driver runs them where those amounts reach the width of
-the integers, and a shift by the width or more ends it too. The grid
-passes convert between doubles and 64-bit integers; the driver converts
-at both ends of the integers' range and past them, where a conversion out
-of range, undefined too, ends it as well. It needs gcc with libasan and
-skips without them.
+``malloc``'d block, with no NUL after them. The grid passes convert
+between doubles and 64-bit integers; the driver converts at both ends of
+the integers' range and past them, where a conversion out of range,
+undefined too, ends it as well. It also evaluates a deep linear program on
+the grid, whose copy and carried flags take buffers sized by the
+program's length and depth. It needs gcc with libasan and skips without
+them.
 """
 
 import ctypes
@@ -41,20 +40,38 @@ DRIVER = r"""
 long ptc_format_rows(int cols, const double *const *data, const long *stride,
                      long first, long count, char *out);
 long ptc_parse_rows(const char *text, long length, int cols, double *out, long capacity);
-double ptc_exact(int divide, double a, double b);
-int ptc_grid(int divide, double a, double b, double *out);
+
+typedef struct {
+    const int *code;
+    const double *consts;
+    int depth;
+} program;
+
+int ptc_eval(const program *p, int n, const double *x, double u, double t, int grid,
+             double *out);
+
+/* The double whose bits the hex word at *s spells; advances *s past it. */
+static double bits_at(char **s)
+{
+    unsigned long long bits = strtoull(*s, s, 16);
+    double v;
+    memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+static char line[1 << 20];
 
 /* "w SIZE ROWS COLS V W": format ROWS rows of COLS cells, all V but the
  * last, W, into a malloc'd buffer of SIZE bytes; print the text.
  * "r HEX": parse the bytes HEX spells, the only contents of a malloc'd
  * block, as rows of one cell; print the row count and the values.
- * "x A B": print the bits of the exact product and quotient of the
- * doubles whose bits A and B spell in hex.
- * "g A B": print the bits of their grid product and quotient, each with
- * whether a grid pass would not carry it. */
+ * "e GRID N DEPTH NCONSTS NCODE X... U T CONSTS... CODE...": evaluate the
+ * program of CODE's ints and CONSTS at N states, in the grid mode GRID;
+ * print its status and the bits of its value. Doubles are the hex words
+ * of their bits. */
 int main(void)
 {
-    char line[4096], kind;
+    char kind;
     while (fgets(line, sizeof line, stdin)) {
         kind = line[0];
         if (kind == 'w') {
@@ -95,28 +112,30 @@ int main(void)
             printf("\n");
             free(values);
             free(text);
-        } else if (kind == 'x') {
-            unsigned long long bits[2], out[2];
-            double operand[2], r;
-            if (sscanf(line + 2, "%llx %llx", &bits[0], &bits[1]) != 2)
-                return 2;
-            memcpy(operand, bits, sizeof operand);
-            for (int divide = 0; divide < 2; divide++) {
-                r = ptc_exact(divide, operand[0], operand[1]);
-                memcpy(&out[divide], &r, sizeof r);
-            }
-            printf("%016llx %016llx\n", out[0], out[1]);
-        } else if (kind == 'g') {
-            unsigned long long bits[2], out;
-            double operand[2], r;
-            if (sscanf(line + 2, "%llx %llx", &bits[0], &bits[1]) != 2)
-                return 2;
-            memcpy(operand, bits, sizeof operand);
-            for (int divide = 0; divide < 2; divide++) {
-                int bad = ptc_grid(divide, operand[0], operand[1], &r);
-                memcpy(&out, &r, sizeof r);
-                printf("%016llx %d%c", out, bad, divide ? '\n' : ' ');
-            }
+        } else if (kind == 'e') {
+            char *s = line + 2;
+            int grid = (int)strtol(s, &s, 10), n = (int)strtol(s, &s, 10), i;
+            int depth = (int)strtol(s, &s, 10), nconsts = (int)strtol(s, &s, 10);
+            int ncode = (int)strtol(s, &s, 10), status;
+            double *x = malloc(((size_t)n + 1) * sizeof *x), u, t, out = 0.0;
+            double *consts = malloc(((size_t)nconsts + 1) * sizeof *consts);
+            int *code = malloc((size_t)ncode * sizeof *code);
+            unsigned long long bits;
+            for (i = 0; i < n; i++)
+                x[i] = bits_at(&s);
+            u = bits_at(&s);
+            t = bits_at(&s);
+            for (i = 0; i < nconsts; i++)
+                consts[i] = bits_at(&s);
+            for (i = 0; i < ncode; i++)
+                code[i] = (int)strtol(s, &s, 10);
+            program p = {code, consts, depth};
+            status = ptc_eval(&p, n, x, u, t, grid, &out);
+            memcpy(&bits, &out, sizeof bits);
+            printf("%d %016llx\n", status, bits);
+            free(code);
+            free(consts);
+            free(x);
         } else {
             return 2;
         }
@@ -264,22 +283,21 @@ def _bits(v):
     return struct.unpack("<Q", struct.pack("<d", v))[0]
 
 
-def test_exact_ops_shift_within_their_integers(driver):
-    # Results from far below the subnormal range up to overflow: the
-    # shifts that round them run from 0 past 128 bits.
-    values = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.0, 1.5,
-              (2 - 2**-52), 1.7976931348623157e308, math.inf, math.nan]
-    values += [math.ldexp(1.0, -1074 + k) for k in range(0, 53, 4)]
-    values += [math.ldexp(0.75, k) for k in range(-1100, 1025, 50)]
-    values += [math.ldexp(1.0, -k) for k in (52, 53, 62, 63, 64, 65, 127, 128, 129)]
-    values += [-v for v in values]
-    pairs = [(x, y) for x in values for y in values]
-    out = _run(driver, [f"x {_bits(x):x} {_bits(y):x}" for x, y in pairs]).decode().split("\n")
-    for (x, y), line in zip(pairs, out):
-        product, quotient = (int(word, 16) for word in line.split())
-        assert product == _bits(x * y), (x, y)
-        if y != 0.0:
-            assert quotient == _bits(x / y), (x, y)
+def _evaluate(prog, x, u=0.0, t=0.0):
+    """The driver's command that evaluates ``prog`` at ``(x, u, t)`` on the grid."""
+    words = [1, len(x), prog.depth, len(prog.consts), len(prog.code)]
+    words += [f"{_bits(v):x}" for v in (*x, u, t, *prog.consts)]
+    return "e " + " ".join(map(str, [*words, *prog.code]))
+
+
+def _results(driver, commands):
+    """(faulted, value) for each command."""
+    out = _run(driver, commands).decode().splitlines()
+    assert len(out) == len(commands)
+    return [
+        (status != "0", struct.unpack("<d", struct.pack("<Q", int(bits, 16)))[0])
+        for status, bits in (line.split() for line in out)
+    ]
 
 
 def test_grid_conversions_stay_in_range(driver):
@@ -294,12 +312,35 @@ def test_grid_conversions_stay_in_range(driver):
     values += [-v for v in values]
     factors = [1.0, -1.0, 0.5, 0.25, 3.0, 2.0**-60, 2.0**60, 2.0**1000, 0.0, -0.0, 5e-324,
                math.inf, math.nan]
-    pairs = [(a, b) for a in values for b in factors]
-    out = _run(driver, [f"g {_bits(a):x} {_bits(b):x}" for a, b in pairs]).decode().split("\n")
-    for (a, b), line in zip(pairs, out):
-        words = line.split()
-        for divide, want in ((0, a * b), (1, a / b if b != 0.0 else math.nan)):
-            got, bad = int(words[2 * divide], 16), words[2 * divide + 1] == "1"
-            assert bad == (not (abs(a) < 2.0**-50 and abs(want) < 2.0**-74)), (a, b, divide)
-            if not bad:
-                assert got == _bits(want), (a, b, divide)
+    cases = [(a, b, divide) for a in values for b in factors for divide in (0, 1)]
+    commands = [
+        _evaluate(native.program(
+            [(native.X, 0), (native.CONST, b), (native.DIV if divide else native.MUL, 0)]
+        ), [a])
+        for a, b, divide in cases
+    ]
+    for (a, b, divide), (bad, got) in zip(cases, _results(driver, commands)):
+        want = (a / b if b != 0.0 else math.nan) if divide else a * b
+        assert bad == (not (abs(a) < 2.0**-50 and abs(want) < 2.0**-74)), (a, b, divide)
+        if not bad:
+            assert _bits(got) == _bits(want), (a, b, divide)
+
+
+def test_grid_copy_of_a_deep_program_stays_in_its_buffers(driver):
+    # fsum of 5,000 carried products, each below cos(t) * x2 on the stack,
+    # and the same with a last product of two carried values, which the
+    # grid copy refuses once it has read every op before it.
+    depth = 5_000
+    x, t = [3e-310, -(2.0**-700)], 0.5
+    ops = [(native.T, 0), (native.COS, 0), (native.X, 1), (native.MUL, 0)]
+    for k in range(depth):
+        ops += [(native.X, k % 2), (native.CONST, 1.0 + k / depth), (native.MUL, 0)]
+    ops.append((native.FSUM, depth + 1))
+    items = [math.cos(t) * x[1]] + [x[k % 2] * (1.0 + k / depth) for k in range(depth)]
+    refused = ops[:-3] + [(native.X, 0), (native.MUL, 0), ops[-1]]
+    (bad, got), (refused_bad, _) = _results(
+        driver, [_evaluate(native.program(ops), x, t=t), _evaluate(native.program(refused), x, t=t)]
+    )
+    assert native.program(ops).depth == depth + 2
+    assert not bad and _bits(got) == _bits(math.fsum(items))
+    assert refused_bad

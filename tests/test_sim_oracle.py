@@ -331,9 +331,9 @@ def test_example3_prefix_matches_reference():
 # of full runs, recorded with the list-based loop of ``reference_run``'s
 # era. example3 at seed 30 spends about 118k steps in
 # subnormal states; seed 6 rests for most of its 410,926 steps. Seed 42
-# never rests: from step 301 on, every step of the compiled loop runs its
-# exact products and quotients. Its pin was recorded by both loops while
-# the compiled one still used hardware ops in those steps.
+# never rests: from step 471 on, every step of the compiled loop runs on
+# the grid of 2^-1074. Its pin was recorded by both loops while the
+# compiled one still used hardware ops in those steps.
 FULL_RUN_PINS = {
     "example2": (
         "3ddcca8c415440963527de5421c7d923536407b2c58d24ad485ed4447bd74b0d",

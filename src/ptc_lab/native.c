@@ -3,7 +3,7 @@
  * ptc_run repeats the Python loop of sim.run operation for operation: the
  * same IEEE double operations on the same operands in the same order, so
  * that every value it records is bitwise the value the Python loop
- * records. It departs from the letter of that loop in four places, none
+ * records. It departs from the letter of that loop in six places, none
  * of which changes a bit:
  * - the rest step below skips work whose result it can prove;
  * - when neither f nor g reads t, the rest steps that follow a rest step
@@ -11,7 +11,12 @@
  * - when f is linear in x and u, a step whose state has every component
  *   below DEEP, and one nonzero, runs on the grid of 2^-1074: its values
  *   times 2^1074, in hardware doubles, with each product and quotient
- *   rounded once more where the unscaled one is subnormal;
+ *   rounded once more where the unscaled one is subnormal, and a
+ *   weighted-sum f there is summed directly, its fsum as a plain sum
+ *   wherever that is exact (grid_sum gives the proof);
+ * - a g that reads neither t nor the state is evaluated once per run;
+ * - the step size skips the shrink cap's division where the stiffness
+ *   cap always wins (step_size gives the proof);
  * - every doubling, 2.0 * s, is written s + s, which is exact and so
  *   gives the same bits, in every kind of step.
  * The plant's f and g arrive as postfix
@@ -419,15 +424,117 @@ static int linear(const program *p, int *code, char *flags, int *carried)
     }
 }
 
-/* f's grid copy fg at the carried x and u: its value *fv, carried. FAULT
- * where f faults, or its value cannot be carried: a carried value that is
- * not finite, or a time-only one that is not below 2^-50. */
-ALWAYS_INLINE int grid_eval(const program *fg, int carried, double *st, const double *x,
-                            double u, double t, double *fv)
+/* Whether f's program p is a weighted sum: terms products of a constant
+ * and a state, in either order, combined by one FSUM terms or by
+ * terms - 1 ADDs from the left, as example3's fsum(w_i * x_i) and a text
+ * such as a*x1 + b*x2 + c*x3 are. If so, it returns terms, pairs holds
+ * each product's state and constant indices, and *by_fsum says which way
+ * they are combined; else 0. Such an f is linear, and grid_sum computes
+ * its grid copy's value directly, without the stack machine's dispatch:
+ * the same products, by grid_op, and the same sum. */
+static int weighted_sum(const program *p, int *pairs, int *by_fsum)
 {
-    if (eval(fg, st, x, u, t, fv))
+    const int *pc = p->code;
+    int terms = 0, adds = 0;
+
+    /* Every op but OP_END has another after it, so pc[2] is read only
+     * after an op, and pc[4] only after two. */
+    for (;; terms++, pc += 6) {
+        if (pc[0] == OP_CONST && pc[2] == OP_X && pc[4] == OP_MUL) {
+            pairs[2 * terms] = pc[3];
+            pairs[2 * terms + 1] = pc[1];
+        } else if (pc[0] == OP_X && pc[2] == OP_CONST && pc[4] == OP_MUL) {
+            pairs[2 * terms] = pc[1];
+            pairs[2 * terms + 1] = pc[3];
+        } else {
+            break;
+        }
+        if (terms > 0 && pc[6] == OP_ADD) {
+            adds++;
+            pc += 2;
+        }
+    }
+    *by_fsum = pc[0] == OP_FSUM;
+    if (*by_fsum ? adds == 0 && pc[1] == terms && pc[2] == OP_END
+                 : adds == terms - 1 && pc[0] == OP_END)
+        return terms;
+    return 0;
+}
+
+/* f's grid form: whether f is linear, its grid copy and whether the
+ * copy's value is carried (see linear), and, where f is a weighted sum,
+ * its terms (see weighted_sum). */
+typedef struct {
+    int linear, carried;
+    program copy;
+    int terms, by_fsum;
+    const int *pairs;
+} grid_f;
+
+/* gf for f's program p, in code, 2 * length(p) ints (the grid copy, then
+ * the pairs), and flags, p->depth chars. */
+static void grid_form(const program *p, int *code, char *flags, grid_f *gf)
+{
+    int *pairs = code + length(p);
+    gf->copy = (program){code, p->consts, p->depth};
+    gf->pairs = pairs;
+    gf->linear = linear(p, code, flags, &gf->carried);
+    gf->terms = weighted_sum(p, pairs, &gf->by_fsum);
+}
+
+/* A weighted sum's grid copy at the carried x, on st, which holds its
+ * terms: grid_eval for it.
+ *
+ * Every carried value is an integer-valued double: grid_op rounds to the
+ * integers below 2^52, and every double from 2^52 up is an integer. So
+ * where the terms' magnitudes sum to less than 2^53, each partial sum of
+ * the terms is an integer below 2^53, which a double holds exactly, and
+ * the plain sum acc is the exact sum, which is what math.fsum gives; acc
+ * starts from +0.0, so an exact sum of 0 is +0.0, as from fsum. size,
+ * the magnitudes' sum, is exact while below 2^53 and, rounding being
+ * monotone, never falls below it once past. */
+ALWAYS_INLINE int grid_sum(const grid_f *gf, double *st, const double *x, double *fv)
+{
+    const int *pair = gf->pairs;
+    const double *c = gf->copy.consts;
+    double acc, size;
+    int i, bad = 0;
+
+    if (gf->by_fsum) {
+        for (i = 0, acc = size = 0.0; i < gf->terms; i++, pair += 2) {
+            st[i] = grid_op(0, x[pair[0]], c[pair[1]], &bad);
+            acc = acc + st[i];
+            size = size + fabs(st[i]);
+        }
+        if (bad)
+            return FAULT;
+        if (size < 0x1p53)
+            *fv = acc;
+        else if (fsum(st, gf->terms, fv))
+            return FAULT;
+    } else {
+        acc = grid_op(0, x[pair[0]], c[pair[1]], &bad);
+        for (i = 1, pair += 2; i < gf->terms; i++, pair += 2)
+            acc = acc + grid_op(0, x[pair[0]], c[pair[1]], &bad);
+        if (bad)
+            return FAULT;
+        *fv = acc;
+    }
+    return isfinite(*fv) ? OK : FAULT;
+}
+
+/* f's grid copy at the carried x and u: its value *fv, carried. FAULT
+ * where f faults, or its value cannot be carried: a carried value that is
+ * not finite, or a time-only one that is not below 2^-50. st holds the
+ * program's depth + 1 values. */
+ALWAYS_INLINE int grid_eval(const grid_f *gf, double *st, const double *x, double u, double t,
+                            double *fv)
+{
+    if (gf->terms)
+        return grid_sum(gf, st, x, fv);
+    if (eval(&gf->copy, st, x, u, t, fv))
         return FAULT;
-    if (carried)
+    if (gf->carried)
         return isfinite(*fv) ? OK : FAULT;
     if (!(fabs(*fv) < 0x1p-50))
         return FAULT;
@@ -437,7 +544,7 @@ ALWAYS_INLINE int grid_eval(const program *fg, int carried, double *st, const do
 
 /* One evaluation of a program of n states on its own, for tests. With
  * grid set, it runs as f runs in a grid pass: x and u are carried in, the
- * program's grid copy runs, and its value is brought back. FAULT where
+ * program's grid form runs, and its value is brought back. FAULT where
  * the program is not linear, or x or u is not below 2^-50, or a grid pass
  * would not carry the value. */
 int ptc_eval(const program *p, int n, const double *x, double u, double t, int grid,
@@ -445,20 +552,21 @@ int ptc_eval(const program *p, int n, const double *x, double u, double t, int g
 {
     double *st = malloc(((size_t)p->depth + 1) * sizeof *st);
     double *xs = malloc(((size_t)n + 1) * sizeof *xs);
-    int *code = malloc(length(p) * sizeof *code);
+    int *code = malloc(2 * length(p) * sizeof *code);
     char *flags = malloc((size_t)p->depth);
-    const program fg = {code, p->consts, p->depth};
-    int i, carried, status = !st || !xs || !code || !flags;
+    grid_f gf;
+    int i, status = !st || !xs || !code || !flags;
 
     if (!status && !grid) {
         status = eval(p, st, x, u, t, out);
     } else if (!status) {
-        status = !linear(p, code, flags, &carried) || !(fabs(u) < 0x1p-50);
+        grid_form(p, code, flags, &gf);
+        status = !gf.linear || !(fabs(u) < 0x1p-50);
         for (i = 0; i < n; i++) {
             status |= !(fabs(x[i]) < 0x1p-50);
             xs[i] = to_grid(x[i]);
         }
-        if (!status && !(status = grid_eval(&fg, carried, st, xs, to_grid(u), t, out)))
+        if (!status && !(status = grid_eval(&gf, st, xs, to_grid(u), t, out)))
             *out = from_grid(*out);
     }
     free(flags);
@@ -536,16 +644,15 @@ static int deep(int n, const double *x)
 }
 
 /* What one pass of run's loop hands the next: the time and g at it, the
- * steps so far, whether f and g are free of t, the loop's scratch space,
- * n values per array, and f's grid copy fg, where f is linear, with
- * whether its value is carried. */
+ * steps so far, whether f and g are free of t, whether g is a constant,
+ * whether the shrink cap can bind (see step_size), the loop's scratch
+ * space, n values per array, and f's grid form. */
 typedef struct {
     double t, g_now;
     long step_index;
-    int can_rest, time_free;
+    int can_rest, time_free, fixed_g, shrinks;
     double *p, *m, *ya, *yb, *yc, *sq, *xs;
-    program fg;
-    int linear, carried;
+    grid_f f;
 } loop;
 
 /* MORE: a pass has taken its step; the next pass starts from it. REDO: a
@@ -572,6 +679,17 @@ ALWAYS_INLINE int rest_step(const run_args *a, double *st, const double *x, doub
         return FAULT;
     *k = fv + a->gamma * g_next * *u;
     return *k == 0.0 ? OK : MORE;
+}
+
+/* g at t, into *g: its program's value, or, where it reads neither t nor
+ * the state, the value it had at t = 0, which is its value at any t. */
+ALWAYS_INLINE int g_at(const run_args *a, const loop *l, double *st, double t, double *g)
+{
+    if (l->fixed_g) {
+        *g = l->g_now;
+        return OK;
+    }
+    return eval(&a->g, st, a->x, 0.0, t, g);
 }
 
 /* The first stage's checks at the step start t, in the Python loop's
@@ -601,14 +719,25 @@ ALWAYS_INLINE int checks(run_args *a, const loop *l, double t, double u1, double
 
 /* The step from t: h = min(dt_base, d / shrink_divisor, stiff_cap * d)
  * with d = tau - t, cut to t_end - t where it reaches it, which clamps
- * the step. Returns whether it does. */
-ALWAYS_INLINE int step_size(const run_args *a, double t, double *h)
+ * the step. Returns whether it does.
+ *
+ * Where stiff_cap * shrink_divisor <= 1 holds exactly (shrinks is 0; fma
+ * gives the sign of stiff_cap * shrink_divisor - 1 exactly),
+ * stiff_cap * d <= d / shrink_divisor for every d >= 0, and rounding is
+ * monotone, so the rounded stiffness cap is never above the rounded
+ * shrink cap. The shrink cap then never lowers h below the stiffness
+ * cap, and where the two tie they are one value: min gives the same bits
+ * without it, and the division drops out of the clock's dependency
+ * chain. Every step has d = tau - t > 0, since t <= t_end < tau. */
+ALWAYS_INLINE int step_size(const run_args *a, const loop *l, double t, double *h)
 {
     double d = a->tau - t, cap;
     *h = a->dt_base;
-    cap = d / a->shrink_divisor;
-    if (cap < *h)
-        *h = cap;
+    if (l->shrinks) {
+        cap = d / a->shrink_divisor;
+        if (cap < *h)
+            *h = cap;
+    }
     cap = a->stiff_cap * d;
     if (cap < *h)
         *h = cap;
@@ -634,7 +763,7 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l)
     last = !(t < stop);
     if (last) {
         t = t_end;
-        if (eval(&a->g, st, x, 0.0, t, &l->g_now))
+        if (g_at(a, l, st, t, &l->g_now))
             return FAULT;
     }
     /* The first stage. */
@@ -661,12 +790,11 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l)
         /* Once per step, rest steps included. */
         if (a->cancel)
             return CANCELLED;
-        clamped = step_size(a, t, &h);
+        clamped = step_size(a, l, t, &h);
         half = 0.5 * h;
         t_mid = t + half;
         t_next = t + h;
-        if (!again && (eval(&a->g, st, x, 0.0, t_mid, &g_mid) ||
-                       eval(&a->g, st, x, 0.0, t_next, &g_next)))
+        if (!again && (g_at(a, l, st, t_mid, &g_mid) || g_at(a, l, st, t_next, &g_next)))
             return FAULT;
         /* A rest step. From rest all four stage states are x itself,
          * +0.0, so stages 2 and 3 are the same call, and stage 4's
@@ -768,7 +896,7 @@ ALWAYS_INLINE int grid_stage(const run_args *a, const loop *l, double *st, const
                              double *u, double *fv, double *k)
 {
     *u = grid_control(a->n, a->q, ys, p, den, bad);
-    if (grid_eval(&l->fg, l->carried, st, ys, *u, s, fv))
+    if (grid_eval(&l->f, st, ys, *u, s, fv))
         return FAULT;
     *k = *fv + grid_op(0, *u, gain, bad);
     return OK;
@@ -799,11 +927,11 @@ static HOT int grid(run_args *a, double *st, loop *l)
     if (grid_stage(a, l, st, xs, p, t, gamma_min * l->g_now, gamma * l->g_now, &bad, &u1, &f1,
                    &k1))
         return REDO;
-    clamped = step_size(a, t, &h);
+    clamped = step_size(a, l, t, &h);
     half = 0.5 * h;
     t_mid = t + half;
     t_next = t + h;
-    if (eval(&a->g, st, x, 0.0, t_mid, &g_mid) || eval(&a->g, st, x, 0.0, t_next, &g_next))
+    if (g_at(a, l, st, t_mid, &g_mid) || g_at(a, l, st, t_next, &g_next))
         return REDO;
     powers(n, tau, t_mid, m);
     for (i = 0; i < n; i++)
@@ -840,24 +968,27 @@ static HOT int grid(run_args *a, double *st, loop *l)
     return MORE;
 }
 
-/* Whether a program reads t. */
-static int reads_t(const program *p)
+/* Whether a program holds the opcode op. */
+static int holds(const program *p, int op)
 {
     const int *pc;
     for (pc = p->code; *pc != OP_END; pc += 2)
-        if (*pc == OP_T)
+        if (*pc == op)
             return 1;
     return 0;
 }
 
 /* The passes of the loop, each the kind its state calls for: the choice
- * is made once per pass. code and flags are linear's. */
+ * is made once per pass. code and flags are grid_form's. */
 static HOT int run(run_args *a, double *st, int *code, char *flags)
 {
     const int n = a->n;
     double p[n], m[n], ya[n], yb[n], yc[n], sq[n], xs[n];
-    loop l = {0.0, 0.0, 0, 0, !reads_t(&a->f) && !reads_t(&a->g), p, m, ya, yb, yc, sq, xs,
-              {code, a->f.consts, a->f.depth}, 0, 0};
+    const program *g = &a->g;
+    loop l = {0.0, 0.0, 0, 0, !holds(&a->f, OP_T) && !holds(g, OP_T),
+              !holds(g, OP_T) && !holds(g, OP_X) && !holds(g, OP_U),
+              !(fma(a->stiff_cap, a->shrink_divisor, -1.0) <= 0.0), p, m, ya, yb, yc, sq, xs,
+              {0}};
     int status;
 
     /* From the state +0.0 a stage sums only zeros, so the gain sum is +0.0
@@ -868,14 +999,15 @@ static HOT int run(run_args *a, double *st, int *code, char *flags)
      * smallest when tau - t_end < 1, settles that for the whole run. */
     powers(n, a->tau, a->t_end, p);
     l.can_rest = p[0] != 0.0;
-    l.linear = linear(&a->f, code, flags, &l.carried);
+    grid_form(&a->f, code, flags, &l.f);
     a->rows = 0;
     a->u_max = 0.0;
     a->x_max = 0.0;
-    if (eval(&a->g, st, a->x, 0.0, l.t, &l.g_now))
+    /* The first g, which a fixed g keeps. */
+    if (eval(g, st, a->x, 0.0, l.t, &l.g_now))
         return FAULT;
     do {
-        status = l.linear && deep(n, a->x) ? grid(a, st, &l) : REDO;
+        status = l.f.linear && deep(n, a->x) ? grid(a, st, &l) : REDO;
         if (status == REDO)
             status = pass(a, st, &l);
     } while (status == MORE);
@@ -883,12 +1015,12 @@ static HOT int run(run_args *a, double *st, int *code, char *flags)
     return status;
 }
 
-/* run, on one stack for f and g, with room for f's grid copy. */
+/* run, on one stack for f and g, with room for f's grid form. */
 HOT int ptc_run(run_args *a)
 {
     int depth = a->f.depth > a->g.depth ? a->f.depth : a->g.depth;
     double *st = malloc(((size_t)depth + 1) * sizeof *st);
-    int *code = malloc(length(&a->f) * sizeof *code);
+    int *code = malloc(2 * length(&a->f) * sizeof *code);
     char *flags = malloc((size_t)a->f.depth);
     int status = st && code && flags ? run(a, st, code, flags) : FAULT;
     free(flags);
@@ -903,21 +1035,24 @@ HOT int ptc_run(run_args *a)
  * ptc_parse_rows reads back what it writes. ptc_lab.cli keeps the Python
  * writer and reader as the reference and the fallback.
  *
- * Writer. A normal double v = m * 2^e has the decimal exponent x or x + 1,
- * where x = floor((e + 52) * log10(2)) (the fixed-point form below is exact
- * for every normal exponent). scale multiplies v by 10^(16 - x) once, in
- * exact 128-bit integers, so q = floor(v * 10^(16 - x)) has 17 or 18
- * digits and the part cut off is known exactly: below, at or above one
- * half, and whether it is 0. With 17 digits, that part rounds q half to
- * even. With 18, x was one low: the 18th digit r joins the rounding, which
- * goes up when r > 5, or r = 5 with a nonzero part below it, or r = 5 at
- * an exact tie with the 17 digits odd. A carry to 10^17 moves x up by one,
- * as in printf. The digits come from two 32-bit halves through a table of
- * digit pairs, and reach the output in copies of fixed size, which may
- * write up to SLACK bytes past the cell. Zeros and non-finite values are
- * written directly. scale takes magnitudes from about 1e-6 up to 2^52,
- * which hold nearly every cell of a trace; subnormals and every other
- * magnitude go to snprintf, which glibc rounds exactly too.
+ * Writer. A double v = m * 2^e, 2^52 <= m < 2^53 (a subnormal's m shifted
+ * up to that range, e lowered to match), has the decimal exponent x or
+ * x + 1, where x = floor((e + 52) * log10(2)) (the fixed-point form below
+ * is exact for every such e, down to -1126). decimal multiplies v by
+ * 10^(16 - x) once, in exact integers, so q = floor(v * 10^(16 - x)) has
+ * 17 or 18 digits and the part cut off is known exactly: below, at or
+ * above one half, and whether it is 0. With 17 digits, that part rounds q
+ * half to even. With 18, x was one low: the 18th digit r joins the
+ * rounding, which goes up when r > 5, or r = 5 with a nonzero part below
+ * it, or r = 5 at an exact tie with the 17 digits odd. A carry to 10^17
+ * moves x up by one, as in printf. The digits come from two 32-bit halves
+ * through a table of digit pairs, and reach the output in copies of fixed
+ * size, which may write up to SLACK bytes past the cell. Zeros and
+ * non-finite values are written directly. scale takes magnitudes from
+ * about 1e-6 up to 2^52, which hold nearly every cell of a trace, in
+ * 128-bit integers; scale_wide takes the smaller ones, subnormals
+ * included, in words of 64 bits; magnitudes of 2^52 and above go to
+ * snprintf, which glibc rounds exactly too.
  *
  * Reader. Digits are taken eight at a time where eight bytes remain before
  * the end of the text: one load, a test that all eight are digits, and
@@ -927,10 +1062,13 @@ HOT int ptc_run(run_args *a)
  * second", 2021): d times a 128-bit truncation of 10^p, which is exact for
  * p >= 0. The truncation puts the true product within d units of the
  * 192-bit result, so the top bits decide the rounding unless they sit at a
- * boundary that those units could cross, or at an exact tie. Such a cell,
- * like any other cell, goes to strtod, which glibc rounds correctly too; a
- * cell that strtod does not read to its end (another LC_NUMERIC locale) is
- * refused.
+ * boundary that those units could cross, or at an exact tie. A cell of at
+ * most 17 digits with -340 <= p < -21, as the writer writes every
+ * subnormal and most values below 1e-5, is read by nearest: the double near d * 10^p whose
+ * 17-digit decimal is d * 10^p, found by the writer's own decimal. Every
+ * other cell, and every cell those two cannot decide, goes to strtod,
+ * which glibc rounds correctly too; a cell that strtod does not read to
+ * its end (another LC_NUMERIC locale) is refused. Zeros are read directly.
  */
 
 /* The longest cell, "-1.2345678901234567e-308", and its separator. */
@@ -963,21 +1101,101 @@ static const char PAIRS[201] =
 
 /* *q = floor(m * 2^e * 10^k), exactly; *rest says whether the part cut
  * off is below (-1), at (0) or above (1) one half, and *zero whether it is
- * 0. Returns 0 unless 0 <= k <= 22 and e < 0, which holds from about 1e-6
- * up to 2^52; m < 2^53. k <= 22 puts x at -6 or above, so e >= -71: no
- * shift below passes 71 bits. */
-static int scale(uint64_t m, int e, int k, u128 *q, int *rest, int *zero)
+ * 0. For 0 <= k <= 22 and e < 0, which holds from about 1e-6 up to 2^52;
+ * m < 2^53. k <= 22 puts x at -6 or above, so e >= -71: no shift below
+ * passes 71 bits. */
+static void scale(uint64_t m, int e, int k, uint64_t *q, int *rest, int *zero)
 {
     u128 num, r, half;
-    if (k < 0 || k > 22 || e >= 0)
-        return 0;
     num = (u128)m * pow10_128(k); /* < 2^53 * 10^22 < 2^127 */
-    *q = num >> -e;
-    r = num - (*q << -e);
+    *q = (uint64_t)(num >> -e);
+    r = num - ((u128)*q << -e);
     half = (u128)1 << (-e - 1);
     *rest = (r > half) - (r < half); /* without branches, as in format_cell */
     *zero = r == 0;
-    return 1;
+}
+
+/* 5^0 .. 5^26. */
+static const uint64_t FIVE[27] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL,
+    30517578125ULL, 152587890625ULL, 762939453125ULL, 3814697265625ULL,
+    19073486328125ULL, 95367431640625ULL, 476837158203125ULL, 2384185791015625ULL,
+    11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
+    1490116119384765625ULL};
+
+/* 5^(27 j) for j = 1 .. 12, below 2^(64 j): j words each, the lowest
+ * first, from word j (j - 1) / 2 on. */
+static const uint64_t FIVE27[78] = {
+    0x6765c793fa10079dULL,
+    0x6664242d97d9f649ULL, 0x29c30f1029939b14ULL,
+    0x7bf3f22ac4f809c5ULL, 0xad34051767bdae34ULL, 0x10de1593369d1b5fULL,
+    0x9efff7c792b260d1ULL, 0xaeba5d5681de0ec6ULL, 0x4f40737a410664a4ULL,
+    0x06d00f7320d3846fULL,
+    0x13a1d71cff1b172dULL, 0x7f682d3defa07617ULL, 0x3f0131e7ff8c90c0ULL,
+    0x917b01773fdcb9feULL, 0x02c06b9d16c407a7ULL,
+    0x056667ec960f7199ULL, 0x80f2b9cce07aefd8ULL, 0xeb9a214a8273f5e3ULL,
+    0x0e477ad440b38005ULL, 0xfa28b11e277d08e6ULL, 0x011c835bd3f7d784ULL,
+    0x3282d3f3f723d9d5ULL, 0x69659d25e00857d1ULL, 0x24da6d072cf117cfULL,
+    0x3e5d8ced954d1417ULL, 0xfd785ae67a8bb766ULL, 0x40c78b34645436d2ULL,
+    0x0072e9f794151217ULL,
+    0x7893c5a72b416aa1ULL, 0x2bad2beae37dc6d4ULL, 0x7575ae4bf0fc846cULL,
+    0x83b67a3462587b14ULL, 0xf7992f5502110cdbULL, 0xa4a23bec00deb022ULL,
+    0xb85b654f8af5c5cdULL, 0x002e69d2818df38bULL,
+    0x20b0c15f3518cbbdULL, 0xfb5dc3dd38756c2fULL, 0xbf35a95222ad2d94ULL,
+    0x9a613326a699192aULL, 0xd7f48968ad2a9cedULL, 0xc8f05db6e87dfb54ULL,
+    0x31c1ab495ef67531ULL, 0x9b2957b5e202ac9fULL, 0x0012bf07a143f6d3ULL,
+    0x21aba2e18b971de9ULL, 0x5717233663944362ULL, 0xfb534166d9544225ULL,
+    0x14640ee208c563eeULL, 0x02b0653724e40d31ULL, 0x0285e53303887f14ULL,
+    0x8be3a6c4b744ef26ULL, 0x6761ece2266979b4ULL, 0xe67de319d9cb39e4ULL,
+    0x000792500d39e796ULL,
+    0xf414a796260eb6e5ULL, 0xdb9368ebee1a7491ULL, 0x59157750f50c105bULL,
+    0xf6e56d8b9ed2fb5cULL, 0x0f319f75eaee8d23ULL, 0xac2908e92aa134d6ULL,
+    0x02f02a55d4413298ULL, 0x70dde184989d5a7aULL, 0x03200981ba8040a7ULL,
+    0x3c1c2a18be03b11cULL, 0x00030ee0d60427a1ULL,
+    0xf1c4aa25ce566d71ULL, 0xa72283d04e93ca53ULL, 0x3d0538e2551a73eaULL,
+    0x6a58de608da4303fULL, 0x49cf61a60e660221ULL, 0xb9d1a14c8d058fc1ULL,
+    0xc85c69324bab157dULL, 0x9b92b8d0518c8b9eULL, 0xbd855df90d8a0e21ULL,
+    0x8da29289b3ea59a1ULL, 0x3752d80f4584d506ULL, 0x00013c33b72569c6ULL};
+
+/* scale for 22 < k <= 350, in words of 64 bits: m * 10^k * 2^e is
+ * m * 5^k * 2^(e + k), and with k = 27 j + r, m * 5^k is the 128-bit
+ * m * 5^r times 5^(27 j), at most j + 2 words. The shift s = -(e + k) is
+ * positive, and q = floor(m * 5^k / 2^s) < 2^58 lies in words s / 64 and
+ * the next; the part cut off is the s bits below it. */
+static void scale_wide(uint64_t m, int e, int k, uint64_t *q, int *rest, int *zero)
+{
+    static const uint64_t one = 1;
+    const int j = k / 27, len = j ? j : 1, s = -(e + k);
+    const uint64_t *five = j ? FIVE27 + j * (j - 1) / 2 : &one;
+    const u128 a = (u128)m * FIVE[k % 27]; /* < 2^53 * 5^26 < 2^114 */
+    uint64_t w[15] = {0}, half, below = 0;
+    u128 c = 0;
+    int i;
+
+    for (i = 0; i < len; i++) {
+        c += (u128)five[i] * (uint64_t)a;
+        w[i] = (uint64_t)c;
+        c >>= 64;
+    }
+    w[len] = (uint64_t)c;
+    c = 0;
+    for (i = 0; i < len; i++) {
+        c += (u128)five[i] * (uint64_t)(a >> 64) + w[i + 1]; /* < 2^128 */
+        w[i + 1] = (uint64_t)c;
+        c >>= 64;
+    }
+    w[len + 1] = (uint64_t)c;
+    *q = w[s / 64] >> s % 64;
+    if (s % 64)
+        *q |= w[s / 64 + 1] << (64 - s % 64);
+    /* The top bit cut off, and whether any bit below it is set. */
+    half = w[(s - 1) / 64] >> (s - 1) % 64 & 1;
+    for (i = 0; i < (s - 1) / 64; i++)
+        below |= w[i];
+    below |= w[(s - 1) / 64] & ((1ULL << (s - 1) % 64) - 1);
+    *rest = half ? below != 0 : -1;
+    *zero = !half && !below;
 }
 
 /* The eight digits of n < 10^8 at p.
@@ -993,46 +1211,35 @@ static inline void put8(char *p, uint32_t n)
     memcpy(p + 6, PAIRS + 2 * (b % 100), 2);
 }
 
-/* v as format(v, ".17g") writes it; returns the length, at most CELL - 1.
- * It may write up to SLACK bytes past that length. */
-static int format_cell(double v, char *out)
+/* The 17 significant digits *dp, 10^16 <= *dp < 10^17, and the decimal
+ * exponent *xp of the finite nonzero double of bits, rounded as
+ * format(v, ".17g") rounds them: |v| rounds to *dp * 10^(*xp - 16).
+ * Returns 0 for magnitudes of 2^52 and above, which go to snprintf. */
+ALWAYS_INLINE int decimal(uint64_t bits, uint64_t *dp, int *xp)
 {
-    char digits[32] = {0}; /* 17 digits, then room for copies of 16 */
-    char tmp[32], *o = out;
-    uint64_t bits, m, d, t;
-    uint32_t hi;
-    int biased, e, x, k, rest, zero, r, big, up, len;
-    u128 q;
+    uint64_t m = bits & (HIDDEN - 1), d, t, q;
+    int biased = (int)(bits >> 52) & 0x7ff, e, x, k, rest, zero, r, big, up, shift;
 
-    memcpy(&bits, &v, sizeof bits);
-    biased = (int)(bits >> 52) & 0x7ff;
-    m = bits & ((1ULL << 52) - 1);
-    if (biased == 0x7ff) {
-        if (bits >> 63 && !m)
-            *o++ = '-';
-        memcpy(o, m ? "nan" : "inf", 3); /* Python writes every NaN as "nan" */
-        return (int)(o - out) + 3;
+    if (biased) {
+        e = biased - 1075;
+        m |= HIDDEN;
+    } else { /* subnormal: m * 2^-1074, with its top bit moved to bit 52 */
+        shift = __builtin_clzll(m) - 11;
+        m <<= shift;
+        e = -1074 - shift;
     }
-    if (biased == 0 && m == 0) {
-        if (bits >> 63)
-            *o++ = '-';
-        *o++ = '0';
-        return (int)(o - out);
-    }
-    e = biased - 1075;
-    m |= 1ULL << 52;
+    if (e >= 0)
+        return 0;
     x = ((e + 52) * 78913) >> 18;
     k = 16 - x;
-    if (biased == 0 || !scale(m, e, k, &q, &rest, &zero)) {
-        /* subnormal, or outside scale's range */
-        len = snprintf(tmp, sizeof tmp, "%.17g", v);
-        memcpy(out, tmp, (size_t)len);
-        return len;
-    }
+    if (k <= 22)
+        scale(m, e, k, &q, &rest, &zero);
+    else
+        scale_wide(m, e, k, &q, &rest, &zero);
     /* Round, without branches: which way a cell rounds is a coin flip to
      * a branch predictor. With 18 digits, the last, r, joins the part
      * below it. */
-    d = (uint64_t)q; /* < 10^18 */
+    d = q; /* < 10^18 */
     t = d / 10;
     r = (int)(d - 10 * t);
     big = d >= POW10[17];
@@ -1043,6 +1250,38 @@ static int format_cell(double v, char *out)
     if (d == POW10[17]) {
         d = POW10[16];
         x++;
+    }
+    *dp = d;
+    *xp = x;
+    return 1;
+}
+
+/* v as format(v, ".17g") writes it; returns the length, at most CELL - 1.
+ * It may write up to SLACK bytes past that length. */
+static int format_cell(double v, char *out)
+{
+    char digits[32] = {0}; /* 17 digits, then room for copies of 16 */
+    char tmp[32], *o = out;
+    uint64_t bits = bits_of(v), d;
+    uint32_t hi;
+    int x, len;
+
+    if ((bits & ~SIGN) >= 0x7ffULL << 52) {
+        if (bits >> 63 && bits << 12 == 0)
+            *o++ = '-';
+        memcpy(o, bits << 12 ? "nan" : "inf", 3); /* Python writes every NaN as "nan" */
+        return (int)(o - out) + 3;
+    }
+    if ((bits & ~SIGN) == 0) {
+        if (bits >> 63)
+            *o++ = '-';
+        *o++ = '0';
+        return (int)(o - out);
+    }
+    if (!decimal(bits, &d, &x)) {
+        len = snprintf(tmp, sizeof tmp, "%.17g", v);
+        memcpy(out, tmp, (size_t)len);
+        return len;
     }
     hi = (uint32_t)(d / 100000000);
     digits[0] = (char)('0' + hi / 100000000);
@@ -1061,7 +1300,11 @@ static int format_cell(double v, char *out)
         *o++ = x < 0 ? '-' : '+';
         if (x < 0)
             x = -x;
-        memcpy(o, PAIRS + 2 * x, 2); /* -6 <= x <= 16 in scale's range */
+        if (x >= 100) { /* down to 10^-324 */
+            *o++ = (char)('0' + x / 100);
+            x %= 100;
+        }
+        memcpy(o, PAIRS + 2 * x, 2);
         o += 2;
     } else if (x >= 0) {
         /* x + 1 integer digits, zero-padded, then the fraction if any. */
@@ -1228,6 +1471,61 @@ static int lemire(uint64_t d, int p, double *v)
     return 1;
 }
 
+/* 10^(20 a - 340), rounded, for a = 0 .. 15: times 2^1074 for a <= 12,
+ * the powers up to 10^-100, whose candidates lie on the grid (see
+ * nearest); as it is for the others. */
+static const double COARSE[16] = {
+    0x1.755dc2ff447d8p-56, 0x1.fa01712e8f047p+10, 0x1.56e1fc2f8f359p+77,
+    0x1.d0b15a491eb84p+143, 0x1.3ae3591f5b4d9p+210, 0x1.aac0bf9b9e65cp+276,
+    0x1.212dd4de70913p+343, 0x1.87e92154ef7acp+409, 0x1.0991a9bfa58c8p+476,
+    0x1.67e9c127b6e74p+542, 0x1.e7c5f127bd87ep+608, 0x1.4a8729fc3ddb7p+675,
+    0x1.bff2ee48e0530p+741, 0x1.2f8ac174d6123p-266, 0x1.9b604aaaca626p-200,
+    0x1.16c262777579cp-133};
+
+/* d * 10^p for p < -21 and d of digits digits, where that value is the
+ * 17-digit decimal of a double: that double, which is what float() reads,
+ * since the 17-digit decimal of every double reads back to it. Returns 0
+ * where d has more than 17 digits, p is below -340, or no double near
+ * d * 10^p has that decimal.
+ *
+ * The first candidate is d * 10^p in hardware doubles: for p < -80,
+ * where d * 10^p < 10^-63, times 2^1074, on the grid (see to_grid), and
+ * rounded to the integers below 2^52; above, as it is, a normal double
+ * made from normal ones. Four roundings of at most 2^-53 of it each put
+ * it within a few units in the last place of d * 10^p, and most often on
+ * it or next to it. decimal gives each candidate's digits, which grow
+ * with the candidate, so the search steps towards d * 10^p until a
+ * candidate matches, or it passes d * 10^p, or four candidates fail. */
+static int nearest(uint64_t d, int digits, int p, double *v)
+{
+    const int x = p + digits - 1, i = p + 340;
+    uint64_t want, got, bits;
+    int tries, xc, cmp, step = 0;
+    double y;
+
+    if (digits > 17 || i < 0)
+        return 0;
+    want = d * POW10[17 - digits]; /* 10^16 <= want < 10^17 */
+    y = (double)d * (double)POW10[i % 20] * COARSE[i / 20];
+    bits = i / 20 > 12 ? bits_of(y)
+           : y < 0x1p52 ? (uint64_t)((y + 0x1p52) - 0x1p52)
+                        : bits_of(y) - SHIFT;
+    for (tries = 0; tries < 4 && bits; tries++) {
+        if (!decimal(bits, &got, &xc)) /* never: d * 10^p < 10^-4 */
+            return 0;
+        cmp = xc != x ? (xc > x) - (xc < x) : (got > want) - (got < want);
+        if (cmp == 0) {
+            *v = of_bits(bits);
+            return 1;
+        }
+        if (step == cmp)
+            return 0; /* passed it: no double has that decimal */
+        step = -cmp;
+        bits += (uint64_t)(int64_t)step;
+    }
+    return 0;
+}
+
 /* Reads one cell, -?digits[.digits][e[+-]digits], ended by sep, into *v
  * and advances *p past sep; 0 when the text there is anything else. The
  * value is correctly rounded, as Python's float() rounds it. */
@@ -1276,8 +1574,8 @@ static int read_cell(const char **p, const char *end, char sep, double *v)
     if (s == end || *s != sep)
         return 0;
     *p = s + 1;
-    if (digits > 19 || exponent >= 100000 || power < -21 || power > 19 ||
-        (d != 0 && !lemire(d, power, v))) {
+    if (digits > 19 || exponent >= 100000 || power > 19 ||
+        (d != 0 && !(power >= -21 ? lemire(d, power, v) : nearest(d, digits, power, v)))) {
         *v = strtod(cell, &stop); /* which reads the sign itself */
         return stop == s;
     }

@@ -34,7 +34,13 @@ and u, as ``example3``'s is, a step whose state has every component below
 quotient once more to the integers, as the subnormal range rounds: the
 same bits, without the hardware's slow path for subnormal operands and
 results, in which never-resting runs of ``example3`` spend most of their
-steps. Other plants take that slow path there. Wherever the Python loop would
+steps. Other plants take that slow path there. In those steps a
+weighted sum of states, such as ``example3``'s f, runs without the
+interpreter. A g that reads neither t nor the state is evaluated once
+per run, and where
+``stiffness_safety * alpha * shrink_divisor <= 1`` the step size skips
+the shrink cap's division, whose result could never be the smaller
+(``native.c`` gives the proof). Wherever the Python loop would
 raise, and when its row buffer (sized by ``_row_capacity``) is full, it
 hands the run back and the Python loop runs it from t = 0, so
 exceptions, messages and partial traces are the Python loop's own.

@@ -278,6 +278,34 @@ def test_only_time_free_plants_repeat_rest_steps(f_text, g_text, stride, compile
     assert signs == ({1.0, -1.0} if g_text == "cos(t)" else {1.0})
 
 
+# (shrink_divisor, alpha) with alpha * shrink_divisor just below 1, at 1,
+# just above 1 (0.02 rounds up), and at ex2-sweep's 0.0214 * 50;
+# stiffness_safety is 1.
+_CLOCK_BOUND = {
+    "just-below": (50.0, math.nextafter(0.02, 0.0)),
+    "exactly-1": (64.0, 1 / 64),
+    "just-above": (50.0, 0.02),
+    "ex2-sweep": (50.0, 0.0214),
+}
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (1.0, -1.0)], ids=["rest", "moving"])
+@pytest.mark.parametrize("shrink, alpha", list(_CLOCK_BOUND.values()), ids=list(_CLOCK_BOUND))
+def test_step_clock_matches_python_loop_at_the_division_bound(shrink, alpha, x0, compiled):
+    # The C loop drops the shrink cap's division where stiff_cap *
+    # shrink_divisor <= 1, the first two cases. In the first three the
+    # rounded caps tie at some steps. From x0 = 0 the time-free plant
+    # takes repeated rest steps, which only advance the clock.
+    design = _stand_in_design(COEFFICIENTS[2], 2.0, alpha, 1.0)
+    cfg = pl.SimConfig(x0=x0, dt_base=1.0, epsilon_fraction=1e-3, shrink_divisor=shrink)
+    ties = [d * alpha == d / shrink for d in (2.0 - t for t, *_ in _step_times(design, cfg))]
+    assert any(ties) == (alpha != 0.0214)
+    plant = pl.plant_from_expressions(
+        2, "0.001*x1", "1", gamma=1.2, gamma_min=1.0, phi=0.001, phi0=0.0
+    )
+    _assert_same(plant, design, cfg, compiled)
+
+
 def test_envelope_violation_hands_back(compiled):
     # At one step start at rest, f picks up 1.5e-9, 1.5 times the audit's
     # slack of 1e-9 over the envelope 0.001*||x|| of a state near 0.
@@ -516,6 +544,69 @@ def test_linear_programs_run_on_the_grid(rnd, x, u, t, terms):
     for prog, call in cases:
         want = _python_value(call, x, u, t)
         assert _bits(native.evaluate(prog, x, u, t, grid=True)) == _bits(want)
+
+
+# Weights of 2^600 and more can take a product past CEILING, 2^1000
+# carried, where the grid pass does not carry it.
+_weights = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from((0.0, -0.0, 5e-324, -1e-310, 1.0, -1.0, 2.0**600, -(2.0**700), 1e300)),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(_weights, st.integers(0, 2), st.booleans()), min_size=1, max_size=6
+    ),
+    x=st.lists(_deep, min_size=3, max_size=3),
+    by_fsum=st.booleans(),
+    shape=st.sampled_from(("weighted", "right-nested", "fsum-of-fewer", "with-u")),
+)
+# Carried terms 2^53 - 2, 3 and -1, whose plain sum, 2^53 - 1, is not the
+# exact sum, 2^53, that math.fsum gives.
+@example(terms=[(2.0, 0, True), (1.0, 1, False), (-1.0, 2, True)],
+         x=[math.ldexp(2**52 - 1, -1074), 1.5e-323, 5e-324], by_fsum=True, shape="weighted")
+# A product of 2^-60, 2^1014 carried: finite, but past CEILING.
+@example(terms=[(1.0, 1, True), (2.0**600, 0, False)], x=[2.0**-660, 2.0**-700, 0.0],
+         by_fsum=True, shape="weighted")
+@example(terms=[(1.0, 1, True), (2.0**600, 0, False)], x=[2.0**-660, 2.0**-700, 0.0],
+         by_fsum=False, shape="weighted")
+def test_weighted_sums_run_on_the_grid(terms, x, by_fsum, shape):
+    # A weighted sum, products of a constant and a state in either order
+    # combined by one FSUM or by ADDs from the left, runs without the
+    # stack machine in a grid pass; programs that differ from one in
+    # their last ops run its grid copy. Both give Python's bits.
+    products = [
+        [(native.CONST, w), (native.X, i), (native.MUL, 0)] if first
+        else [(native.X, i), (native.CONST, w), (native.MUL, 0)]
+        for w, i, first in terms
+    ]
+    values = [w * x[i] for w, i, _ in terms]
+    if shape == "with-u":
+        products.append([(native.U, 0), (native.CONST, 0.5), (native.MUL, 0)])
+        values.append(x[0] * 0.5)
+    k = len(products)
+    if shape == "fsum-of-fewer" and k > 1:
+        ops = [op for p in products for op in p] + [(native.FSUM, k - 1), (native.ADD, 0)]
+        want = values[0] + math.fsum(values[1:])
+    elif shape == "right-nested":
+        ops = [op for p in products for op in p] + [(native.ADD, 0)] * (k - 1)
+        want = values[-1]
+        for v in reversed(values[:-1]):
+            want = v + want
+    elif by_fsum:
+        ops = [op for p in products for op in p] + [(native.FSUM, k)]
+        want = math.fsum(values)
+    else:
+        ops = products[0] + [op for p in products[1:] for op in (*p, (native.ADD, 0))]
+        want = values[0]
+        for v in values[1:]:
+            want = want + v
+    # u = x1, so that a product with u carries too.
+    got = native.evaluate(native.program(ops), x, x[0], 1.0, grid=True)
+    carried = all(abs(v) < 2.0**-74 for v in values)
+    assert _bits(got) == _bits(want if carried else None)
 
 
 @pytest.mark.parametrize("text", ["x1*x2", "sin(x1)", "x1 + 1", "1/x1", "u*cos(t)*x2"])

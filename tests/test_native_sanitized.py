@@ -8,13 +8,15 @@ next to the ends of their buffers. A small C driver, built with
 access out of bounds, and any undefined operation, ends it with an error.
 The driver writes into a buffer of exactly the size ``native.write_rows``
 allocates for one chunk, and reads texts that end exactly at the end of a
-``malloc``'d block, with no NUL after them. The grid passes convert
+``malloc``'d block, with no NUL after them. Cells below 1e-6 are scaled
+in words of 64 bits; the driver writes and reads the cells whose shifts
+reach the largest counts and the highest words. The grid passes convert
 between doubles and 64-bit integers; the driver converts at both ends of
 the integers' range and past them, where a conversion out of range,
-undefined too, ends it as well. It also evaluates a deep linear program on
-the grid, whose copy and carried flags take buffers sized by the
-program's length and depth. It needs gcc with libasan and skips without
-them.
+undefined too, ends it as well. It also evaluates deep linear programs on
+the grid, a weighted sum among them, whose copy, terms and carried flags
+take buffers sized by the program's length and depth. It needs gcc with
+libasan and skips without them.
 """
 
 import ctypes
@@ -214,10 +216,14 @@ LONGEST = -1.2345678901234567e-300
 FARTHEST = -1234567890123456.8
 # 2^52 + 1, the least magnitude past the writer's scaling: to snprintf.
 LARGE = -4503599627370497.0
+# The least subnormal, whose 24 bytes take the highest words.
+LEAST = -5e-324
 
 
 @pytest.mark.parametrize(
-    "last", [LONGEST, FARTHEST, LARGE], ids=["longest", "farthest-last", "large-last"]
+    "last",
+    [LONGEST, FARTHEST, LARGE, LEAST],
+    ids=["longest", "farthest-last", "large-last", "subnormal-last"],
 )
 def test_writer_stays_in_the_buffer_write_rows_allocates(driver, monkeypatch, last):
     cols = 3
@@ -263,6 +269,8 @@ def test_reader_stays_in_texts_that_end_at_their_block(driver):
             "1234567890123456.7890123",
             "-0.000012345678901234567",
             "-9007199254740993",  # a tie between two doubles: to strtod
+            "-4.9406564584124654e-324",
+            "2.2250738585072009e-308",
         ):
             cell = source[:length].encode()
             texts += [cell + b"\n", cell, b"1\n" + cell + b"\n", b"1\n" + cell]
@@ -344,3 +352,56 @@ def test_grid_copy_of_a_deep_program_stays_in_its_buffers(driver):
     assert native.program(ops).depth == depth + 2
     assert not bad and _bits(got) == _bits(math.fsum(items))
     assert refused_bad
+
+
+def _shift(v):
+    """The shift of ``native.c``'s multiword scaling for ``v``, and its
+    power of ten k (k > 22 takes that scaling)."""
+    bits = _bits(abs(v))
+    biased, m = bits >> 52, bits & (2**52 - 1)
+    e = biased - 1075 if biased else -1074 - (53 - m.bit_length())
+    k = 16 - (((e + 52) * 78913) >> 18)
+    return -(e + k), k
+
+
+def test_tiny_cells_shift_within_their_words(driver):
+    # The shifts of 0, 1 and 63 bits past a word boundary, at their
+    # largest counts, and 5e-324, the largest shift of all, with its
+    # quotient in the highest words: written, and read back from the end
+    # of a block.
+    shifted = {}
+    for biased in range(1, 2046):
+        v = struct.unpack("<d", struct.pack("<Q", biased << 52))[0]
+        s, k = _shift(v)
+        if k > 22 and s % 64 in (0, 1, 63):
+            shifted[s % 64] = max(shifted.get(s % 64, (0, 0.0)), (s, v))
+    values = [v for _, v in shifted.values()] + [5e-324, math.ldexp(2**52 - 1, -1074)]
+    assert len(values) == 5 and _shift(5e-324)[0] == max(_shift(v)[0] for v in values) == 786
+    for v in values + [-v for v in values]:
+        text = _run(driver, [f"w 64 1 1 {v.hex()} {v.hex()}"])
+        assert text.decode() == format(v, ".17g") + "\n"
+        _check_parses(driver, [text, text[:-1]])
+
+
+def test_weighted_sum_runs_on_the_grid_in_its_buffers(driver):
+    # example3's form, fsum of w_i * x_i, with 5,000 terms, all on the
+    # stack at once; and the same terms summed by ADDs from the left.
+    terms, x = 5_000, [3e-310, -(2.0**-700), 5e-324]
+    weights = [(-1.0) ** k * (1.0 + k / terms) for k in range(terms)]
+    products = [
+        [(native.CONST, w), (native.X, k % 3), (native.MUL, 0)] if k % 2
+        else [(native.X, k % 3), (native.CONST, w), (native.MUL, 0)]
+        for k, w in enumerate(weights)
+    ]
+    by_fsum = [op for p in products for op in p] + [(native.FSUM, terms)]
+    by_adds = products[0] + [op for p in products[1:] for op in (*p, (native.ADD, 0))]
+    values = [w * x[k % 3] for k, w in enumerate(weights)]
+    (fsum_bad, fsum_got), (adds_bad, adds_got) = _results(
+        driver, [_evaluate(native.program(by_fsum), x), _evaluate(native.program(by_adds), x)]
+    )
+    assert native.program(by_fsum).depth == terms + 1  # the last product's two factors
+    assert not fsum_bad and _bits(fsum_got) == _bits(math.fsum(values))
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    assert not adds_bad and _bits(adds_got) == _bits(total)

@@ -12,6 +12,7 @@ reader with itself.
 import io
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -35,6 +36,10 @@ needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
 
 def _double(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _pattern(v):
+    return struct.unpack("<Q", struct.pack("<d", v))[0]
 
 
 def _cells(values):
@@ -78,6 +83,110 @@ def test_cells_match_python_at_the_edges():
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_cells_match_python_on_raw_bit_patterns(patterns):
     _assert_cells_match_python([_double(bits) for bits in patterns])
+
+
+def _tiny_values():
+    """Cells below 1e-6, which the writer scales in words of 64 bits and
+    the reader converts by its candidates: the subnormal mantissas m = 1
+    and m = 2^52 - 1, both sides of 2^-1022, three values at every decimal
+    exponent from -324 to -7, the powers of ten whose 17 digits carry into
+    the next decade, and the powers of two, whose cut-off part is 0 from
+    2^-20 to 2^-24 and one half at 2^-25."""
+    values = [_double(1), _double(2), _double(2**51), _double(2**52 - 1), _double(2**52),
+              _double(2**52 + 1), 2.0**-1022 * 1.5, 2.0**-1023 * 1.5]
+    values += [2.0**-k for k in range(20, 1075)]
+    for x in range(-324, -6):
+        power = float(f"1e{x}")
+        values += [float(f"3e{x}"), float(f"9.87654321e{x}"), power]
+        values += [math.nextafter(power, 0.0), math.nextafter(power, 1.0)]
+    return [v for v in values if v != 0.0]
+
+
+def _carries(values):
+    """The values whose 17 digits round up to the next power of ten."""
+    out = []
+    for v in values:
+        mantissa, _, exponent = format(v, ".17g").partition("e")
+        if mantissa == "1" and Fraction(v) < Fraction(10) ** int(exponent):
+            out.append(v)
+    return out
+
+
+@needs_gcc
+def test_tiny_cells_match_python():
+    values = _tiny_values()
+    exponents = {int(format(v, ".17g").partition("e")[2]) for v in values}
+    assert exponents == set(range(-324, -6))
+    assert _carries(values)
+    _assert_cells_match_python(values + [-v for v in values])
+
+
+# Bit patterns weighted to subnormals and to normals below 1e-6.
+_TINY_PATTERNS = st.one_of(
+    st.integers(1, 2**52 - 1),
+    st.integers(2**52, _pattern(1e-6)),
+    st.integers(1, 64).map(lambda k: 2**52 - k),
+    st.integers(0, 52).map(lambda k: 1 << k),
+).flatmap(lambda bits: st.sampled_from((bits, bits | 1 << 63)))
+
+
+@needs_gcc
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_TINY_PATTERNS, min_size=1, max_size=64))
+def test_tiny_cells_match_python_on_bit_patterns(patterns):
+    _assert_cells_match_python([_double(bits) for bits in patterns])
+
+
+@needs_gcc
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Not the 17-digit decimal of any double: to strtod.
+        "5e-324", "-5e-324", "1e-323", "3e-324", "2e-324",
+        "49406564584124654417656879286822137236505980e-367",
+        "12345678901234567890e-330", "98765432109876543210e-320",
+        # Near halfway between the subnormals of 1 and 2 units, and of
+        # 2^52 - 2 and 2^52 - 1 units.
+        "7.4109846876186982e-324", "7.41098468761869816e-324",
+        "2.2250738585072006e-308", "2.22507385850720063e-308",
+        # 17-digit decimals of doubles, written as the writer would not.
+        "4.94065645841246544e-324", "0.0000000000000000000000000000000049406564584124654",
+        "49406564584124654e-340", "4.9406564584124654e-324",
+        # Past the candidates' table, and zeros.
+        "1e-341", "1e-400", "0e-400", "-0.000e-30",
+    ],
+)
+def test_parser_reads_tiny_texts_as_float_does(text):
+    assert native.parse_rows(f"{text}\n".encode(), 1)[0, 0].hex() == float(text).hex()
+
+
+@needs_gcc
+def test_parser_rounds_halfway_subnormal_decimals_as_float_does():
+    # The exact decimals halfway between adjacent subnormals, (2a + 1)
+    # times 2^-1075, each with its last digit moved one down and one up.
+    strings = []
+    for a in (0, 1, 2, 3, 2**51, 2**52 - 2):
+        tie = (2 * a + 1) * 5**1075
+        strings += [_decimal(tie + step, 1075) for step in (-1, 0, 1)]
+    strings += ["-" + s for s in strings]
+    parsed = native.parse_rows("".join(f"{s}\n" for s in strings).encode(), 1)
+    assert parsed[:, 0].tobytes() == np.array([float(s) for s in strings]).tobytes()
+
+
+def _c_table(name):
+    """The integers of the C array ``name`` in native.c, in order."""
+    source = Path(native.__file__).with_name("native.c").read_text()
+    body = re.search(r"\b" + name + r"\[\d+\] = \{([^}]*)\}", source).group(1)
+    return [int(word, 0) for word in re.findall(r"\b(0x[0-9a-f]+|\d+)ULL", body)]
+
+
+def test_power_of_five_tables_hold_their_powers():
+    assert _c_table("FIVE") == [5**r for r in range(27)]
+    words = _c_table("FIVE27")
+    for j in range(1, 13):
+        row = words[j * (j - 1) // 2: j * (j + 1) // 2]
+        assert sum(w << (64 * i) for i, w in enumerate(row)) == 5 ** (27 * j), j
+    assert len(words) == 12 * 13 // 2
 
 
 # Decimal strings of the parser's grammar, from a few digits to many.

@@ -8,11 +8,11 @@
  * - the rest step below skips work whose result it can prove;
  * - when neither f nor g reads t, the rest steps that follow a rest step
  *   in one pass repeat it bit for bit, and only advance the clock;
- * - when f is linear in x and u, a step whose state has every component
- *   below DEEP, and one nonzero, runs on the grid of 2^-1074: its values
- *   times 2^1074, in hardware doubles, with each product and quotient
- *   rounded once more where the unscaled one is subnormal, and a
- *   weighted-sum f there is summed directly, its fsum as a plain sum
+ * - when f is a weighted sum of states, or reads neither x nor u, a step
+ *   whose state has every component below DEEP, and one nonzero, runs on
+ *   the grid of 2^-1074: its values times 2^1074, in hardware doubles,
+ *   with each product and quotient rounded once more where the unscaled
+ *   one is subnormal, and a weighted sum's fsum there as a plain sum
  *   wherever that is exact (grid_sum gives the proof);
  * - a g that reads neither t nor the state is evaluated once per run;
  * - the step size skips the shrink cap's division where the stiffness
@@ -67,10 +67,6 @@ enum {
     OP_FSUM,  /* replace the top arg values by math.fsum of them, in push order */
     OP_END
 };
-
-/* The products and quotients of f's grid copy (see linear), which no
- * program from ptc_lab.native holds. */
-enum { OP_GMUL = OP_END + 1, OP_GDIV };
 
 /* CANCELLED: the caller set run_args.cancel, and raises KeyboardInterrupt
  * instead of handing the run to the Python loop. */
@@ -280,18 +276,17 @@ static int math_1(double (*fn)(double), double *v)
 /* The stack machine: direct threading (GCC's labels as values), with the
  * top of the stack kept in tos. Binary ops take the value below tos as
  * their left operand, as Python evaluates left to right. st holds
- * p->depth + 1 values: st[0] takes the empty stack's tos. The grid ops
- * occur only in f's grid copy, and fault where grid_op sets bad. */
+ * p->depth + 1 values: st[0] takes the empty stack's tos. */
 static HOT int eval(const program *p, double *st, const double *x, double u, double t,
                     double *out)
 {
     static const void *const labels[] = {
         &&op_const, &&op_x, &&op_u, &&op_t, &&op_add, &&op_sub, &&op_mul,
         &&op_div, &&op_neg, &&op_sin, &&op_cos, &&op_exp, &&op_abs, &&op_fsum,
-        &&op_end, &&op_gmul, &&op_gdiv};
+        &&op_end};
     double tos = 0.0;
     const int *pc = p->code;
-    int sp = 0, arg, bad = 0;
+    int sp = 0, arg;
 
 #define NEXT() do { arg = pc[1]; pc += 2; goto *labels[pc[-2]]; } while (0)
     NEXT();
@@ -324,16 +319,6 @@ op_fsum:
 op_end:
     *out = tos;
     return OK;
-op_gmul:
-    tos = grid_op(0, st[--sp], tos, &bad);
-    if (bad)
-        return FAULT;
-    NEXT();
-op_gdiv:
-    tos = grid_op(1, st[--sp], tos, &bad);
-    if (bad)
-        return FAULT;
-    NEXT();
 #undef NEXT
 }
 
@@ -346,92 +331,12 @@ static size_t length(const program *p)
     return (size_t)(pc - p->code) + 2;
 }
 
-/* Whether f's program p is linear in x and u, so that a grid pass can run
- * it on carried values; if so, code (length(p) ints) holds its grid copy,
- * and *carried says whether its value is carried.
- *
- * A value is carried when it depends on x or u, and time-only when it
- * depends on t and the constants alone; flags (p->depth of them) marks
- * each value on the stack. The copy keeps every op but the products and
- * quotients of a carried value by a time-only one, which become OP_GMUL
- * and OP_GDIV. Each op of the copy gives the bits of the op it stands for,
- * carried where that op's value is carried:
- * - a time-only op is that op, on the same operands;
- * - OP_GMUL and OP_GDIV are grid_op, above; a result that is not below
- *   CEILING, as a zero divisor makes, sets bad, and the op faults;
- * - a sum or difference of two carried values is their carried sum, above;
- *   a negation or absolute value changes only the sign bit, at any scale;
- * - fsum of carried values is made of sums, differences, comparisons and
- *   one doubling, lo + lo, each of which scales as the sums do while no
- *   value overflows; an overflow makes it fault, or leaves an infinity or
- *   a NaN in its value.
- * A value that is not finite stays so through every op of the copy, or
- * makes a grid op fault, so a finite carried value of f is the carried
- * value of f itself. Any other op does not scale: a product of two
- * carried values, a quotient by one, sin, cos or exp of one, or a sum of
- * a carried and a time-only value. Such a program is not linear. */
-static int linear(const program *p, int *code, char *flags, int *carried)
-{
-    const int *pc;
-    int sp = 0, a, b, i;
-
-    for (pc = p->code;; pc += 2, code += 2) {
-        code[0] = pc[0];
-        code[1] = pc[1];
-        switch (pc[0]) {
-        case OP_CONST:
-        case OP_T:
-            flags[sp++] = 0;
-            break;
-        case OP_X:
-        case OP_U:
-            flags[sp++] = 1;
-            break;
-        case OP_ADD:
-        case OP_SUB:
-            sp--;
-            if (flags[sp] != flags[sp - 1])
-                return 0;
-            break;
-        case OP_MUL:
-        case OP_DIV:
-            b = flags[--sp];
-            a = flags[sp - 1];
-            if (b && (a || pc[0] == OP_DIV))
-                return 0;
-            if (a || b)
-                code[0] = pc[0] == OP_MUL ? OP_GMUL : OP_GDIV;
-            flags[sp - 1] = a || b;
-            break;
-        case OP_SIN:
-        case OP_COS:
-        case OP_EXP:
-            if (flags[sp - 1])
-                return 0;
-            break;
-        case OP_FSUM: /* the sum of no values is a time-only 0.0 */
-            sp -= pc[1];
-            a = pc[1] ? flags[sp] : 0;
-            for (i = 1; i < pc[1]; i++)
-                if (flags[sp + i] != a)
-                    return 0;
-            flags[sp++] = (char)a;
-            break;
-        case OP_END:
-            *carried = flags[0];
-            return 1;
-        }
-    }
-}
-
 /* Whether f's program p is a weighted sum: terms products of a constant
  * and a state, in either order, combined by one FSUM terms or by
  * terms - 1 ADDs from the left, as example3's fsum(w_i * x_i) and a text
  * such as a*x1 + b*x2 + c*x3 are. If so, it returns terms, pairs holds
  * each product's state and constant indices, and *by_fsum says which way
- * they are combined; else 0. Such an f is linear, and grid_sum computes
- * its grid copy's value directly, without the stack machine's dispatch:
- * the same products, by grid_op, and the same sum. */
+ * they are combined; else 0. grid_sum computes such an f on the grid. */
 static int weighted_sum(const program *p, int *pairs, int *by_fsum)
 {
     const int *pc = p->code;
@@ -461,29 +366,37 @@ static int weighted_sum(const program *p, int *pairs, int *by_fsum)
     return 0;
 }
 
-/* f's grid form: whether f is linear, its grid copy and whether the
- * copy's value is carried (see linear), and, where f is a weighted sum,
- * its terms (see weighted_sum). */
+/* Whether a program holds the opcode op. */
+static int holds(const program *p, int op)
+{
+    const int *pc;
+    for (pc = p->code; *pc != OP_END; pc += 2)
+        if (*pc == op)
+            return 1;
+    return 0;
+}
+
+/* f's grid form: its program, whether it reads neither x nor u, and,
+ * where it is a weighted sum, its terms (see weighted_sum). A grid pass
+ * evaluates f only in one of these two forms. */
 typedef struct {
-    int linear, carried;
-    program copy;
-    int terms, by_fsum;
+    const program *f;
+    int time_only, terms, by_fsum;
     const int *pairs;
 } grid_f;
 
-/* gf for f's program p, in code, 2 * length(p) ints (the grid copy, then
- * the pairs), and flags, p->depth chars. */
-static void grid_form(const program *p, int *code, char *flags, grid_f *gf)
+/* gf for f's program p, with pairs, length(p) ints, for its terms. */
+static void grid_form(const program *p, int *pairs, grid_f *gf)
 {
-    int *pairs = code + length(p);
-    gf->copy = (program){code, p->consts, p->depth};
+    gf->f = p;
     gf->pairs = pairs;
-    gf->linear = linear(p, code, flags, &gf->carried);
+    gf->time_only = !holds(p, OP_X) && !holds(p, OP_U);
     gf->terms = weighted_sum(p, pairs, &gf->by_fsum);
 }
 
-/* A weighted sum's grid copy at the carried x, on st, which holds its
- * terms: grid_eval for it.
+/* A weighted sum at the carried x, carried, on st, which holds its terms:
+ * grid_eval for it. Each product is grid_op, above, and faults where
+ * grid_op sets bad.
  *
  * Every carried value is an integer-valued double: grid_op rounds to the
  * integers below 2^52, and every double from 2^52 up is an integer. So
@@ -492,11 +405,13 @@ static void grid_form(const program *p, int *code, char *flags, grid_f *gf)
  * the plain sum acc is the exact sum, which is what math.fsum gives; acc
  * starts from +0.0, so an exact sum of 0 is +0.0, as from fsum. size,
  * the magnitudes' sum, is exact while below 2^53 and, rounding being
- * monotone, never falls below it once past. */
+ * monotone, never falls below it once past. Past it, fsum's sums,
+ * differences, comparisons and one doubling scale as a sum does (above)
+ * while no value overflows, and an overflow faults. */
 ALWAYS_INLINE int grid_sum(const grid_f *gf, double *st, const double *x, double *fv)
 {
     const int *pair = gf->pairs;
-    const double *c = gf->copy.consts;
+    const double *c = gf->f->consts;
     double acc, size;
     int i, bad = 0;
 
@@ -523,57 +438,63 @@ ALWAYS_INLINE int grid_sum(const grid_f *gf, double *st, const double *x, double
     return isfinite(*fv) ? OK : FAULT;
 }
 
-/* f's grid copy at the carried x and u: its value *fv, carried. FAULT
- * where f faults, or its value cannot be carried: a carried value that is
- * not finite, or a time-only one that is not below 2^-50. st holds the
- * program's depth + 1 values. */
-ALWAYS_INLINE int grid_eval(const grid_f *gf, double *st, const double *x, double u, double t,
-                            double *fv)
+/* A weighted sum or time-only f at the carried x: *fv, carried. A
+ * time-only program holds no carried value, so its value is carried where
+ * it is below 2^-50. FAULT where f faults or its value cannot be carried.
+ * st holds the program's depth + 1 values. */
+ALWAYS_INLINE int grid_eval(const grid_f *gf, double *st, const double *x, double t, double *fv)
 {
     if (gf->terms)
         return grid_sum(gf, st, x, fv);
-    if (eval(&gf->copy, st, x, u, t, fv))
-        return FAULT;
-    if (gf->carried)
-        return isfinite(*fv) ? OK : FAULT;
-    if (!(fabs(*fv) < 0x1p-50))
+    if (eval(gf->f, st, x, 0.0, t, fv) || !(fabs(*fv) < 0x1p-50))
         return FAULT;
     *fv = to_grid(*fv);
     return OK;
 }
 
 /* One evaluation of a program of n states on its own, for tests. With
- * grid set, it runs as f runs in a grid pass: x and u are carried in, the
- * program's grid form runs, and its value is brought back. FAULT where
- * the program is not linear, or x or u is not below 2^-50, or a grid pass
- * would not carry the value. */
+ * grid set, it runs as f runs in a grid pass: x is carried in, the
+ * program's grid form runs, and its value is brought back; u is not read.
+ * FAULT where the program is neither a weighted sum nor time-only, or x
+ * is not below 2^-50, or a grid pass would not carry the value. */
 int ptc_eval(const program *p, int n, const double *x, double u, double t, int grid,
              double *out)
 {
     double *st = malloc(((size_t)p->depth + 1) * sizeof *st);
     double *xs = malloc(((size_t)n + 1) * sizeof *xs);
-    int *code = malloc(2 * length(p) * sizeof *code);
-    char *flags = malloc((size_t)p->depth);
+    int *pairs = malloc(length(p) * sizeof *pairs);
     grid_f gf;
-    int i, status = !st || !xs || !code || !flags;
+    int i, status = !st || !xs || !pairs;
 
     if (!status && !grid) {
         status = eval(p, st, x, u, t, out);
     } else if (!status) {
-        grid_form(p, code, flags, &gf);
-        status = !gf.linear || !(fabs(u) < 0x1p-50);
+        grid_form(p, pairs, &gf);
+        status = !gf.terms && !gf.time_only;
         for (i = 0; i < n; i++) {
             status |= !(fabs(x[i]) < 0x1p-50);
             xs[i] = to_grid(x[i]);
         }
-        if (!status && !(status = grid_eval(&gf, st, xs, to_grid(u), t, out)))
+        if (!status && !(status = grid_eval(&gf, st, xs, t, out)))
             *out = from_grid(*out);
     }
-    free(flags);
-    free(code);
+    free(pairs);
     free(xs);
     free(st);
     return status ? FAULT : OK;
+}
+
+/* One product (divide = 0) or quotient (divide = 1) on the grid, for
+ * tests: a, below 2^-50, is carried, grid_op takes it with b, and *out is
+ * the result brought back. FAULT where a grid pass would not carry it. */
+int ptc_grid(int divide, double a, double b, double *out)
+{
+    int bad = !(fabs(a) < 0x1p-50);
+    double k = grid_op(divide, to_grid(a), b, &bad);
+    if (bad)
+        return FAULT;
+    *out = from_grid(k);
+    return OK;
 }
 
 /* p[i] = (tau - s)**(n - i), each power the one above it times d. */
@@ -627,9 +548,10 @@ static HOT int record(run_args *a, double t, const double *x, double u)
 }
 
 /* A state whose components are all below DEEP, one of them nonzero, takes
- * a grid pass when f is linear; every other state, and every step a grid
- * pass leaves, takes the plain pass. The bits are the same either way:
- * the bound decides only which ops compute them. */
+ * a grid pass when f is a weighted sum of states or reads neither x nor
+ * u; every other state, and every step a grid pass leaves, takes the
+ * plain pass. The bits are the same either way: the bound decides only
+ * which ops compute them. */
 #define DEEP 0x1p-600
 
 static int deep(int n, const double *x)
@@ -866,7 +788,7 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l)
 /* ---- Grid passes ----------------------------------------------------------
  *
  * A grid pass computes pass's step on the grid of 2^-1074 (above): the
- * gain law, the stage states, f, by its grid copy, and the update. Below
+ * gain law, the stage states, f, by its grid form, and the update. Below
  * DEEP (2^-600) the state stays below 2^474 carried, and the audit's
  * squares are below 2^-1200, which rounds to +0.0: its limit is
  * phi * 0.0 + phi0 + slack. The pass carries its step only where every
@@ -896,7 +818,7 @@ ALWAYS_INLINE int grid_stage(const run_args *a, const loop *l, double *st, const
                              double *u, double *fv, double *k)
 {
     *u = grid_control(a->n, a->q, ys, p, den, bad);
-    if (grid_eval(&l->f, st, ys, *u, s, fv))
+    if (grid_eval(&l->f, st, ys, s, fv))
         return FAULT;
     *k = *fv + grid_op(0, *u, gain, bad);
     return OK;
@@ -968,19 +890,9 @@ static HOT int grid(run_args *a, double *st, loop *l)
     return MORE;
 }
 
-/* Whether a program holds the opcode op. */
-static int holds(const program *p, int op)
-{
-    const int *pc;
-    for (pc = p->code; *pc != OP_END; pc += 2)
-        if (*pc == op)
-            return 1;
-    return 0;
-}
-
 /* The passes of the loop, each the kind its state calls for: the choice
- * is made once per pass. code and flags are grid_form's. */
-static HOT int run(run_args *a, double *st, int *code, char *flags)
+ * is made once per pass. pairs is grid_form's. */
+static HOT int run(run_args *a, double *st, int *pairs)
 {
     const int n = a->n;
     double p[n], m[n], ya[n], yb[n], yc[n], sq[n], xs[n];
@@ -999,7 +911,7 @@ static HOT int run(run_args *a, double *st, int *code, char *flags)
      * smallest when tau - t_end < 1, settles that for the whole run. */
     powers(n, a->tau, a->t_end, p);
     l.can_rest = p[0] != 0.0;
-    grid_form(&a->f, code, flags, &l.f);
+    grid_form(&a->f, pairs, &l.f);
     a->rows = 0;
     a->u_max = 0.0;
     a->x_max = 0.0;
@@ -1007,7 +919,7 @@ static HOT int run(run_args *a, double *st, int *code, char *flags)
     if (eval(g, st, a->x, 0.0, l.t, &l.g_now))
         return FAULT;
     do {
-        status = l.f.linear && deep(n, a->x) ? grid(a, st, &l) : REDO;
+        status = (l.f.terms || l.f.time_only) && deep(n, a->x) ? grid(a, st, &l) : REDO;
         if (status == REDO)
             status = pass(a, st, &l);
     } while (status == MORE);
@@ -1020,11 +932,9 @@ HOT int ptc_run(run_args *a)
 {
     int depth = a->f.depth > a->g.depth ? a->f.depth : a->g.depth;
     double *st = malloc(((size_t)depth + 1) * sizeof *st);
-    int *code = malloc(2 * length(&a->f) * sizeof *code);
-    char *flags = malloc((size_t)a->f.depth);
-    int status = st && code && flags ? run(a, st, code, flags) : FAULT;
-    free(flags);
-    free(code);
+    int *pairs = malloc(length(&a->f) * sizeof *pairs);
+    int status = st && pairs ? run(a, st, pairs) : FAULT;
+    free(pairs);
     free(st);
     return status;
 }

@@ -166,6 +166,7 @@ SIGNATURES = {
             ctypes.c_double, ctypes.c_int, _DOUBLE_P,
         ],
     ),
+    "ptc_grid": (ctypes.c_int, [ctypes.c_int, ctypes.c_double, ctypes.c_double, _DOUBLE_P]),
     "ptc_format_rows": (
         ctypes.c_long,
         [
@@ -359,8 +360,9 @@ def evaluate(
 ) -> float | None:
     """``prog`` at ``(x, u, t)`` in the compiled machine, or None where it
     faults. With ``grid``, it runs as ``f`` runs in the loop's grid steps,
-    on ``x`` and ``u`` times 2^1074, and gives None as well where ``prog``
-    is not linear in ``x`` and ``u`` or those steps would not carry it.
+    on ``x`` times 2^1074, without reading ``u``, and gives None as well
+    where ``prog`` is neither a weighted sum of states nor free of ``x``
+    and ``u``, or those steps would not carry it.
     Raises RuntimeError when no compiled machine is available."""
     lib = library()
     if lib is None:

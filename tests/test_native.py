@@ -6,6 +6,7 @@ compares the two, or a program with the callable it stands for. Without
 gcc there is no compiled loop, and these tests skip.
 """
 
+import ctypes
 import math
 import os
 import random
@@ -26,11 +27,11 @@ from hypothesis import strategies as st
 import ptc_lab as pl
 from ptc_lab import native, sim
 from ptc_lab.cli import main
-from ptc_lab.expressions import parse_expression
 from test_expressions import _grammar_text
 from test_sim_oracle import (
     COEFFICIENTS,
     GAINS,
+    NO_SHRINK,
     _hurwitz_coefficients,
     _python_path,
     _stand_in_design,
@@ -77,13 +78,44 @@ def _outcome(plant, design, cfg):
         return type(exc), str(exc), partial and _blobs(partial)
 
 
+def _rows(blobs, n):
+    """A trace's rows as (t, x1, ..., xn, u)."""
+    times, states, inputs = (struct.unpack(f"={len(b) // 8}d", b) for b in blobs[:3])
+    return [(t, *states[r * n:(r + 1) * n], u) for r, (t, u) in enumerate(zip(times, inputs))]
+
+
+def _difference(got, want, n):
+    """Where the compiled loop's outcome ``got`` first departs from the
+    Python loop's ``want``: the first differing row and column, with the
+    row's t and both values in hex; else the exceptions, row counts or
+    metadata that differ."""
+    raised = [isinstance(outcome[0], type) for outcome in (got, want)]
+    if any(raised) and got[:2] != want[:2]:
+        return f"C: {got[:2] if raised[0] else 'a run'}, Python: {want[:2] if raised[1] else 'a run'}"
+    traces = [outcome[2] if r else outcome for outcome, r in zip((got, want), raised)]
+    if not all(traces):
+        return f"partial traces: C {bool(traces[0])}, Python {bool(traces[1])}"
+    rows = [_rows(trace, n) for trace in traces]
+    names = ["t", *(f"x{i + 1}" for i in range(n)), "u"]
+    for r, (mine, theirs) in enumerate(zip(*rows)):
+        for name, a, b in zip(names, mine, theirs):
+            if _pattern(a) != _pattern(b):
+                return (f"row {r}, column {name}, t = {theirs[0]!r} ({theirs[0].hex()}): "
+                        f"C {a.hex()}, Python {b.hex()}")
+    if len(rows[0]) != len(rows[1]):
+        return f"rows: C {len(rows[0])}, Python {len(rows[1])}"
+    return f"metadata: C {traces[0][3]}, Python {traces[1][3]}"
+
+
 def _assert_same(plant, design, cfg, compiled):
     """The compiled and the Python loop agree; a run that completes in
-    Python completes in C without handing back."""
+    Python completes in C without handing back. Where they differ, the
+    message names the first difference."""
     compiled.clear()  # hypothesis reuses the fixture across examples
     expected = _outcome(_python_path(plant), design, cfg)
     assert compiled == []
-    assert _outcome(plant, design, cfg) == expected
+    got = _outcome(plant, design, cfg)
+    assert got == expected, _difference(got, expected, len(cfg.x0))
     assert compiled == [not isinstance(expected[0], type)]
     return expected
 
@@ -107,10 +139,11 @@ def test_a_wrapped_plant_takes_the_python_path(compiled):
 
 
 def _plant(n, kind, rnd, g_text, envelope):
-    """A builtin plant of order 2 or 4, or an expression plant."""
+    """A builtin plant of order 2 or 4, or an expression plant: the
+    nominal f = 0, a vanishing f or a grammar text."""
     if kind == "builtin" and n in (2, 4):
         return pl.builtin_plant("example2" if n == 2 else "example3", seed=3)
-    f_text = "0.001*x1*cos(t)"
+    f_text = "0" if kind == "nominal" else "0.001*x1*cos(t)"
     if kind == "grammar":
         # A random text of the expression grammar, scaled down so that
         # many runs complete; the rest fault, in both loops alike. The
@@ -123,7 +156,7 @@ def _plant(n, kind, rnd, g_text, envelope):
     )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None,
+@settings(derandomize=True, max_examples=300, deadline=None, phases=NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(
     n=st.integers(1, 8),
@@ -161,7 +194,7 @@ _deep = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=150, deadline=None,
+@settings(derandomize=True, max_examples=150, deadline=None, phases=NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(
     n=st.integers(1, 4),
@@ -170,7 +203,7 @@ _deep = st.one_of(
     alpha=st.floats(0.05, 0.3),
     x0=st.lists(_deep, min_size=4, max_size=4),
     stride=st.sampled_from((1, 7)),
-    kind=st.sampled_from(("builtin", "vanishing", "grammar")),
+    kind=st.sampled_from(("builtin", "nominal", "vanishing", "grammar")),
     rnd=st.randoms(use_true_random=False),
     g_text=st.sampled_from(GAINS),
     dt_base=st.floats(0.01, 0.2),
@@ -179,11 +212,12 @@ def test_grid_passes_match_python_loop(
     compiled, n, poles, tau, alpha, x0, stride, kind, rnd, g_text, dt_base
 ):
     # States below 2^-600 from the start: the C loop runs grid passes
-    # where f is linear, as example3's and the vanishing plant's are, and
+    # where f is a weighted sum of states, as example3's is, or reads
+    # neither x nor u, as the nominal f = 0 and some grammar texts do, and
     # hands a step to the plain pass where a value cannot be carried (a
     # time-only f value of 2^-50 or more, as some grammar texts have) and
-    # at the last sample. Other f, as example2's and most grammar texts,
-    # take plain passes throughout.
+    # at the last sample. Other f, as example2's, the vanishing plant's
+    # and most grammar texts, take plain passes throughout.
     plant = _plant(n, kind, rnd, g_text, (1.0, 1e3))
     design = _stand_in_design(_hurwitz_coefficients(poles[:n]), tau, alpha, 1.0)
     cfg = pl.SimConfig(x0=tuple(x0[:n]), dt_base=dt_base, shrink_divisor=10.0,
@@ -193,8 +227,8 @@ def test_grid_passes_match_python_loop(
 
 def _grid_phases(states):
     """Whether each run of recorded rows starts steps that native.c runs on
-    the grid for a linear f (every component below its DEEP, 2^-600, and
-    one nonzero), in run order."""
+    the grid for a weighted-sum or time-only f (every component below its
+    DEEP, 2^-600, and one nonzero), in run order."""
     phases = []
     for row in states:
         grid = all(abs(v) < 2.0**-600 for v in row) and any(row)
@@ -425,14 +459,19 @@ def _pattern(v):
 _signs = st.sampled_from((0, 1 << 63))
 
 
+def _grid_op(divide, a, b):
+    """a * b or a / b by native.c's grid_op, with a carried and the result
+    brought back, or None where a grid pass would not carry it."""
+    out = ctypes.c_double()
+    return None if native.library().ptc_grid(divide, a, b, ctypes.byref(out)) else out.value
+
+
 def _assert_grid_op(divide, a, b):
-    """x1 * b or x1 / b, on the grid at x1 = a, gives the bits of Python's
-    * or / wherever a grid pass carries it: a below 2^-50 and the result
-    below 2^-74, 2^1000 carried."""
-    op = native.DIV if divide else native.MUL
-    prog = native.program([(native.X, 0), (native.CONST, b), (op, 0)])
+    """a * b or a / b on the grid gives the bits of Python's * or /
+    wherever a grid pass carries it: a below 2^-50 and the result below
+    2^-74, 2^1000 carried."""
     want = _python_value(lambda x, u, t: x[0] / b if divide else x[0] * b, [a], 0.0, 0.0)
-    got = native.evaluate(prog, [a], 0.0, 0.0, grid=True)
+    got = _grid_op(divide, a, b)
     carried = want is not None and abs(a) < 2.0**-50 and abs(want) < 2.0**-74
     assert (got is not None) == carried, (divide, a, b)
     if carried:
@@ -494,58 +533,6 @@ def test_grid_ops_round_half_integers_by_their_residual(divide):
         _assert_grid_op(divide, -math.ldexp(carried, -1074), sign * b)
 
 
-# Time-only factors for linear texts. Over t in [0.5, 10] the largest
-# quotient, by cos(t) near pi/2, is about 2^54, so that three nested ones
-# keep a state below 2^-600 far below CEILING, 2^1000, carried.
-_TIME_ONLY = ("0.5", "3", "1e-3", "-2.5", "t", "cos(t)", "(1 + t)", "exp(-t)", "abs(sin(t))")
-
-
-def _linear_text(rnd, depth):
-    """A random text of the expression grammar, linear in x1..x3 and u."""
-    if depth == 0:
-        return rnd.choice(("x1", "x2", "x3", "u"))
-    a = _linear_text(rnd, depth - 1)
-    factor = rnd.choice(_TIME_ONLY)
-    return rnd.choice((
-        f"{factor}*({a})",
-        f"({a})*{factor}",
-        f"({a})/{factor}",
-        f"-({a})",
-        f"abs({a})",
-        f"({a}) + ({_linear_text(rnd, depth - 1)})",
-        f"({a}) - ({_linear_text(rnd, depth - 1)})",
-    ))
-
-
-def _ops(prog):
-    """The (opcode, argument) pairs that ``native.program`` makes ``prog`` of."""
-    pairs = zip(prog.code[:-2:2], prog.code[1:-2:2])
-    return [(op, prog.consts[arg] if op == native.CONST else arg) for op, arg in pairs]
-
-
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(
-    rnd=st.randoms(use_true_random=False),
-    x=st.lists(_deep, min_size=3, max_size=3),
-    u=_deep,
-    t=st.floats(0.5, 10.0),
-    terms=st.integers(1, 4),
-)
-def test_linear_programs_run_on_the_grid(rnd, x, u, t, terms):
-    # On x and u times 2^1074, f's grid copy gives Python's bits for
-    # random linear texts, and for math.fsum of several.
-    fs = [parse_expression(_linear_text(rnd, rnd.randint(0, 3)), 3) for _ in range(terms)]
-    progs = [native.program_of(f) for f in fs]
-    cases = list(zip(progs, fs))
-    cases.append((
-        native.program([*(op for p in progs for op in _ops(p)), (native.FSUM, terms)]),
-        lambda x, u, t: math.fsum(f(x, u, t) for f in fs),
-    ))
-    for prog, call in cases:
-        want = _python_value(call, x, u, t)
-        assert _bits(native.evaluate(prog, x, u, t, grid=True)) == _bits(want)
-
-
 # Weights of 2^600 and more can take a product past CEILING, 2^1000
 # carried, where the grid pass does not carry it.
 _weights = st.one_of(
@@ -575,8 +562,10 @@ _weights = st.one_of(
 def test_weighted_sums_run_on_the_grid(terms, x, by_fsum, shape):
     # A weighted sum, products of a constant and a state in either order
     # combined by one FSUM or by ADDs from the left, runs without the
-    # stack machine in a grid pass; programs that differ from one in
-    # their last ops run its grid copy. Both give Python's bits.
+    # stack machine in a grid pass, with Python's bits. Programs that
+    # differ from one in their last ops take plain passes, except two
+    # that are weighted sums all the same: right-nested ADDs of at most
+    # two terms, and the sum of one term.
     products = [
         [(native.CONST, w), (native.X, i), (native.MUL, 0)] if first
         else [(native.X, i), (native.CONST, w), (native.MUL, 0)]
@@ -603,21 +592,28 @@ def test_weighted_sums_run_on_the_grid(terms, x, by_fsum, shape):
         want = values[0]
         for v in values[1:]:
             want = want + v
-    # u = x1, so that a product with u carries too.
+    weighted = shape == "weighted" or k == 1 or (shape == "right-nested" and k == 2)
+    # u = x1, which the grid does not read: a product with u is refused.
     got = native.evaluate(native.program(ops), x, x[0], 1.0, grid=True)
-    carried = all(abs(v) < 2.0**-74 for v in values)
+    carried = weighted and all(abs(v) < 2.0**-74 for v in values)
     assert _bits(got) == _bits(want if carried else None)
 
 
-@pytest.mark.parametrize("text", ["x1*x2", "sin(x1)", "x1 + 1", "1/x1", "u*cos(t)*x2"])
+@pytest.mark.parametrize(
+    "text", ["x1*x2", "sin(x1)", "x1 + 1", "1/x1", "u*cos(t)*x2", "x1*cos(t)", "u"]
+)
 def test_nonlinear_programs_take_plain_passes(text, compiled):
-    # The grid copy refuses a program that is not linear in x and u at
-    # every point, even where its carried values would stay far below
-    # CEILING, and a run from states below 2^-600 takes plain passes, in
-    # the hardware's subnormal arithmetic.
+    # A grid pass evaluates f only where it is a weighted sum of states or
+    # reads neither x nor u. It refuses every other program, linear ones
+    # in x and u such as the last two included, at every point, even
+    # where its carried values would stay far below CEILING, and a run
+    # from states below 2^-600 takes plain passes, in the hardware's
+    # subnormal arithmetic.
     plant = pl.plant_from_expressions(
         2, f"1e-3*({text})", "1 + 0.5*sin(t)", gamma=1.2, gamma_min=1.0, phi=1.0, phi0=1.0
     )
+    design = _stand_in_design(COEFFICIENTS[2], 2.0, 0.2, 1.0)
+    _assert_same(plant, design, pl.SimConfig(x0=(2.0**-700, -1e-310)), compiled)
     prog = native.program_of(plant.f)
     for x, u in (
         ([1e-310, -(2.0**-700)], 1e-315),
@@ -627,8 +623,6 @@ def test_nonlinear_programs_take_plain_passes(text, compiled):
         want = _python_value(plant.f, x, u, 1.0)
         assert _bits(native.evaluate(prog, x, u, 1.0)) == _bits(want)
         assert native.evaluate(prog, x, u, 1.0, grid=True) is None
-    design = _stand_in_design(COEFFICIENTS[2], 2.0, 0.2, 1.0)
-    _assert_same(plant, design, pl.SimConfig(x0=(2.0**-700, -1e-310)), compiled)
 
 
 def test_mixed_fsum_stays_off_the_grid():
@@ -638,7 +632,7 @@ def test_mixed_fsum_stays_off_the_grid():
     assert native.evaluate(prog, [5e-324], 0.0, 0.0, grid=True) is None
 
 
-@settings(derandomize=True, max_examples=200, deadline=None,
+@settings(derandomize=True, max_examples=200, deadline=None, phases=NO_SHRINK,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     tau=st.floats(1e-3, 1e3),

@@ -56,15 +56,10 @@ def test_structures_match_their_ctypes_layout(name, structure):
 
 
 def test_opcodes_match_native_py():
-    opcodes, grid = re.findall(r"enum \{(\s*OP_[^}]*)\}", CODE)
+    (opcodes,) = re.findall(r"enum \{(\s*OP_[^}]*)\}", CODE)
     names = re.findall(r"\bOP_(\w+)", opcodes)
     assert [getattr(native, name) for name in names] == list(range(len(names)))
     assert names[-1] == "END"
-    # f's grid copy has opcodes of its own, numbered on from END, which no
-    # program from native.py holds.
-    first, *rest = (declaration.strip() for declaration in grid.split(","))
-    assert re.fullmatch(r"OP_\w+ = OP_END \+ 1", first)
-    names += [first.split()[0][3:], *(name[3:] for name in rest)]
     # eval's one jump table lists one label per opcode, in enum order.
     (table,) = re.findall(r"\b(\w*labels)\[\] = \{([^}]*)\}", CODE)
     assert table[0] == "labels"

@@ -13,10 +13,9 @@ in words of 64 bits; the driver writes and reads the cells whose shifts
 reach the largest counts and the highest words. The grid passes convert
 between doubles and 64-bit integers; the driver converts at both ends of
 the integers' range and past them, where a conversion out of range,
-undefined too, ends it as well. It also evaluates deep linear programs on
-the grid, a weighted sum among them, whose copy, terms and carried flags
-take buffers sized by the program's length and depth. It needs gcc with
-libasan and skips without them.
+undefined too, ends it as well. It also evaluates deep weighted sums of
+states on the grid, whose terms take a buffer sized by the program's
+length. It needs gcc with libasan and skips without them.
 """
 
 import ctypes
@@ -51,6 +50,7 @@ typedef struct {
 
 int ptc_eval(const program *p, int n, const double *x, double u, double t, int grid,
              double *out);
+int ptc_grid(int divide, double a, double b, double *out);
 
 /* The double whose bits the hex word at *s spells; advances *s past it. */
 static double bits_at(char **s)
@@ -69,8 +69,10 @@ static char line[1 << 20];
  * block, as rows of one cell; print the row count and the values.
  * "e GRID N DEPTH NCONSTS NCODE X... U T CONSTS... CODE...": evaluate the
  * program of CODE's ints and CONSTS at N states, in the grid mode GRID;
- * print its status and the bits of its value. Doubles are the hex words
- * of their bits. */
+ * print its status and the bits of its value.
+ * "g DIVIDE A B": A * B (DIVIDE 0) or A / B (DIVIDE 1) on the grid; print
+ * its status and the bits of its value. Doubles are the hex words of
+ * their bits. */
 int main(void)
 {
     char kind;
@@ -138,6 +140,14 @@ int main(void)
             free(code);
             free(consts);
             free(x);
+        } else if (kind == 'g') {
+            char *s = line + 2;
+            int divide = (int)strtol(s, &s, 10), status;
+            double a = bits_at(&s), b = bits_at(&s), out = 0.0;
+            unsigned long long bits;
+            status = ptc_grid(divide, a, b, &out);
+            memcpy(&bits, &out, sizeof bits);
+            printf("%d %016llx\n", status, bits);
         } else {
             return 2;
         }
@@ -291,10 +301,11 @@ def _bits(v):
     return struct.unpack("<Q", struct.pack("<d", v))[0]
 
 
-def _evaluate(prog, x, u=0.0, t=0.0):
-    """The driver's command that evaluates ``prog`` at ``(x, u, t)`` on the grid."""
+def _evaluate(prog, x):
+    """The driver's command that evaluates ``prog`` on the grid at ``x``,
+    with u and t 0."""
     words = [1, len(x), prog.depth, len(prog.consts), len(prog.code)]
-    words += [f"{_bits(v):x}" for v in (*x, u, t, *prog.consts)]
+    words += [f"{_bits(v):x}" for v in (*x, 0.0, 0.0, *prog.consts)]
     return "e " + " ".join(map(str, [*words, *prog.code]))
 
 
@@ -321,37 +332,12 @@ def test_grid_conversions_stay_in_range(driver):
     factors = [1.0, -1.0, 0.5, 0.25, 3.0, 2.0**-60, 2.0**60, 2.0**1000, 0.0, -0.0, 5e-324,
                math.inf, math.nan]
     cases = [(a, b, divide) for a in values for b in factors for divide in (0, 1)]
-    commands = [
-        _evaluate(native.program(
-            [(native.X, 0), (native.CONST, b), (native.DIV if divide else native.MUL, 0)]
-        ), [a])
-        for a, b, divide in cases
-    ]
+    commands = [f"g {divide} {_bits(a):x} {_bits(b):x}" for a, b, divide in cases]
     for (a, b, divide), (bad, got) in zip(cases, _results(driver, commands)):
         want = (a / b if b != 0.0 else math.nan) if divide else a * b
         assert bad == (not (abs(a) < 2.0**-50 and abs(want) < 2.0**-74)), (a, b, divide)
         if not bad:
             assert _bits(got) == _bits(want), (a, b, divide)
-
-
-def test_grid_copy_of_a_deep_program_stays_in_its_buffers(driver):
-    # fsum of 5,000 carried products, each below cos(t) * x2 on the stack,
-    # and the same with a last product of two carried values, which the
-    # grid copy refuses once it has read every op before it.
-    depth = 5_000
-    x, t = [3e-310, -(2.0**-700)], 0.5
-    ops = [(native.T, 0), (native.COS, 0), (native.X, 1), (native.MUL, 0)]
-    for k in range(depth):
-        ops += [(native.X, k % 2), (native.CONST, 1.0 + k / depth), (native.MUL, 0)]
-    ops.append((native.FSUM, depth + 1))
-    items = [math.cos(t) * x[1]] + [x[k % 2] * (1.0 + k / depth) for k in range(depth)]
-    refused = ops[:-3] + [(native.X, 0), (native.MUL, 0), ops[-1]]
-    (bad, got), (refused_bad, _) = _results(
-        driver, [_evaluate(native.program(ops), x, t=t), _evaluate(native.program(refused), x, t=t)]
-    )
-    assert native.program(ops).depth == depth + 2
-    assert not bad and _bits(got) == _bits(math.fsum(items))
-    assert refused_bad
 
 
 def _shift(v):

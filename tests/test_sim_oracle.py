@@ -17,7 +17,7 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import ptc_lab as pl
@@ -247,8 +247,16 @@ GAINS = ("1", "1 + 0.5*sin(t)", "2 - cos(3*t)")
 ORDERS = range(1, 9)
 
 
+# The phases of the hypothesis tests that compare the loops: a failing
+# example is reported as found, without shrinking it. A loop that differs
+# fails nearly every example, and shrinking its examples, each a run in
+# both loops, can take longer than the rest of the tests together.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
 @pytest.mark.parametrize("n", ORDERS)
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(
     poles=st.lists(st.floats(-2.0, -0.5), min_size=8, max_size=8),
     tau=st.floats(1.0, 4.0),

@@ -371,6 +371,20 @@ def _print_certificate(tag: str, cert) -> None:
     print(f"{tag} " + " ".join(parts))
 
 
+def _note_missed_peak(tag: str, x_max: float | None, states: np.ndarray) -> None:
+    """Say on stderr when the run's peak ``|x_i|``, ``x_max`` from its
+    metadata, exceeds every recorded one: the verdict then grades samples
+    that miss the peak."""
+    recorded = float(np.max(np.abs(states))) if states.size else 0.0
+    if x_max is not None and x_max > recorded:
+        print(
+            f"{tag} note: the run's peak |x_i| = {x_max:.5g} falls between recorded "
+            f"samples (largest recorded {recorded:.5g}); the verdict grades the "
+            "recorded samples only",
+            file=sys.stderr,
+        )
+
+
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario, args)
     if scenario["sim"] is None:
@@ -412,6 +426,7 @@ def cmd_simulate(args) -> int:
         write_sidecar(path.with_suffix(".json"), trace, cert)
         print(f"[tau={tau:g}] wrote {path} ({trace.times.shape[0]} rows)")
         _print_certificate(f"[tau={tau:g}]", cert)
+        _note_missed_peak(f"[tau={tau:g}]", trace.metadata["x_max"], trace.states)
         if cert.verdict == "inconclusive":
             worst = max(worst, EXIT_INCONCLUSIVE)
     return worst
@@ -542,13 +557,14 @@ def _infer_tau_x0(times: np.ndarray, lambda_bound: np.ndarray) -> tuple[float, f
 
 def _sidecar_metadata(path: Path, payload) -> Mapping:
     """The sidecar's ``metadata`` object, checked where ``verify`` reads it:
-    ``tau`` and ``x0_norm`` finite numbers, ``mode`` a design mode."""
+    ``tau``, ``x0_norm`` and ``x_max`` finite numbers, ``mode`` a design
+    mode."""
     meta = payload.get("metadata", {}) if isinstance(payload, dict) else None
     if not isinstance(meta, dict):
         raise TraceFormatError(
             f"sidecar {path} must hold a JSON object with a metadata object"
         )
-    for key in ("tau", "x0_norm"):
+    for key in ("tau", "x0_norm", "x_max"):
         v = meta.get(key)
         if v is not None and _finite(v) is None:
             raise TraceFormatError(
@@ -573,6 +589,7 @@ def cmd_verify(args) -> int:
     tau = args.tau
     x0_norm = args.x0_norm
     mode = args.mode
+    x_max = None
     sidecar = Path(args.trace).with_suffix(".json")
     if sidecar.exists():
         try:
@@ -593,6 +610,7 @@ def cmd_verify(args) -> int:
             x0_norm = meta.get("x0_norm")
         if mode is None:
             mode = meta.get("mode")
+        x_max = meta.get("x_max")
     if tau is None:
         tau, inferred_x0 = _infer_tau_x0(times, lambda_bound)
         if x0_norm is None:
@@ -625,6 +643,7 @@ def cmd_verify(args) -> int:
         )
     cert = certify(trace)
     _print_certificate(f"[{args.trace}]", cert)
+    _note_missed_peak(f"[{args.trace}]", x_max, states)
     return EXIT_INCONCLUSIVE if cert.verdict == "inconclusive" else EXIT_OK
 
 

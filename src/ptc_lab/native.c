@@ -112,19 +112,19 @@ typedef unsigned __int128 u128;
  * more. 11 of the 40 example3 disturbance seeds in 0-127 whose plants
  * keep their envelope leave the state subnormal, never exactly zero, for
  * most of the run, and would spend most of their time in those assists.
- * A grid pass (below) computes such a step in hardware doubles without
- * them: every value that depends on the state is carried times 2^1074,
- * which makes each double, subnormals included, an integer-valued normal
- * double. A sum of two carried values is the carried sum: both round to
- * 53 bits at the same place, or, below 2^-1021, are exact. Every product
- * and quotient in the step has one time-only factor, and grid_op computes
- * it as one hardware op, which rounds to 53 bits. Where that is below
- * 2^52, the unscaled result is subnormal and rounds to an integer
- * instead: grid_op rounds once more, to the nearest integer, ties to
- * even, which gives the same integer unless the first rounding made a
- * tie. At a half-integer, the exact residual from fma says on which side
- * of it the true value lies (Muller et al., Handbook of Floating-Point
- * Arithmetic, 2nd ed., 2018). */
+ * A grid pass, pass below with grid set, computes such a step in
+ * hardware doubles without them: every value that depends on the state
+ * is carried times 2^1074, which makes each double, subnormals included,
+ * an integer-valued normal double. A sum of two carried values is the
+ * carried sum: both round to 53 bits at the same place, or, below
+ * 2^-1021, are exact. Every product and quotient in the step has one
+ * time-only factor, and grid_op computes it as one hardware op, which
+ * rounds to 53 bits. Where that is below 2^52, the unscaled result is
+ * subnormal and rounds to an integer instead: grid_op rounds once more,
+ * to the nearest integer, ties to even, which gives the same integer
+ * unless the first rounding made a tie. At a half-integer, the exact
+ * residual from fma says on which side of it the true value lies (Muller
+ * et al., Handbook of Floating-Point Arithmetic, 2nd ed., 2018). */
 
 #define SIGN (1ULL << 63)
 #define HIDDEN (1ULL << 52)
@@ -507,35 +507,6 @@ static void powers(int n, double tau, double s, double *p)
         p[i] = p[i + 1] * d;
 }
 
-/* u = (0.0 + q[n-1]*y[n-1]/p[n-1] + ... + q[0]*y[0]/p[0]) / den */
-ALWAYS_INLINE int control(int n, const double *q, const double *y, const double *p,
-                          double den, double *u)
-{
-    double acc = 0.0;
-    int i;
-    for (i = n - 1; i >= 0; i--) {
-        if (p[i] == 0.0)
-            return FAULT;
-        acc = acc + q[i] * y[i] / p[i];
-    }
-    if (den == 0.0)
-        return FAULT;
-    *u = acc / den;
-    return OK;
-}
-
-/* One RK4 stage past the first: the derivative's last component at the
- * stage state y, whose other components are y's next entries. */
-ALWAYS_INLINE int stage(const run_args *a, double *st, const double *y, const double *p,
-                        double s, double den, double gain, double *k)
-{
-    double u, fv;
-    if (control(a->n, a->q, y, p, den, &u) || eval(&a->f, st, y, u, s, &fv))
-        return FAULT;
-    *k = fv + gain * u;
-    return OK;
-}
-
 static HOT int record(run_args *a, double t, const double *x, double u)
 {
     if (a->rows >= a->capacity)
@@ -669,43 +640,105 @@ ALWAYS_INLINE int step_size(const run_args *a, const loop *l, double t, double *
     return 1;
 }
 
+/* a * b, or a / b where divide is set: in hardware doubles, or, with grid
+ * set, by grid_op, which takes a carried dividend or either factor
+ * carried, and sets *bad where it cannot carry the result. */
+#define GRID_OP(grid, divide, a, b, bad) \
+    ((grid) ? grid_op(divide, a, b, bad) : (divide) ? (a) / (b) : (a) * (b))
+
+/* u = (0.0 + q[n-1]*y[n-1]/p[n-1] + ... + q[0]*y[0]/p[0]) / den, FAULT
+ * at a zero divisor. On the grid, a zero divisor makes an infinity or a
+ * NaN, which grid_op flags through bad, so the grid skips the tests. */
+ALWAYS_INLINE int control(int n, const double *q, const double *y, const double *p,
+                          double den, const int grid, int *bad, double *u)
+{
+    double acc = 0.0;
+    int i;
+    for (i = n - 1; i >= 0; i--) {
+        if (!grid && p[i] == 0.0)
+            return FAULT;
+        acc = acc + GRID_OP(grid, 1, GRID_OP(grid, 0, q[i], y[i], bad), p[i], bad);
+    }
+    if (!grid && den == 0.0)
+        return FAULT;
+    *u = GRID_OP(grid, 1, acc, den, bad);
+    return OK;
+}
+
+/* One RK4 stage: the input *u, f's value *fv and the derivative's last
+ * component *k at the stage state y, whose other components are y's next
+ * entries. On the grid, y and the three results are carried, and f runs
+ * in its grid form. */
+ALWAYS_INLINE int stage(const run_args *a, const loop *l, double *st, const double *y,
+                        const double *p, double s, double den, double gain, const int grid,
+                        int *bad, double *u, double *fv, double *k)
+{
+    if (control(a->n, a->q, y, p, den, grid, bad, u))
+        return FAULT;
+    if (grid ? grid_eval(&l->f, st, y, s, fv) : eval(&a->f, st, y, *u, s, fv))
+        return FAULT;
+    *k = *fv + GRID_OP(grid, 0, gain, *u, bad);
+    return OK;
+}
+
 /* One pass: the first stage at the step start, its checks and its
  * record, then rest steps, if any, and one general step. OK once it has
- * recorded the last sample at t_end. */
-ALWAYS_INLINE int pass(run_args *a, double *st, loop *l)
+ * recorded the last sample at t_end.
+ *
+ * With grid set, the pass computes the same step on the grid of 2^-1074
+ * (above), for a state that calls for it: the gain law, the stage
+ * states, f, by its grid form, and the update, each product and quotient
+ * by grid_op. Below DEEP (2^-600) the state stays below 2^474 carried,
+ * and the audit's squares are below 2^-1200, which rounds to +0.0: its
+ * limit is phi * 0.0 + phi0 + slack. Such a pass never rests. It carries
+ * its step only where every product and quotient stays below CEILING and
+ * every value of f can be carried, so that every carried value is
+ * finite; otherwise, at the last sample, and wherever f, g or a divisor
+ * could fault, it returns REDO and leaves the step to the plain pass,
+ * which is why it has no side effects before its step is computed. The
+ * first stage's checks come after the step, on the values the plain pass
+ * would check before it, and the step is then brought back into x. */
+ALWAYS_INLINE int pass(run_args *a, double *st, loop *l, const int grid)
 {
     const int n = a->n, top = n - 1;
     const double tau = a->tau, t_end = a->t_end, stop = a->stop;
     const double gamma_min = a->gamma_min, gamma = a->gamma;
-    double *x = a->x, *p = l->p, *m = l->m, *ya = l->ya, *yb = l->yb, *yc = l->yc;
+    double *x = a->x, *xv = grid ? l->xs : x; /* the state the step runs on */
+    double *p = l->p, *m = l->m, *ya = l->ya, *yb = l->yb, *yc = l->yc;
     double t = l->t, u1, f1, k1, norm;
-    double h, half, t_mid, t_next, g_mid, g_next, u, k, k2, k3, k4, sixth, s;
-    int i, last, resting, clamped, status, again = 0;
+    double h, half, t_mid, t_next, g_mid, g_next, u, fv, k, k2, k3, k4, sixth, s;
+    int i, last, resting = 0, clamped, status, again = 0, bad = 0;
 
     last = !(t < stop);
     if (last) {
+        if (grid)
+            return REDO;
         t = t_end;
         if (g_at(a, l, st, t, &l->g_now))
             return FAULT;
     }
+    for (i = 0; grid && i < n; i++)
+        xv[i] = to_grid(x[i]);
     /* The first stage. */
     powers(n, tau, t, p);
-    if (control(n, a->q, x, p, gamma_min * l->g_now, &u1) || eval(&a->f, st, x, u1, t, &f1))
-        return FAULT;
-    k1 = f1 + gamma * l->g_now * u1;
-    /* plant.check_assumption's limit; a state that fails the divergence
-     * bound faults either way. */
-    for (i = 0; i < n; i++)
-        l->sq[i] = x[i] * x[i];
-    if (fsum(l->sq, n, &norm))
-        return FAULT;
-    status = checks(a, l, t, u1, f1, a->phi * sqrt(norm) + a->phi0 + a->slack, last);
-    if (status || last)
-        return status;
-    resting = k1 == 0.0 && l->can_rest;
-    /* Every component +0.0; a -0.0 keeps the step general. */
-    for (i = 0; i < n && resting; i++)
-        resting = x[i] == 0.0 && !signbit(x[i]);
+    if (stage(a, l, st, xv, p, t, gamma_min * l->g_now, gamma * l->g_now, grid, &bad, &u1, &f1,
+              &k1))
+        return grid ? REDO : FAULT;
+    if (!grid) {
+        /* plant.check_assumption's limit; a state that fails the
+         * divergence bound faults either way. */
+        for (i = 0; i < n; i++)
+            l->sq[i] = x[i] * x[i];
+        if (fsum(l->sq, n, &norm))
+            return FAULT;
+        status = checks(a, l, t, u1, f1, a->phi * sqrt(norm) + a->phi0 + a->slack, last);
+        if (status || last)
+            return status;
+        resting = k1 == 0.0 && l->can_rest;
+        /* Every component +0.0; a -0.0 keeps the step general. */
+        for (i = 0; i < n && resting; i++)
+            resting = x[i] == 0.0 && !signbit(x[i]);
+    }
     /* Rest steps, if any, then one general step; a rest step that
      * reaches the stop time leaves for the last sample instead. */
     for (;;) {
@@ -717,7 +750,7 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l)
         t_mid = t + half;
         t_next = t + h;
         if (!again && (g_at(a, l, st, t_mid, &g_mid) || g_at(a, l, st, t_next, &g_next)))
-            return FAULT;
+            return grid ? REDO : FAULT;
         /* A rest step. From rest all four stage states are x itself,
          * +0.0, so stages 2 and 3 are the same call, and stage 4's
          * values at t_next are the next step's first stage. When both
@@ -755,27 +788,40 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l)
         /* The general step: stages 2 to 4 and the update. */
         powers(n, tau, t_mid, m);
         for (i = 0; i < n; i++)
-            ya[i] = x[i] + half * (i < top ? x[i + 1] : k1);
-        if (stage(a, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k2))
-            return FAULT;
+            ya[i] = xv[i] + GRID_OP(grid, 0, half, i < top ? xv[i + 1] : k1, &bad);
+        if (stage(a, l, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, grid, &bad, &u, &fv,
+                  &k2))
+            return grid ? REDO : FAULT;
         for (i = 0; i < n; i++)
-            yb[i] = x[i] + half * (i < top ? ya[i + 1] : k2);
-        if (stage(a, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &k3))
-            return FAULT;
+            yb[i] = xv[i] + GRID_OP(grid, 0, half, i < top ? ya[i + 1] : k2, &bad);
+        if (stage(a, l, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, grid, &bad, &u, &fv,
+                  &k3))
+            return grid ? REDO : FAULT;
         powers(n, tau, t_next, p);
         for (i = 0; i < n; i++)
-            yc[i] = x[i] + h * (i < top ? yb[i + 1] : k3);
-        if (stage(a, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, &k4))
-            return FAULT;
+            yc[i] = xv[i] + GRID_OP(grid, 0, h, i < top ? yb[i + 1] : k3, &bad);
+        if (stage(a, l, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, grid, &bad, &u,
+                  &fv, &k4))
+            return grid ? REDO : FAULT;
         sixth = h / 6.0;
-        /* In place: x[i] reads x[i + 1] before the next pass writes it.
+        /* In place: xv[i] reads xv[i + 1] before the next pass writes it.
          * s + s is 2.0 * s. */
         for (i = 0; i < top; i++) {
             s = ya[i + 1] + yb[i + 1];
-            x[i] = x[i] + sixth * (x[i + 1] + (s + s) + yc[i + 1]);
+            xv[i] = xv[i] + GRID_OP(grid, 0, sixth, xv[i + 1] + (s + s) + yc[i + 1], &bad);
         }
         s = k2 + k3;
-        x[top] = x[top] + sixth * (k1 + (s + s) + k4);
+        xv[top] = xv[top] + GRID_OP(grid, 0, sixth, k1 + (s + s) + k4, &bad);
+        if (grid) {
+            if (bad)
+                return REDO;
+            status = checks(a, l, t, from_grid(u1), from_grid(f1),
+                            a->phi * 0.0 + a->phi0 + a->slack, 0);
+            if (status)
+                return status;
+            for (i = 0; i < n; i++)
+                x[i] = from_grid(xv[i]);
+        }
         l->g_now = g_next;
         t = clamped ? t_end : t_next;
         l->step_index++;
@@ -785,109 +831,10 @@ ALWAYS_INLINE int pass(run_args *a, double *st, loop *l)
     return MORE;
 }
 
-/* ---- Grid passes ----------------------------------------------------------
- *
- * A grid pass computes pass's step on the grid of 2^-1074 (above): the
- * gain law, the stage states, f, by its grid form, and the update. Below
- * DEEP (2^-600) the state stays below 2^474 carried, and the audit's
- * squares are below 2^-1200, which rounds to +0.0: its limit is
- * phi * 0.0 + phi0 + slack. The pass carries its step only where every
- * product and quotient stays below CEILING and every value of f can be
- * carried, so that every carried value is finite; otherwise, at the last
- * sample, and wherever f, g or a divisor could fault, it leaves the step
- * to the plain pass, which is why it has no side effects before its step
- * is computed. The first stage's checks come after the step, on the
- * values the plain pass would check before it. */
-
-/* control, carried. A zero divisor makes an infinity or a NaN, so bad. */
-ALWAYS_INLINE double grid_control(int n, const double *q, const double *y, const double *p,
-                                  double den, int *bad)
-{
-    double acc = 0.0;
-    int i;
-    for (i = n - 1; i >= 0; i--)
-        acc = acc + grid_op(1, grid_op(0, y[i], q[i], bad), p[i], bad);
-    return grid_op(1, acc, den, bad);
-}
-
-/* A stage at the carried state ys: its carried input *u, f's value *fv
- * and derivative *k. FAULT where f faults or its value cannot be
- * carried. */
-ALWAYS_INLINE int grid_stage(const run_args *a, const loop *l, double *st, const double *ys,
-                             const double *p, double s, double den, double gain, int *bad,
-                             double *u, double *fv, double *k)
-{
-    *u = grid_control(a->n, a->q, ys, p, den, bad);
-    if (grid_eval(&l->f, st, ys, s, fv))
-        return FAULT;
-    *k = *fv + grid_op(0, *u, gain, bad);
-    return OK;
-}
-
-/* pass for a state that calls for the grid, which never rests: the first
- * stage and the general step, then the checks, peaks and record that pass
- * makes before its step, and the step's commit. REDO where the plain pass
- * must take the step. */
+/* pass on the grid, for a state that calls for it. */
 static HOT int grid(run_args *a, double *st, loop *l)
 {
-    const int n = a->n, top = n - 1;
-    const double tau = a->tau, t_end = a->t_end;
-    const double gamma_min = a->gamma_min, gamma = a->gamma;
-    double *x = a->x, *xs = l->xs, *p = l->p, *m = l->m;
-    double *ya = l->ya, *yb = l->yb, *yc = l->yc;
-    double t = l->t, u1, f1, k1, u, fv, h, half, t_mid, t_next, g_mid, g_next;
-    double k2, k3, k4, sixth, s;
-    int i, clamped, status, bad = 0;
-
-    if (!(t < a->stop))
-        return REDO;
-    if (a->cancel)
-        return CANCELLED;
-    for (i = 0; i < n; i++)
-        xs[i] = to_grid(x[i]);
-    powers(n, tau, t, p);
-    if (grid_stage(a, l, st, xs, p, t, gamma_min * l->g_now, gamma * l->g_now, &bad, &u1, &f1,
-                   &k1))
-        return REDO;
-    clamped = step_size(a, l, t, &h);
-    half = 0.5 * h;
-    t_mid = t + half;
-    t_next = t + h;
-    if (g_at(a, l, st, t_mid, &g_mid) || g_at(a, l, st, t_next, &g_next))
-        return REDO;
-    powers(n, tau, t_mid, m);
-    for (i = 0; i < n; i++)
-        ya[i] = xs[i] + grid_op(0, i < top ? xs[i + 1] : k1, half, &bad);
-    if (grid_stage(a, l, st, ya, m, t_mid, gamma_min * g_mid, gamma * g_mid, &bad, &u, &fv, &k2))
-        return REDO;
-    for (i = 0; i < n; i++)
-        yb[i] = xs[i] + grid_op(0, i < top ? ya[i + 1] : k2, half, &bad);
-    if (grid_stage(a, l, st, yb, m, t_mid, gamma_min * g_mid, gamma * g_mid, &bad, &u, &fv, &k3))
-        return REDO;
-    powers(n, tau, t_next, p);
-    for (i = 0; i < n; i++)
-        yc[i] = xs[i] + grid_op(0, i < top ? yb[i + 1] : k3, h, &bad);
-    if (grid_stage(a, l, st, yc, p, t_next, gamma_min * g_next, gamma * g_next, &bad, &u, &fv,
-                   &k4))
-        return REDO;
-    sixth = h / 6.0;
-    for (i = 0; i < top; i++) {
-        s = ya[i + 1] + yb[i + 1];
-        xs[i] = xs[i] + grid_op(0, xs[i + 1] + (s + s) + yc[i + 1], sixth, &bad);
-    }
-    s = k2 + k3;
-    xs[top] = xs[top] + grid_op(0, k1 + (s + s) + k4, sixth, &bad);
-    if (bad)
-        return REDO;
-    status = checks(a, l, t, from_grid(u1), from_grid(f1), a->phi * 0.0 + a->phi0 + a->slack, 0);
-    if (status)
-        return status;
-    for (i = 0; i < n; i++)
-        x[i] = from_grid(xs[i]);
-    l->g_now = g_next;
-    l->t = clamped ? t_end : t_next;
-    l->step_index++;
-    return MORE;
+    return pass(a, st, l, 1);
 }
 
 /* The passes of the loop, each the kind its state calls for: the choice
@@ -921,7 +868,7 @@ static HOT int run(run_args *a, double *st, int *pairs)
     do {
         status = (l.f.terms || l.f.time_only) && deep(n, a->x) ? grid(a, st, &l) : REDO;
         if (status == REDO)
-            status = pass(a, st, &l);
+            status = pass(a, st, &l, 0);
     } while (status == MORE);
     a->steps = l.step_index;
     return status;

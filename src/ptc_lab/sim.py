@@ -35,7 +35,8 @@ nominal f = 0 does, a step whose state has every component below
 quotient once more to the integers, as the subnormal range rounds: the
 same bits, without the hardware's slow path for subnormal operands and
 results, in which never-resting runs of ``example3`` spend most of their
-steps. Other plants take that slow path there. A weighted sum runs
+steps. Such a step is the RK4 step of every other step, written once in
+``native.c`` for both kinds. Other plants take that slow path there. A weighted sum runs
 there without the interpreter. A g that reads neither t nor the state
 is evaluated once per run, and where
 ``stiffness_safety * alpha * shrink_divisor <= 1`` the step size skips

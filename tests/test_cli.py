@@ -178,6 +178,50 @@ def test_verify_round_trip(tmp_path, capsys):
     assert sim_line.split("verdict", 1)[1] == verify_line.split("verdict", 1)[1]
 
 
+NOTE = "falls between recorded samples"
+
+
+def _notes(err):
+    return [line for line in err.splitlines() if NOTE in line]
+
+
+@pytest.mark.parametrize("stride, noted", [(50, True), (1, False)])
+def test_a_peak_between_samples_is_noted(tmp_path, capsys, stride, noted):
+    # example3 cut short at t = 1: its peak |x_i| of 3.8e11 comes at step 2,
+    # which stride 50 does not record and stride 1 does.
+    payload = {
+        "plant": {"builtin": "example3", "seed": 6},
+        "controller": {"c": [-1, -4, -6, -4], "tau": 10},
+        "sim": {"x0": [10, 10, 10, 10], "dt_base": 0.01, "record_stride": stride,
+                "epsilon_fraction": 0.9},
+        "output": {"directory": str(tmp_path / "out"), "stem": "example3"},
+    }
+    assert main(["simulate", "--scenario", _write_scenario(tmp_path, payload)]) == 0
+    captured = capsys.readouterr()
+    trace = tmp_path / "out" / "example3_tau10.csv"
+    x_max = json.loads(trace.with_suffix(".json").read_text())["metadata"]["x_max"]
+    assert f"{x_max:.5g}" == "3.8031e+11"
+    assert main(["verify", str(trace)]) == 0
+    verified = capsys.readouterr()
+    assert NOTE not in captured.out + verified.out
+    if noted:
+        body = ("note: the run's peak |x_i| = 3.8031e+11 falls between recorded samples "
+                "(largest recorded 10); the verdict grades the recorded samples only")
+        assert _notes(captured.err) == [f"[tau=10] {body}"]
+        assert _notes(verified.err) == [f"[{trace}] {body}"]
+    else:
+        assert _notes(captured.err) == _notes(verified.err) == []
+
+
+def test_example2_peaks_are_recorded(tmp_path, capsys):
+    scenario = _ex2_scenario(tmp_path)
+    assert main(["simulate", "--scenario", scenario]) == 0
+    assert _notes(capsys.readouterr().err) == []
+    for trace in sorted((tmp_path / "out").glob("*.csv")):
+        assert main(["verify", str(trace)]) == 0
+        assert _notes(capsys.readouterr().err) == []
+
+
 def test_verify_infers_metadata_without_sidecar(tmp_path):
     # x1 = 5(1 - t/10) rides the envelope exactly, so inference from the
     # lambda_bound column alone must reach the stable verdict.
@@ -503,6 +547,7 @@ def _expression_plant(f_text):
         (_edit_metadata(x0_norm="abc"), 1, "metadata.x0_norm must be a finite number"),
         (lambda sidecar: [sidecar], 1, "must hold a JSON object"),
         (_edit_metadata(mode=3), 1, "metadata.mode must be attractive or stable"),
+        (_edit_metadata(x_max=math.inf), 1, "metadata.x_max must be a finite number"),
         (lambda sidecar: {**sidecar, "rows": 300}, 1, "has rows: 300, but"),
         (lambda sidecar: {**sidecar, "rows": str(sidecar["rows"])}, 1, "data rows"),
         (
@@ -554,7 +599,8 @@ def _expression_plant(f_text):
     ],
     ids=[
         "sidecar-tau-string", "sidecar-x0-norm-string", "sidecar-list",
-        "sidecar-mode-number", "sidecar-rows-edited", "sidecar-rows-string",
+        "sidecar-mode-number", "sidecar-x-max-infinite", "sidecar-rows-edited",
+        "sidecar-rows-string",
         "label-with-slash", "x0-norm-overflows",
         "integer-beyond-float-range", "rate-bound-overflows",
         "literal-beyond-float-range", "unary-minus-chain", "rate-underflows-gains",

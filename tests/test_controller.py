@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -324,3 +325,76 @@ def test_design_controller_validation():
     for bad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="gamma_min must be positive and finite"):
             pl.design_controller((-1.0,), 10.0, gamma_min=bad, phi0=1.0)
+
+
+def _stirling_first(n):
+    """Unsigned Stirling numbers of the first kind, [k, j] for 0 <= j, k < n."""
+    s = [[0] * n for _ in range(n)]
+    s[0][0] = 1
+    for k in range(1, n):
+        for j in range(1, k + 1):
+            s[k][j] = (k - 1) * s[k - 1][j] + s[k - 1][j - 1]
+    return s
+
+
+def _pull_back(q, alpha, tau, t):
+    """T^-1 (A T - dT/dt) / w in exact rationals, for the closed loop of
+    f = 0, gamma = gamma_min and g = 1: x_k' = x_(k+1), and x_n' the gain
+    law with the gains ``q``. T(t) = diag(w^k) C, C[k][j] = [k, j]
+    alpha^(k - j) and w = 1/(alpha (tau - t)), so that dT/dt =
+    diag(k alpha w^(k + 1)) C."""
+    n = len(q)
+    s = _stirling_first(n)
+    w = 1 / (alpha * (tau - t))
+    c = [[s[k][j] * alpha ** (k - j) for j in range(n)] for k in range(n)]
+    a = [[Fraction(j == k + 1) for j in range(n)] for k in range(n - 1)]
+    a.append([q[i] / (tau - t) ** (n - i) for i in range(n)])
+    r = [
+        [(sum(a[k][m] * w**m * c[m][j] for m in range(n)) - k * alpha * w ** (k + 1) * c[k][j]) / w
+         for j in range(n)]
+        for k in range(n)
+    ]
+    # T is lower triangular with diagonal w^k: forward substitution.
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(n):
+            out[k][j] = (r[k][j] - sum(w**k * c[k][m] * out[m][j] for m in range(k))) / w**k
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("spread", [0.0, 0.5], ids=["poles-at-1", "poles-apart"])
+def test_gains_pull_back_to_the_companion_matrix(n, spread):
+    # With x = T(t) y, the closed loop in the stretched clock is y' = E y,
+    # E = companion(c): T^-1 (A T - dT/dt) / w = E at every t < tau.
+    c = tuple(float(-v) for v in np.poly([-(1.0 + spread * k) for k in range(n)])[1:][::-1])
+    design = pl.design_controller(c, 10.0, phi=1e-3)
+    q = pl.build_gain_schedule(design).coefficients
+    alpha, tau = Fraction(design.alpha), Fraction(design.tau)
+    companion = [[Fraction(v) for v in row] for row in pl.companion_matrix(c)]
+    # q as the gain structure gives it from the float c and alpha, with
+    # no rounding, and a bound on the rounding of the float q: each term
+    # coefficient * c_j / alpha**p passes through at most 4 units of
+    # roundoff (pow within 1 ulp, one product, one quotient), and the sum
+    # of m <= n terms adds m more, so |q_i - exact_i| <= gamma_(n + 4)
+    # times the sum of the terms' magnitudes (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., 2002, 3.1 and 4.2).
+    exact, size = [], []
+    for row in pl.structural_rows(n):
+        terms = [Fraction(term.coefficient) * Fraction(c[term.j - 1]) / alpha**term.alpha_power
+                 for term in row.c_terms]
+        exact.append(row.constant + sum(terms))
+        size.append(abs(row.constant) + sum(map(abs, terms)))
+    unit = Fraction(1, 2**53)
+    gamma = (n + 4) * unit / (1 - (n + 4) * unit)
+    # An error dq_i in q moves only the last row, by
+    # sum_i dq_i alpha^(n - i) [i, j] alpha^(i - j), whatever t is.
+    s = _stirling_first(n)
+    bound = [sum(gamma * size[i] * alpha ** (n - j) * s[i][j] for i in range(n))
+             for j in range(n)]
+    for t in (Fraction(0), tau / 4, tau / 2, tau * 9 / 10):
+        assert _pull_back(exact, alpha, tau, t) == companion
+        got = _pull_back([Fraction(v) for v in q], alpha, tau, t)
+        assert got[:-1] == companion[:-1]
+        for j in range(n):
+            assert abs(got[-1][j] - companion[-1][j]) <= bound[j], (t, j)

@@ -38,6 +38,7 @@ from test_sim_oracle import (
     _step_times,
     _vanishing_plant,
 )
+from trace_compare import _blobs, _difference, _pattern
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,15 +61,6 @@ def compiled(monkeypatch):
     return outcomes
 
 
-def _blobs(trace):
-    return (
-        trace.times.tobytes(),
-        trace.states.tobytes(),
-        trace.inputs.tobytes(),
-        repr(dict(trace.metadata)),
-    )
-
-
 def _outcome(plant, design, cfg):
     """A run's trace bytes, or its exception, message and partial trace."""
     try:
@@ -76,35 +68,6 @@ def _outcome(plant, design, cfg):
     except Exception as exc:  # every kind must match between the loops
         partial = getattr(exc, "trace", None)
         return type(exc), str(exc), partial and _blobs(partial)
-
-
-def _rows(blobs, n):
-    """A trace's rows as (t, x1, ..., xn, u)."""
-    times, states, inputs = (struct.unpack(f"={len(b) // 8}d", b) for b in blobs[:3])
-    return [(t, *states[r * n:(r + 1) * n], u) for r, (t, u) in enumerate(zip(times, inputs))]
-
-
-def _difference(got, want, n):
-    """Where the compiled loop's outcome ``got`` first departs from the
-    Python loop's ``want``: the first differing row and column, with the
-    row's t and both values in hex; else the exceptions, row counts or
-    metadata that differ."""
-    raised = [isinstance(outcome[0], type) for outcome in (got, want)]
-    if any(raised) and got[:2] != want[:2]:
-        return f"C: {got[:2] if raised[0] else 'a run'}, Python: {want[:2] if raised[1] else 'a run'}"
-    traces = [outcome[2] if r else outcome for outcome, r in zip((got, want), raised)]
-    if not all(traces):
-        return f"partial traces: C {bool(traces[0])}, Python {bool(traces[1])}"
-    rows = [_rows(trace, n) for trace in traces]
-    names = ["t", *(f"x{i + 1}" for i in range(n)), "u"]
-    for r, (mine, theirs) in enumerate(zip(*rows)):
-        for name, a, b in zip(names, mine, theirs):
-            if _pattern(a) != _pattern(b):
-                return (f"row {r}, column {name}, t = {theirs[0]!r} ({theirs[0].hex()}): "
-                        f"C {a.hex()}, Python {b.hex()}")
-    if len(rows[0]) != len(rows[1]):
-        return f"rows: C {len(rows[0])}, Python {len(rows[1])}"
-    return f"metadata: C {traces[0][3]}, Python {traces[1][3]}"
 
 
 def _assert_same(plant, design, cfg, compiled):
@@ -450,10 +413,6 @@ def test_deep_programs_run_compiled(depth, compiled):
 
 def _float(pattern):
     return struct.unpack("<d", struct.pack("<Q", pattern))[0]
-
-
-def _pattern(v):
-    return struct.unpack("<Q", struct.pack("<d", v))[0]
 
 
 _signs = st.sampled_from((0, 1 << 63))

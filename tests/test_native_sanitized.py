@@ -1,5 +1,5 @@
-"""The trace CSV codec and the grid evaluation of programs in ``native.c``
-under AddressSanitizer and UndefinedBehaviorSanitizer.
+"""The trace CSV codec, the grid evaluation of programs and the closed
+loop in ``native.c`` under AddressSanitizer and UndefinedBehaviorSanitizer.
 
 The writer copies digits in blocks of fixed size, which may reach past a
 cell, and the reader loads eight bytes at a time, so both touch memory
@@ -15,7 +15,10 @@ between doubles and 64-bit integers; the driver converts at both ends of
 the integers' range and past them, where a conversion out of range,
 undefined too, ends it as well. It also evaluates deep weighted sums of
 states on the grid, whose terms take a buffer sized by the program's
-length. It needs gcc with libasan and skips without them.
+length. And it runs ``ptc_run`` into row buffers of exactly the capacity
+it is given, through grid passes, rest steps, an expression plant and a
+buffer one row short, each bit for bit the unsanitized library's run. It
+needs gcc with libasan and skips without them.
 """
 
 import ctypes
@@ -31,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ptc_lab as pl
 from ptc_lab import native
 
 DRIVER = r"""
@@ -48,9 +52,25 @@ typedef struct {
     int depth;
 } program;
 
+typedef struct {
+    int n;
+    long stride;
+    long capacity;
+    double tau, t_end, stop, gamma_min, gamma, threshold;
+    double dt_base, shrink_divisor, stiff_cap, phi, phi0, slack;
+    const double *q;
+    program f, g;
+    double *x;
+    double *times, *states, *inputs;
+    long rows, steps;
+    double u_max, x_max;
+    volatile int cancel;
+} run_args;
+
 int ptc_eval(const program *p, int n, const double *x, double u, double t, int grid,
              double *out);
 int ptc_grid(int divide, double a, double b, double *out);
+int ptc_run(run_args *a);
 
 /* The double whose bits the hex word at *s spells; advances *s past it. */
 static double bits_at(char **s)
@@ -61,18 +81,51 @@ static double bits_at(char **s)
     return v;
 }
 
+/* The program that "DEPTH NCONSTS NCODE CONSTS... CODE..." at *s spells,
+ * in malloc'd arrays of exactly its size; advances *s past it. */
+static program program_at(char **s)
+{
+    int depth = (int)strtol(*s, s, 10), nconsts = (int)strtol(*s, s, 10);
+    int ncode = (int)strtol(*s, s, 10), i;
+    double *consts = malloc(((size_t)nconsts + 1) * sizeof *consts);
+    int *code = malloc((size_t)ncode * sizeof *code);
+    for (i = 0; i < nconsts; i++)
+        consts[i] = bits_at(s);
+    for (i = 0; i < ncode; i++)
+        code[i] = (int)strtol(*s, s, 10);
+    return (program){code, consts, depth};
+}
+
+static void free_program(program p)
+{
+    free((void *)p.code);
+    free((void *)p.consts);
+}
+
+/* " " and the hex word of v's bits. */
+static void put_bits(double v)
+{
+    unsigned long long bits;
+    memcpy(&bits, &v, sizeof bits);
+    printf(" %016llx", bits);
+}
+
 static char line[1 << 20];
 
 /* "w SIZE ROWS COLS V W": format ROWS rows of COLS cells, all V but the
  * last, W, into a malloc'd buffer of SIZE bytes; print the text.
  * "r HEX": parse the bytes HEX spells, the only contents of a malloc'd
  * block, as rows of one cell; print the row count and the values.
- * "e GRID N DEPTH NCONSTS NCODE X... U T CONSTS... CODE...": evaluate the
- * program of CODE's ints and CONSTS at N states, in the grid mode GRID;
- * print its status and the bits of its value.
+ * "e GRID N X... U T PROGRAM": evaluate PROGRAM, "DEPTH NCONSTS NCODE
+ * CONSTS... CODE...", at N states, in the grid mode GRID; print its status
+ * and the bits of its value.
  * "g DIVIDE A B": A * B (DIVIDE 0) or A / B (DIVIDE 1) on the grid; print
- * its status and the bits of its value. Doubles are the hex words of
- * their bits. */
+ * its status and the bits of its value.
+ * "l N STRIDE CAPACITY SCALARS... Q... X0... F G": ptc_run with the 12
+ * scalars of run_args, N gains, the initial state and the programs F and
+ * G, into row buffers of exactly CAPACITY rows; print its status, rows,
+ * steps and the bits of its peaks, then one line per row of the bits of
+ * t, x1 ... xN and u. Doubles are the hex words of their bits. */
 int main(void)
 {
     char kind;
@@ -119,35 +172,77 @@ int main(void)
         } else if (kind == 'e') {
             char *s = line + 2;
             int grid = (int)strtol(s, &s, 10), n = (int)strtol(s, &s, 10), i;
-            int depth = (int)strtol(s, &s, 10), nconsts = (int)strtol(s, &s, 10);
-            int ncode = (int)strtol(s, &s, 10), status;
             double *x = malloc(((size_t)n + 1) * sizeof *x), u, t, out = 0.0;
-            double *consts = malloc(((size_t)nconsts + 1) * sizeof *consts);
-            int *code = malloc((size_t)ncode * sizeof *code);
-            unsigned long long bits;
             for (i = 0; i < n; i++)
                 x[i] = bits_at(&s);
             u = bits_at(&s);
             t = bits_at(&s);
-            for (i = 0; i < nconsts; i++)
-                consts[i] = bits_at(&s);
-            for (i = 0; i < ncode; i++)
-                code[i] = (int)strtol(s, &s, 10);
-            program p = {code, consts, depth};
-            status = ptc_eval(&p, n, x, u, t, grid, &out);
-            memcpy(&bits, &out, sizeof bits);
-            printf("%d %016llx\n", status, bits);
-            free(code);
-            free(consts);
+            program p = program_at(&s);
+            printf("%d", ptc_eval(&p, n, x, u, t, grid, &out));
+            put_bits(out);
+            printf("\n");
+            free_program(p);
             free(x);
         } else if (kind == 'g') {
             char *s = line + 2;
-            int divide = (int)strtol(s, &s, 10), status;
+            int divide = (int)strtol(s, &s, 10);
             double a = bits_at(&s), b = bits_at(&s), out = 0.0;
-            unsigned long long bits;
-            status = ptc_grid(divide, a, b, &out);
-            memcpy(&bits, &out, sizeof bits);
-            printf("%d %016llx\n", status, bits);
+            printf("%d", ptc_grid(divide, a, b, &out));
+            put_bits(out);
+            printf("\n");
+        } else if (kind == 'l') {
+            char *s = line + 2;
+            run_args a = {0};
+            double *q, *x;
+            long r;
+            int i;
+            a.n = (int)strtol(s, &s, 10);
+            a.stride = strtol(s, &s, 10);
+            a.capacity = strtol(s, &s, 10);
+            a.tau = bits_at(&s);
+            a.t_end = bits_at(&s);
+            a.stop = bits_at(&s);
+            a.gamma_min = bits_at(&s);
+            a.gamma = bits_at(&s);
+            a.threshold = bits_at(&s);
+            a.dt_base = bits_at(&s);
+            a.shrink_divisor = bits_at(&s);
+            a.stiff_cap = bits_at(&s);
+            a.phi = bits_at(&s);
+            a.phi0 = bits_at(&s);
+            a.slack = bits_at(&s);
+            q = malloc((size_t)a.n * sizeof *q);
+            x = malloc((size_t)a.n * sizeof *x);
+            for (i = 0; i < a.n; i++)
+                q[i] = bits_at(&s);
+            for (i = 0; i < a.n; i++)
+                x[i] = bits_at(&s);
+            a.q = q;
+            a.x = x;
+            a.f = program_at(&s);
+            a.g = program_at(&s);
+            a.times = malloc((size_t)a.capacity * sizeof *a.times);
+            a.states = malloc((size_t)(a.capacity * a.n) * sizeof *a.states);
+            a.inputs = malloc((size_t)a.capacity * sizeof *a.inputs);
+            i = ptc_run(&a);
+            printf("%d %ld %ld", i, a.rows, a.steps);
+            put_bits(a.u_max);
+            put_bits(a.x_max);
+            printf("\n");
+            for (r = 0; r < a.rows; r++) {
+                put_bits(a.times[r]);
+                for (i = 0; i < a.n; i++)
+                    put_bits(a.states[r * a.n + i]);
+                put_bits(a.inputs[r]);
+                printf("\n");
+            }
+            free(a.inputs);
+            free(a.states);
+            free(a.times);
+            free_program(a.g);
+            free_program(a.f);
+            free(x);
+            free(q);
         } else {
             return 2;
         }
@@ -301,12 +396,19 @@ def _bits(v):
     return struct.unpack("<Q", struct.pack("<d", v))[0]
 
 
+def _hex(values):
+    return [f"{_bits(v):x}" for v in values]
+
+
+def _program_words(prog):
+    return [prog.depth, len(prog.consts), len(prog.code), *_hex(prog.consts), *prog.code]
+
+
 def _evaluate(prog, x):
     """The driver's command that evaluates ``prog`` on the grid at ``x``,
     with u and t 0."""
-    words = [1, len(x), prog.depth, len(prog.consts), len(prog.code)]
-    words += [f"{_bits(v):x}" for v in (*x, 0.0, 0.0, *prog.consts)]
-    return "e " + " ".join(map(str, [*words, *prog.code]))
+    words = [1, len(x), *_hex((*x, 0.0, 0.0)), *_program_words(prog)]
+    return "e " + " ".join(map(str, words))
 
 
 def _results(driver, commands):
@@ -391,3 +493,87 @@ def test_weighted_sum_runs_on_the_grid_in_its_buffers(driver):
     for v in values[1:]:
         total = total + v
     assert not adds_bad and _bits(adds_got) == _bits(total)
+
+
+def _loop_run(plant, design, cfg):
+    """The arguments of the run's ``native.integrate`` call, and what that
+    call returned: the unsanitized library's run."""
+    calls = []
+    integrate = native.integrate
+
+    def spy(*args):
+        calls.append((args, integrate(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "integrate", spy)
+        pl.run(plant, design, cfg)
+    ((args, out),) = calls
+    assert out is not None
+    return args, out
+
+
+def _loop(driver, f, g, q, x0, scalars, stride, capacity):
+    """The driver's ptc_run: its status, steps and the bits of u_max and
+    x_max, and its rows, each the bits of t, x1 ... xn and u."""
+    words = [len(x0), stride, capacity, *_hex(scalars[k] for k in native.SCALARS)]
+    words += [*_hex((*q, *x0)), *_program_words(f), *_program_words(g)]
+    head, *rows = _run(driver, ["l " + " ".join(map(str, words))]).decode().splitlines()
+    status, count, steps, u_max, x_max = head.split()
+    assert len(rows) == int(count)
+    return (int(status), int(steps), int(u_max, 16), int(x_max, 16)), [
+        [int(w, 16) for w in row.split()] for row in rows
+    ]
+
+
+def _row_bits(times, states, inputs):
+    return [[_bits(v) for v in (t, *x, u)] for t, x, u in zip(times, states, inputs)]
+
+
+def _example3(seed, eps):
+    plant = pl.builtin_plant("example3", seed=seed)
+    design = pl.design_controller(
+        (-1.0, -4.0, -6.0, -4.0), 10.0, phi=plant.phi, phi0=plant.phi0, eps_guard_fraction=eps
+    )
+    return plant, design, pl.SimConfig(x0=(10.0,) * 4, epsilon_fraction=eps, record_stride=50)
+
+
+def _example2():
+    plant = pl.builtin_plant("example2")
+    design = pl.design_controller((-1.0, -2.0), 10.0, alpha=0.0214, phi=plant.phi,
+                                  phi0=plant.phi0)
+    return plant, design, pl.SimConfig(x0=(10.0, 10.0), dt_base=5e-3, record_stride=7)
+
+
+@pytest.mark.parametrize(
+    "run, end",
+    [
+        # From step 470 on, every component is below 2^-600 and one is
+        # nonzero, subnormal from step 771: grid passes, never rest
+        # (t_end = 1, 6,268 steps).
+        (lambda: _example3(42, 0.9), "deep"),
+        # At rest, +0.0, from step 7,715 (t_end = 1.5, 9,668 steps): rest
+        # steps, and, as example3's f and g do not read t, repeated ones.
+        (lambda: _example3(6, 0.85), "rest"),
+        (_example2, None),
+        # A row buffer one row short: FULL, after every row it holds.
+        (_example2, "full"),
+    ],
+    ids=["example3-grid", "example3-rest", "example2-expression", "example2-full"],
+)
+def test_loop_runs_under_the_sanitizers(driver, run, end):
+    args, (times, states, inputs, steps, u_max, x_max) = _loop_run(*run())
+    f, g, q, x0, scalars, stride, capacity = args
+    want = _row_bits(times, states, inputs)
+    if end == "full":
+        (status, *_), rows = _loop(driver, f, g, q, x0, scalars, stride, len(want) - 1)
+        assert status == 2 and rows == want[:-1]
+        return
+    head, rows = _loop(driver, f, g, q, x0, scalars, stride, capacity)
+    assert head == (0, steps, _bits(u_max), _bits(x_max))
+    assert rows == want
+    last = np.abs(states[-1])
+    if end == "deep":
+        assert steps > 771 and 0.0 < last.max() < 2.0**-600
+    elif end == "rest":
+        assert steps > 7_715 and not any(map(_bits, states[-1]))

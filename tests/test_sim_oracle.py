@@ -26,6 +26,7 @@ from ptc_lab.cli import write_trace_csv
 from ptc_lab.controller import build_gain_schedule
 from ptc_lab.plant import check_assumption
 from test_plant import derivative
+from trace_compare import _blobs, _difference, _list_blobs
 
 
 def reference_run(plant, design, cfg):
@@ -182,12 +183,14 @@ def _python_path(plant):
 def _assert_same_run(plant, design, cfg):
     """``run`` reproduces ``reference_run`` bit for bit, both for the plant
     as built (in C when its f and g are programs) and with f wrapped (in
-    the Python loop)."""
-    plants = (plant, _python_path(plant))
+    the Python loop). Where a run differs, the message names the path and
+    the first differing row and column."""
+    paths = {"as built": plant, "f wrapped": _python_path(plant)}
+    names = ("run", "reference")
     try:
         expected = reference_run(plant, design, cfg)
     except (pl.DivergenceError, pl.AssumptionViolationError, ArithmeticError) as exc:
-        for candidate in plants:
+        for path, candidate in paths.items():
             with pytest.raises((pl.DivergenceError, pl.AssumptionViolationError)) as err:
                 pl.run(candidate, design, cfg)
             if isinstance(exc, pl.AssumptionViolationError):
@@ -196,24 +199,23 @@ def _assert_same_run(plant, design, cfg):
             else:
                 assert isinstance(err.value, pl.DivergenceError)
             if isinstance(exc, pl.DivergenceError) and exc.trace[0]:
-                times, states, inputs = exc.trace
-                partial = err.value.trace
-                assert partial.times.tobytes() == np.asarray(times).tobytes()
-                assert partial.states.tobytes() == np.asarray(states).tobytes()
-                assert partial.inputs.tobytes() == np.asarray(inputs).tobytes()
+                got, want = _blobs(err.value.trace), _list_blobs(*exc.trace)
+                assert got[:3] == want[:3], (
+                    f"{path}, partial trace: {_difference(got, want, plant.n, names)}"
+                )
         return None
     times, states, inputs, metadata = expected
-    for candidate in plants:
+    want = _list_blobs(times, states, inputs, metadata)
+    for path, candidate in paths.items():
         trace = pl.run(candidate, design, cfg)
+        got = _blobs(trace)
+        # Bits, not values: the CSV tells -0.0 from 0.0.
+        assert got[:3] == want[:3], f"{path}: {_difference(got, want, plant.n, names)}"
+        # array_equal also refuses NaN, which equal bits would pass.
         assert np.array_equal(trace.times, times)
         assert np.array_equal(trace.states, states)
         assert np.array_equal(trace.inputs, inputs)
-        # array_equal treats -0.0 as 0.0; the CSV does not, so compare bits too.
-        for got, want in (
-            (trace.times, times), (trace.states, states), (trace.inputs, inputs)
-        ):
-            assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
-        assert dict(trace.metadata) == metadata
+        assert dict(trace.metadata) == metadata, f"{path}: {_difference(got, want, plant.n, names)}"
         assert trace.metadata["steps_total"] == metadata["steps_total"]
     return trace
 

@@ -539,6 +539,10 @@ def _check_trace_header(path: str, header: list[str]) -> int:
 
 
 def _infer_tau_x0(times: np.ndarray, lambda_bound: np.ndarray) -> tuple[float, float]:
+    # SimTrace refuses such times too, but only after the slope below has
+    # divided by their difference.
+    if not np.all(np.diff(times) > 0):
+        raise TraceFormatError("trace times must be strictly increasing")
     positive = np.nonzero(lambda_bound > 0)[0]
     if positive.size < 2:
         raise TraceFormatError(

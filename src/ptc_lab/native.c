@@ -8,12 +8,12 @@
  * - the rest step below skips work whose result it can prove;
  * - when neither f nor g reads t, the rest steps that follow a rest step
  *   in one pass repeat it bit for bit, and only advance the clock;
- * - when f is a weighted sum of states, or reads neither x nor u, a step
- *   whose state has every component below DEEP, and one nonzero, runs on
- *   the grid of 2^-1074: its values times 2^1074, in hardware doubles,
- *   with each product and quotient rounded once more where the unscaled
- *   one is subnormal, and a weighted sum's fsum there as a plain sum
- *   wherever that is exact (grid_sum gives the proof);
+ * - a step whose state has every component below DEEP, and one nonzero,
+ *   runs on the grid of 2^-1074: its values times 2^1074, in hardware
+ *   doubles, with each product and quotient rounded once more where the
+ *   unscaled one is subnormal; f runs its program on the values brought
+ *   back, but example3's weighted sum runs on the grid, its fsum as a
+ *   plain sum wherever that is exact (grid_sum gives the proof);
  * - a g that reads neither t nor the state is evaluated once per run;
  * - the step size skips the shrink cap's division where the stiffness
  *   cap always wins (step_size gives the proof);
@@ -124,7 +124,9 @@ typedef unsigned __int128 u128;
  * to the nearest integer, ties to even, which gives the same integer
  * unless the first rounding made a tie. At a half-integer, the exact
  * residual from fma says on which side of it the true value lies (Muller
- * et al., Handbook of Floating-Point Arithmetic, 2nd ed., 2018). */
+ * et al., Handbook of Floating-Point Arithmetic, 2nd ed., 2018). f runs
+ * on the grid only in example3's form (grid_sum); any other f runs its
+ * own ops, assists and all, on the values brought back (grid_eval). */
 
 #define SIGN (1ULL << 63)
 #define HIDDEN (1ULL << 52)
@@ -331,39 +333,22 @@ static size_t length(const program *p)
     return (size_t)(pc - p->code) + 2;
 }
 
-/* Whether f's program p is a weighted sum: terms products of a constant
- * and a state, in either order, combined by one FSUM terms or by
- * terms - 1 ADDs from the left, as example3's fsum(w_i * x_i) and a text
- * such as a*x1 + b*x2 + c*x3 are. If so, it returns terms, pairs holds
- * each product's state and constant indices, and *by_fsum says which way
- * they are combined; else 0. grid_sum computes such an f on the grid. */
-static int weighted_sum(const program *p, int *pairs, int *by_fsum)
+/* Whether f's program p is a weighted sum in example3's form, k products
+ * CONST i, X j, MUL followed by FSUM k: if so, it returns k, and pairs
+ * holds each product's state and constant indices; else 0. grid_sum
+ * computes such an f on the grid. */
+static int weighted_sum(const program *p, int *pairs)
 {
     const int *pc = p->code;
-    int terms = 0, adds = 0;
+    int terms = 0;
 
     /* Every op but OP_END has another after it, so pc[2] is read only
      * after an op, and pc[4] only after two. */
-    for (;; terms++, pc += 6) {
-        if (pc[0] == OP_CONST && pc[2] == OP_X && pc[4] == OP_MUL) {
-            pairs[2 * terms] = pc[3];
-            pairs[2 * terms + 1] = pc[1];
-        } else if (pc[0] == OP_X && pc[2] == OP_CONST && pc[4] == OP_MUL) {
-            pairs[2 * terms] = pc[1];
-            pairs[2 * terms + 1] = pc[3];
-        } else {
-            break;
-        }
-        if (terms > 0 && pc[6] == OP_ADD) {
-            adds++;
-            pc += 2;
-        }
+    for (; pc[0] == OP_CONST && pc[2] == OP_X && pc[4] == OP_MUL; terms++, pc += 6) {
+        pairs[2 * terms] = pc[3];
+        pairs[2 * terms + 1] = pc[1];
     }
-    *by_fsum = pc[0] == OP_FSUM;
-    if (*by_fsum ? adds == 0 && pc[1] == terms && pc[2] == OP_END
-                 : adds == terms - 1 && pc[0] == OP_END)
-        return terms;
-    return 0;
+    return pc[0] == OP_FSUM && pc[1] == terms && pc[2] == OP_END ? terms : 0;
 }
 
 /* Whether a program holds the opcode op. */
@@ -376,23 +361,15 @@ static int holds(const program *p, int op)
     return 0;
 }
 
-/* f's grid form: its program, whether it reads neither x nor u, and,
- * where it is a weighted sum, its terms (see weighted_sum). A grid pass
- * evaluates f only in one of these two forms. */
+/* f's grid form: its program, where it is a weighted sum its terms and
+ * their pairs (see weighted_sum; pairs holds length(f) ints), and room,
+ * xb, for a stage state brought back. */
 typedef struct {
     const program *f;
-    int time_only, terms, by_fsum;
+    int terms;
     const int *pairs;
+    double *xb;
 } grid_f;
-
-/* gf for f's program p, with pairs, length(p) ints, for its terms. */
-static void grid_form(const program *p, int *pairs, grid_f *gf)
-{
-    gf->f = p;
-    gf->pairs = pairs;
-    gf->time_only = !holds(p, OP_X) && !holds(p, OP_U);
-    gf->terms = weighted_sum(p, pairs, &gf->by_fsum);
-}
 
 /* A weighted sum at the carried x, carried, on st, which holds its terms:
  * grid_eval for it. Each product is grid_op, above, and faults where
@@ -415,53 +392,49 @@ ALWAYS_INLINE int grid_sum(const grid_f *gf, double *st, const double *x, double
     double acc, size;
     int i, bad = 0;
 
-    if (gf->by_fsum) {
-        for (i = 0, acc = size = 0.0; i < gf->terms; i++, pair += 2) {
-            st[i] = grid_op(0, x[pair[0]], c[pair[1]], &bad);
-            acc = acc + st[i];
-            size = size + fabs(st[i]);
-        }
-        if (bad)
-            return FAULT;
-        if (size < 0x1p53)
-            *fv = acc;
-        else if (fsum(st, gf->terms, fv))
-            return FAULT;
-    } else {
-        acc = grid_op(0, x[pair[0]], c[pair[1]], &bad);
-        for (i = 1, pair += 2; i < gf->terms; i++, pair += 2)
-            acc = acc + grid_op(0, x[pair[0]], c[pair[1]], &bad);
-        if (bad)
-            return FAULT;
-        *fv = acc;
+    for (i = 0, acc = size = 0.0; i < gf->terms; i++, pair += 2) {
+        st[i] = grid_op(0, x[pair[0]], c[pair[1]], &bad);
+        acc = acc + st[i];
+        size = size + fabs(st[i]);
     }
+    if (bad)
+        return FAULT;
+    if (size < 0x1p53)
+        *fv = acc;
+    else if (fsum(st, gf->terms, fv))
+        return FAULT;
     return isfinite(*fv) ? OK : FAULT;
 }
 
-/* A weighted sum or time-only f at the carried x: *fv, carried. A
- * time-only program holds no carried value, so its value is carried where
- * it is below 2^-50. FAULT where f faults or its value cannot be carried.
- * st holds the program's depth + 1 values. */
-ALWAYS_INLINE int grid_eval(const grid_f *gf, double *st, const double *x, double t, double *fv)
+/* f at the carried stage state x of n states and the carried input u:
+ * *fv, carried. example3's weighted sum runs on the grid (grid_sum); any
+ * other f runs its own program on x and u brought back, the exact values
+ * the plain pass hands it, so its value is the plain pass's, carried
+ * where it is below 2^-50. FAULT where f faults or its value cannot be
+ * carried. st holds the program's depth + 1 values. */
+ALWAYS_INLINE int grid_eval(const grid_f *gf, double *st, int n, const double *x, double u,
+                            double t, double *fv)
 {
+    int i;
     if (gf->terms)
         return grid_sum(gf, st, x, fv);
-    if (eval(gf->f, st, x, 0.0, t, fv) || !(fabs(*fv) < 0x1p-50))
+    for (i = 0; i < n; i++)
+        gf->xb[i] = from_grid(x[i]);
+    if (eval(gf->f, st, gf->xb, from_grid(u), t, fv) || !(fabs(*fv) < 0x1p-50))
         return FAULT;
     *fv = to_grid(*fv);
     return OK;
 }
 
 /* One evaluation of a program of n states on its own, for tests. With
- * grid set, it runs as f runs in a grid pass: x is carried in, the
- * program's grid form runs, and its value is brought back; u is not read.
- * FAULT where the program is neither a weighted sum nor time-only, or x
- * is not below 2^-50, or a grid pass would not carry the value. */
+ * grid set, it runs as f runs in a grid pass: x and u are carried in,
+ * grid_eval runs, and its value is brought back. FAULT where x or u is
+ * not below 2^-50, or a grid pass would not carry the value. */
 int ptc_eval(const program *p, int n, const double *x, double u, double t, int grid,
              double *out)
 {
     double *st = malloc(((size_t)p->depth + 1) * sizeof *st);
-    double *xs = malloc(((size_t)n + 1) * sizeof *xs);
+    double *xs = malloc(((size_t)n + 1) * 2 * sizeof *xs);
     int *pairs = malloc(length(p) * sizeof *pairs);
     grid_f gf;
     int i, status = !st || !xs || !pairs;
@@ -469,13 +442,13 @@ int ptc_eval(const program *p, int n, const double *x, double u, double t, int g
     if (!status && !grid) {
         status = eval(p, st, x, u, t, out);
     } else if (!status) {
-        grid_form(p, pairs, &gf);
-        status = !gf.terms && !gf.time_only;
+        gf = (grid_f){p, weighted_sum(p, pairs), pairs, xs + n + 1};
+        status = !(fabs(u) < 0x1p-50);
         for (i = 0; i < n; i++) {
             status |= !(fabs(x[i]) < 0x1p-50);
             xs[i] = to_grid(x[i]);
         }
-        if (!status && !(status = grid_eval(&gf, st, xs, t, out)))
+        if (!status && !(status = grid_eval(&gf, st, n, xs, to_grid(u), t, out)))
             *out = from_grid(*out);
     }
     free(pairs);
@@ -519,10 +492,9 @@ static HOT int record(run_args *a, double t, const double *x, double u)
 }
 
 /* A state whose components are all below DEEP, one of them nonzero, takes
- * a grid pass when f is a weighted sum of states or reads neither x nor
- * u; every other state, and every step a grid pass leaves, takes the
- * plain pass. The bits are the same either way: the bound decides only
- * which ops compute them. */
+ * a grid pass, whatever f is; every other state, and every step a grid
+ * pass leaves, takes the plain pass. The bits are the same either way:
+ * the bound decides only which ops compute them. */
 #define DEEP 0x1p-600
 
 static int deep(int n, const double *x)
@@ -668,14 +640,14 @@ ALWAYS_INLINE int control(int n, const double *q, const double *y, const double 
 /* One RK4 stage: the input *u, f's value *fv and the derivative's last
  * component *k at the stage state y, whose other components are y's next
  * entries. On the grid, y and the three results are carried, and f runs
- * in its grid form. */
+ * by grid_eval. */
 ALWAYS_INLINE int stage(const run_args *a, const loop *l, double *st, const double *y,
                         const double *p, double s, double den, double gain, const int grid,
                         int *bad, double *u, double *fv, double *k)
 {
     if (control(a->n, a->q, y, p, den, grid, bad, u))
         return FAULT;
-    if (grid ? grid_eval(&l->f, st, y, s, fv) : eval(&a->f, st, y, *u, s, fv))
+    if (grid ? grid_eval(&l->f, st, a->n, y, *u, s, fv) : eval(&a->f, st, y, *u, s, fv))
         return FAULT;
     *k = *fv + GRID_OP(grid, 0, gain, *u, bad);
     return OK;
@@ -687,8 +659,8 @@ ALWAYS_INLINE int stage(const run_args *a, const loop *l, double *st, const doub
  *
  * With grid set, the pass computes the same step on the grid of 2^-1074
  * (above), for a state that calls for it: the gain law, the stage
- * states, f, by its grid form, and the update, each product and quotient
- * by grid_op. Below DEEP (2^-600) the state stays below 2^474 carried,
+ * states, f, by grid_eval, and the update, each product and quotient by
+ * grid_op. Below DEEP (2^-600) the state stays below 2^474 carried,
  * and the audit's squares are below 2^-1200, which rounds to +0.0: its
  * limit is phi * 0.0 + phi0 + slack. Such a pass never rests. It carries
  * its step only where every product and quotient stays below CEILING and
@@ -838,11 +810,11 @@ static HOT int grid(run_args *a, double *st, loop *l)
 }
 
 /* The passes of the loop, each the kind its state calls for: the choice
- * is made once per pass. pairs is grid_form's. */
+ * is made once per pass. pairs holds f's terms (see grid_f). */
 static HOT int run(run_args *a, double *st, int *pairs)
 {
     const int n = a->n;
-    double p[n], m[n], ya[n], yb[n], yc[n], sq[n], xs[n];
+    double p[n], m[n], ya[n], yb[n], yc[n], sq[n], xs[n], xb[n];
     const program *g = &a->g;
     loop l = {0.0, 0.0, 0, 0, !holds(&a->f, OP_T) && !holds(g, OP_T),
               !holds(g, OP_T) && !holds(g, OP_X) && !holds(g, OP_U),
@@ -858,7 +830,7 @@ static HOT int run(run_args *a, double *st, int *pairs)
      * smallest when tau - t_end < 1, settles that for the whole run. */
     powers(n, a->tau, a->t_end, p);
     l.can_rest = p[0] != 0.0;
-    grid_form(&a->f, pairs, &l.f);
+    l.f = (grid_f){&a->f, weighted_sum(&a->f, pairs), pairs, xb};
     a->rows = 0;
     a->u_max = 0.0;
     a->x_max = 0.0;
@@ -866,7 +838,7 @@ static HOT int run(run_args *a, double *st, int *pairs)
     if (eval(g, st, a->x, 0.0, l.t, &l.g_now))
         return FAULT;
     do {
-        status = (l.f.terms || l.f.time_only) && deep(n, a->x) ? grid(a, st, &l) : REDO;
+        status = deep(n, a->x) ? grid(a, st, &l) : REDO;
         if (status == REDO)
             status = pass(a, st, &l, 0);
     } while (status == MORE);

@@ -360,9 +360,10 @@ def evaluate(
 ) -> float | None:
     """``prog`` at ``(x, u, t)`` in the compiled machine, or None where it
     faults. With ``grid``, it runs as ``f`` runs in the loop's grid steps,
-    on ``x`` times 2^1074, without reading ``u``, and gives None as well
-    where ``prog`` is neither a weighted sum of states nor free of ``x``
-    and ``u``, or those steps would not carry it.
+    on ``x`` and ``u`` times 2^1074, and gives None as well where ``x`` or
+    ``u`` is not below 2^-50 or those steps would not carry the value:
+    example3's weighted sum runs on the grid, any other program on the
+    values brought back, with their value carried below 2^-50.
     Raises RuntimeError when no compiled machine is available."""
     lib = library()
     if lib is None:

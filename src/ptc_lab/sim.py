@@ -27,18 +27,18 @@ rest rule the Python loop lacks: once the state is exactly +0.0 in every
 component, a step evaluates its coinciding stages once and produces the
 bits of the general step with two f calls instead of four (``native.c``
 gives the proof); when neither f nor g reads t, the rest steps that
-follow it repeat it and only advance the clock. When f is a weighted
-sum of states, as ``example3``'s is, or reads neither x nor u, as a
-nominal f = 0 does, a step whose state has every component below
-2^-600, and one nonzero, runs in hardware doubles on the state times
-2^1074, where subnormals are integers, and rounds each product and
-quotient once more to the integers, as the subnormal range rounds: the
-same bits, without the hardware's slow path for subnormal operands and
-results, in which never-resting runs of ``example3`` spend most of their
-steps. Such a step is the RK4 step of every other step, written once in
-``native.c`` for both kinds. Other plants take that slow path there. A weighted sum runs
-there without the interpreter. A g that reads neither t nor the state
-is evaluated once per run, and where
+follow it repeat it and only advance the clock. A step whose state has
+every component below 2^-600, and one nonzero, runs in hardware doubles
+on the state times 2^1074, where subnormals are integers, and rounds
+each product and quotient once more to the integers, as the subnormal
+range rounds: the same bits, without the hardware's slow path for
+subnormal operands and results, in which never-resting runs of
+``example3`` spend most of their steps. Such a step is the RK4 step of
+every other step, written once in ``native.c`` for both kinds, whatever
+f is: ``example3``'s weighted sum runs on the grid without the
+interpreter, and any other f runs its program on the stage state and u
+brought back, so only its own operations take the slow path. A g that
+reads neither t nor the state is evaluated once per run, and where
 ``stiffness_safety * alpha * shrink_divisor <= 1`` the step size skips
 the shrink cap's division, whose result could never be the smaller
 (``native.c`` gives the proof). Wherever the Python loop would

@@ -1,6 +1,7 @@
 import pytest
 
 import ptc_lab as pl
+from ptc_lab import native
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,19 @@ def example3_trace():
     )
     cfg = pl.SimConfig(x0=(10.0, 10.0, 10.0, 10.0), dt_base=0.01, record_stride=50)
     return pl.run(plant, design, cfg)
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """Whether each ``native.integrate`` call returned a run (True) or
+    handed it back to the Python loop (False)."""
+    outcomes = []
+    integrate = native.integrate
+
+    def spy(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(native, "integrate", spy)
+    return outcomes

@@ -596,6 +596,12 @@ def _expression_plant(f_text):
         (("simulate", {}, "--epsilon=-inf"), 1, "--epsilon: must be a finite number"),
         (["verify", "trace.csv", "--tau", "inf"], 1, "--tau: must be a finite number"),
         (["verify", "trace.csv", "--x0-norm", "nan"], 1, "--x0-norm: must be a finite number"),
+        # A bare CSV, with no sidecar and no --tau, whose times repeat.
+        (
+            "t,x1,u,norm_x,lambda_bound\n1,1,0,1,2\n1,0.5,0,0.5,2\n",
+            1,
+            "trace times must be strictly increasing",
+        ),
     ],
     ids=[
         "sidecar-tau-string", "sidecar-x0-norm-string", "sidecar-list",
@@ -608,7 +614,7 @@ def _expression_plant(f_text):
         "design-deadline-underflows-gains", "deadline-needs-too-many-steps",
         "table-alpha-inf", "table-c-nan", "table-c-beyond-float-range", "design-tau-inf",
         "simulate-tau-nan", "simulate-dt-inf", "simulate-epsilon-inf", "verify-tau-inf",
-        "verify-x0-norm-nan",
+        "verify-x0-norm-nan", "bare-trace-times-repeat",
     ],
 )
 def test_bad_inputs_exit_with_one_error_line(
@@ -623,6 +629,9 @@ def test_bad_inputs_exit_with_one_error_line(
         argv = ["verify", str(trace)]
     elif isinstance(case, list):  # a command line refused before it reads a file
         argv = case
+    elif isinstance(case, str):  # a bare trace CSV, without a sidecar
+        (tmp_path / "trace.csv").write_text(case)
+        argv = ["verify", "trace.csv"]
     else:
         command, overrides, *flags = case if isinstance(case, tuple) else ("simulate", case)
         argv = [command, "--scenario", _ex2_scenario(tmp_path, **overrides), *flags]

@@ -8,6 +8,7 @@ import pytest
 import ptc_lab as pl
 from ptc_lab.combinatorics import CombinatoricsTable, _default_table
 from ptc_lab.controller import GainRow, GainTerm
+from test_nominal_reference import stirling_first
 
 # Frozen gain scalars for the fourth-order example design (auto-selected
 # alpha at tau = 10); derived once from the exact rational structure.
@@ -327,16 +328,6 @@ def test_design_controller_validation():
             pl.design_controller((-1.0,), 10.0, gamma_min=bad, phi0=1.0)
 
 
-def _stirling_first(n):
-    """Unsigned Stirling numbers of the first kind, [k, j] for 0 <= j, k < n."""
-    s = [[0] * n for _ in range(n)]
-    s[0][0] = 1
-    for k in range(1, n):
-        for j in range(1, k + 1):
-            s[k][j] = (k - 1) * s[k - 1][j] + s[k - 1][j - 1]
-    return s
-
-
 def _pull_back(q, alpha, tau, t):
     """T^-1 (A T - dT/dt) / w in exact rationals, for the closed loop of
     f = 0, gamma = gamma_min and g = 1: x_k' = x_(k+1), and x_n' the gain
@@ -344,7 +335,7 @@ def _pull_back(q, alpha, tau, t):
     alpha^(k - j) and w = 1/(alpha (tau - t)), so that dT/dt =
     diag(k alpha w^(k + 1)) C."""
     n = len(q)
-    s = _stirling_first(n)
+    s = stirling_first(n)
     w = 1 / (alpha * (tau - t))
     c = [[s[k][j] * alpha ** (k - j) for j in range(n)] for k in range(n)]
     a = [[Fraction(j == k + 1) for j in range(n)] for k in range(n - 1)]
@@ -389,7 +380,7 @@ def test_gains_pull_back_to_the_companion_matrix(n, spread):
     gamma = (n + 4) * unit / (1 - (n + 4) * unit)
     # An error dq_i in q moves only the last row, by
     # sum_i dq_i alpha^(n - i) [i, j] alpha^(i - j), whatever t is.
-    s = _stirling_first(n)
+    s = stirling_first(n)
     bound = [sum(gamma * size[i] * alpha ** (n - j) * s[i][j] for i in range(n))
              for j in range(n)]
     for t in (Fraction(0), tau / 4, tau / 2, tau * 9 / 10):

@@ -45,22 +45,6 @@ ROOT = Path(__file__).resolve().parents[1]
 pytestmark = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
 
 
-@pytest.fixture
-def compiled(monkeypatch):
-    """Whether each ``native.integrate`` call returned a run (True) or
-    handed it back to the Python loop (False)."""
-    outcomes = []
-    integrate = native.integrate
-
-    def spy(*args, **kwargs):
-        out = integrate(*args, **kwargs)
-        outcomes.append(out is not None)
-        return out
-
-    monkeypatch.setattr(native, "integrate", spy)
-    return outcomes
-
-
 def _outcome(plant, design, cfg):
     """A run's trace bytes, or its exception, message and partial trace."""
     try:
@@ -103,10 +87,11 @@ def test_a_wrapped_plant_takes_the_python_path(compiled):
 
 def _plant(n, kind, rnd, g_text, envelope):
     """A builtin plant of order 2 or 4, or an expression plant: the
-    nominal f = 0, a vanishing f or a grammar text."""
+    nominal f = 0, a vanishing f that reads t, one that reads u, or a
+    grammar text."""
     if kind == "builtin" and n in (2, 4):
         return pl.builtin_plant("example2" if n == 2 else "example3", seed=3)
-    f_text = "0" if kind == "nominal" else "0.001*x1*cos(t)"
+    f_text = {"nominal": "0", "input": "0.001*u/(1 + x1*x1)"}.get(kind, "0.001*x1*cos(t)")
     if kind == "grammar":
         # A random text of the expression grammar, scaled down so that
         # many runs complete; the rest fault, in both loops alike. The
@@ -166,7 +151,7 @@ _deep = st.one_of(
     alpha=st.floats(0.05, 0.3),
     x0=st.lists(_deep, min_size=4, max_size=4),
     stride=st.sampled_from((1, 7)),
-    kind=st.sampled_from(("builtin", "nominal", "vanishing", "grammar")),
+    kind=st.sampled_from(("builtin", "nominal", "vanishing", "input", "grammar")),
     rnd=st.randoms(use_true_random=False),
     g_text=st.sampled_from(GAINS),
     dt_base=st.floats(0.01, 0.2),
@@ -174,13 +159,15 @@ _deep = st.one_of(
 def test_grid_passes_match_python_loop(
     compiled, n, poles, tau, alpha, x0, stride, kind, rnd, g_text, dt_base
 ):
-    # States below 2^-600 from the start: the C loop runs grid passes
-    # where f is a weighted sum of states, as example3's is, or reads
-    # neither x nor u, as the nominal f = 0 and some grammar texts do, and
-    # hands a step to the plain pass where a value cannot be carried (a
-    # time-only f value of 2^-50 or more, as some grammar texts have) and
-    # at the last sample. Other f, as example2's, the vanishing plant's
-    # and most grammar texts, take plain passes throughout.
+    # States below 2^-600 from the start: the C loop runs grid passes,
+    # whatever f is. example3's weighted sum runs on the grid; every
+    # other f, the vanishing one that reads t and the one that reads u
+    # included, runs its program on the stage state and u brought back.
+    # A pass hands its step to the plain pass where a value cannot be
+    # carried (an f value of 2^-50 or more, as example2's and many
+    # grammar texts have) and at the last sample. The plant that reads u
+    # divides by 1 + x1*x1, which is 1 at the state brought back but not
+    # at the carried one.
     plant = _plant(n, kind, rnd, g_text, (1.0, 1e3))
     design = _stand_in_design(_hurwitz_coefficients(poles[:n]), tau, alpha, 1.0)
     cfg = pl.SimConfig(x0=tuple(x0[:n]), dt_base=dt_base, shrink_divisor=10.0,
@@ -190,8 +177,8 @@ def test_grid_passes_match_python_loop(
 
 def _grid_phases(states):
     """Whether each run of recorded rows starts steps that native.c runs on
-    the grid for a weighted-sum or time-only f (every component below its
-    DEEP, 2^-600, and one nonzero), in run order."""
+    the grid (every component below its DEEP, 2^-600, and one nonzero), in
+    run order."""
     phases = []
     for row in states:
         grid = all(abs(v) < 2.0**-600 for v in row) and any(row)
@@ -355,7 +342,7 @@ def test_fsum_op_matches_math_fsum(items):
     prog = native.program([*((native.CONST, v) for v in items), (native.FSUM, len(items))])
     want = _python_value(lambda x, u, t: math.fsum(items), [], 0.0, 0.0)
     assert _bits(native.evaluate(prog, [], 0.0, 0.0)) == _bits(want)
-    # On the grid the program is time-only, and its value is carried
+    # On the grid the program runs as it is, and its value is carried
     # where it is below 2^-50.
     carried = want if want is not None and abs(want) < 2.0**-50 else None
     assert _bits(native.evaluate(prog, [], 0.0, 0.0, grid=True)) == _bits(carried)
@@ -502,35 +489,35 @@ _weights = st.one_of(
 
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(
-    terms=st.lists(
-        st.tuples(_weights, st.integers(0, 2), st.booleans()), min_size=1, max_size=6
-    ),
+    terms=st.lists(st.tuples(_weights, st.integers(0, 2)), min_size=1, max_size=6),
     x=st.lists(_deep, min_size=3, max_size=3),
     by_fsum=st.booleans(),
-    shape=st.sampled_from(("weighted", "right-nested", "fsum-of-fewer", "with-u")),
+    shape=st.sampled_from(("weighted", "state-first", "right-nested", "fsum-of-fewer", "with-u")),
 )
 # Carried terms 2^53 - 2, 3 and -1, whose plain sum, 2^53 - 1, is not the
 # exact sum, 2^53, that math.fsum gives.
-@example(terms=[(2.0, 0, True), (1.0, 1, False), (-1.0, 2, True)],
+@example(terms=[(2.0, 0), (1.0, 1), (-1.0, 2)],
          x=[math.ldexp(2**52 - 1, -1074), 1.5e-323, 5e-324], by_fsum=True, shape="weighted")
-# A product of 2^-60, 2^1014 carried: finite, but past CEILING.
-@example(terms=[(1.0, 1, True), (2.0**600, 0, False)], x=[2.0**-660, 2.0**-700, 0.0],
+# A product of 2^-60, 2^1014 carried: finite, but past CEILING. As a sum
+# by ADDs it runs on the values brought back, where 2^-60 is carried.
+@example(terms=[(1.0, 1), (2.0**600, 0)], x=[2.0**-660, 2.0**-700, 0.0],
          by_fsum=True, shape="weighted")
-@example(terms=[(1.0, 1, True), (2.0**600, 0, False)], x=[2.0**-660, 2.0**-700, 0.0],
+@example(terms=[(1.0, 1), (2.0**600, 0)], x=[2.0**-660, 2.0**-700, 0.0],
          by_fsum=False, shape="weighted")
 def test_weighted_sums_run_on_the_grid(terms, x, by_fsum, shape):
-    # A weighted sum, products of a constant and a state in either order
-    # combined by one FSUM or by ADDs from the left, runs without the
-    # stack machine in a grid pass, with Python's bits. Programs that
-    # differ from one in their last ops take plain passes, except two
-    # that are weighted sums all the same: right-nested ADDs of at most
-    # two terms, and the sum of one term.
+    # example3's form of f, products CONST, X, MUL combined by one FSUM,
+    # runs without the stack machine in a grid pass, with Python's bits
+    # wherever every product is below 2^-74, CEILING carried. Programs
+    # that differ from it, in the order of a product's factors, in ADDs,
+    # in an FSUM of fewer terms or in a term in u, run their own program
+    # on the values brought back, with Python's bits wherever the value
+    # is below 2^-50.
     products = [
-        [(native.CONST, w), (native.X, i), (native.MUL, 0)] if first
-        else [(native.X, i), (native.CONST, w), (native.MUL, 0)]
-        for w, i, first in terms
+        [(native.X, i), (native.CONST, w), (native.MUL, 0)] if shape == "state-first"
+        else [(native.CONST, w), (native.X, i), (native.MUL, 0)]
+        for w, i in terms
     ]
-    values = [w * x[i] for w, i, _ in terms]
+    values = [w * x[i] for w, i in terms]
     if shape == "with-u":
         products.append([(native.U, 0), (native.CONST, 0.5), (native.MUL, 0)])
         values.append(x[0] * 0.5)
@@ -551,23 +538,26 @@ def test_weighted_sums_run_on_the_grid(terms, x, by_fsum, shape):
         want = values[0]
         for v in values[1:]:
             want = want + v
-    weighted = shape == "weighted" or k == 1 or (shape == "right-nested" and k == 2)
-    # u = x1, which the grid does not read: a product with u is refused.
+    example3 = shape in ("weighted", "fsum-of-fewer") and ops[-1] == (native.FSUM, k)
+    # u = x1, carried in as the state is.
     got = native.evaluate(native.program(ops), x, x[0], 1.0, grid=True)
-    carried = weighted and all(abs(v) < 2.0**-74 for v in values)
+    if example3:
+        carried = all(abs(v) < 2.0**-74 for v in values)
+    else:
+        carried = abs(want) < 2.0**-50
     assert _bits(got) == _bits(want if carried else None)
 
 
 @pytest.mark.parametrize(
     "text", ["x1*x2", "sin(x1)", "x1 + 1", "1/x1", "u*cos(t)*x2", "x1*cos(t)", "u"]
 )
-def test_nonlinear_programs_take_plain_passes(text, compiled):
-    # A grid pass evaluates f only where it is a weighted sum of states or
-    # reads neither x nor u. It refuses every other program, linear ones
-    # in x and u such as the last two included, at every point, even
-    # where its carried values would stay far below CEILING, and a run
-    # from states below 2^-600 takes plain passes, in the hardware's
-    # subnormal arithmetic.
+def test_other_programs_run_on_exact_values(text, compiled):
+    # A grid pass runs every f but example3's weighted sum by its own
+    # program, on the stage state and u brought back from the grid: the
+    # plain pass's values, so f gives the plain pass's bits. Its value is
+    # carried where it is below 2^-50, as x1*x2, sin(x1) and the three
+    # texts in u and t are here; 1e-3*(x1 + 1) and 1e-3/x1 are not, and
+    # their steps go to the plain pass.
     plant = pl.plant_from_expressions(
         2, f"1e-3*({text})", "1 + 0.5*sin(t)", gamma=1.2, gamma_min=1.0, phi=1.0, phi0=1.0
     )
@@ -581,14 +571,20 @@ def test_nonlinear_programs_take_plain_passes(text, compiled):
     ):
         want = _python_value(plant.f, x, u, 1.0)
         assert _bits(native.evaluate(prog, x, u, 1.0)) == _bits(want)
-        assert native.evaluate(prog, x, u, 1.0, grid=True) is None
+        carried = want is not None and abs(want) < 2.0**-50
+        got = native.evaluate(prog, x, u, 1.0, grid=True)
+        assert _bits(got) == _bits(want if carried else None)
+    # u, like the state, is carried in only below 2^-50.
+    assert native.evaluate(prog, [5e-324, 0.0], 2.0**-50, 1.0, grid=True) is None
 
 
 def test_mixed_fsum_stays_off_the_grid():
-    # math.fsum of a carried and a time-only value does not scale.
+    # math.fsum of a carried and a time-only value does not scale, so the
+    # program runs on the state brought back, off the grid, and gives
+    # Python's bits.
     prog = native.program([(native.X, 0), (native.CONST, 5e-324), (native.FSUM, 2)])
     assert native.evaluate(prog, [5e-324], 0.0, 0.0) == 1e-323
-    assert native.evaluate(prog, [5e-324], 0.0, 0.0, grid=True) is None
+    assert native.evaluate(prog, [5e-324], 0.0, 0.0, grid=True) == 1e-323
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, phases=NO_SHRINK,

@@ -15,8 +15,9 @@ between doubles and 64-bit integers; the driver converts at both ends of
 the integers' range and past them, where a conversion out of range,
 undefined too, ends it as well. It also evaluates deep weighted sums of
 states on the grid, whose terms take a buffer sized by the program's
-length. And it runs ``ptc_run`` into row buffers of exactly the capacity
-it is given, through grid passes, rest steps, an expression plant and a
+length, and other deep programs on the state brought back. And it runs
+``ptc_run`` into row buffers of exactly the capacity it is given, through
+grid passes of both kinds of f, rest steps, an expression plant and a
 buffer one row short, each bit for bit the unsanitized library's run. It
 needs gcc with libasan and skips without them.
 """
@@ -473,15 +474,14 @@ def test_tiny_cells_shift_within_their_words(driver):
 
 def test_weighted_sum_runs_on_the_grid_in_its_buffers(driver):
     # example3's form, fsum of w_i * x_i, with 5,000 terms, all on the
-    # stack at once; and the same terms summed by ADDs from the left.
+    # stack at once; and the same terms, every other one state first,
+    # summed by ADDs from the left, which run on the state brought back.
     terms, x = 5_000, [3e-310, -(2.0**-700), 5e-324]
     weights = [(-1.0) ** k * (1.0 + k / terms) for k in range(terms)]
-    products = [
-        [(native.CONST, w), (native.X, k % 3), (native.MUL, 0)] if k % 2
-        else [(native.X, k % 3), (native.CONST, w), (native.MUL, 0)]
-        for k, w in enumerate(weights)
-    ]
+    products = [[(native.CONST, w), (native.X, k % 3), (native.MUL, 0)]
+                for k, w in enumerate(weights)]
     by_fsum = [op for p in products for op in p] + [(native.FSUM, terms)]
+    products = [p if k % 2 else [p[1], p[0], p[2]] for k, p in enumerate(products)]
     by_adds = products[0] + [op for p in products[1:] for op in (*p, (native.ADD, 0))]
     values = [w * x[k % 3] for k, w in enumerate(weights)]
     (fsum_bad, fsum_got), (adds_bad, adds_got) = _results(
@@ -538,6 +538,19 @@ def _example3(seed, eps):
     return plant, design, pl.SimConfig(x0=(10.0,) * 4, epsilon_fraction=eps, record_stride=50)
 
 
+def _cosine_plant():
+    # example3's design, with an f that reads t: its deep steps run its
+    # program on the stage state brought back, in the loop's scratch
+    # buffer for it.
+    plant = pl.plant_from_expressions(
+        4, "0.001*x1*cos(t)", "1", gamma=1.0, gamma_min=1.0, phi=1e-3, phi0=0.0
+    )
+    design = pl.design_controller(
+        (-1.0, -4.0, -6.0, -4.0), 10.0, phi=plant.phi, phi0=plant.phi0, eps_guard_fraction=0.9
+    )
+    return plant, design, pl.SimConfig(x0=(10.0,) * 4, epsilon_fraction=0.9, record_stride=50)
+
+
 def _example2():
     plant = pl.builtin_plant("example2")
     design = pl.design_controller((-1.0, -2.0), 10.0, alpha=0.0214, phi=plant.phi,
@@ -555,11 +568,13 @@ def _example2():
         # At rest, +0.0, from step 7,715 (t_end = 1.5, 9,668 steps): rest
         # steps, and, as example3's f and g do not read t, repeated ones.
         (lambda: _example3(6, 0.85), "rest"),
+        (_cosine_plant, "deep"),
         (_example2, None),
         # A row buffer one row short: FULL, after every row it holds.
         (_example2, "full"),
     ],
-    ids=["example3-grid", "example3-rest", "example2-expression", "example2-full"],
+    ids=["example3-grid", "example3-rest", "cosine-grid", "example2-expression",
+         "example2-full"],
 )
 def test_loop_runs_under_the_sanitizers(driver, run, end):
     args, (times, states, inputs, steps, u_max, x_max) = _loop_run(*run())

@@ -1,4 +1,4 @@
-"""Stirling-number tables and the state-transform matrices built from them.
+"""Stirling numbers and the state-transform matrices built from them.
 
 The controller in this toolkit is derived by mapping trajectories between
 two clocks: the infinite-horizon clock ``t`` running on ``[0, inf)``, in
@@ -9,17 +9,16 @@ that change of clock produces Stirling numbers, so the transform matrices
 between the two state representations are assembled from three
 ingredients:
 
-* integer tables of Stirling numbers of the first kind ``[n, k]`` and of
-  the second kind ``{n, k}``, plus Bell numbers,
+* Stirling numbers of the first kind ``[n, k]`` and of the second kind
+  ``{n, k}``, plus Bell numbers,
 * a lower-triangular Toeplitz matrix of powers of the time-scale rate
   ``alpha``,
 * diagonal matrices of powers of the clock rates ``mu_dot(t)`` and
   ``kappa_prime(mu)``.
 
-Tables are built once with exact Python integers (arbitrary precision, no
-overflow up to the capacity limit) and are immutable afterwards. Matrix
-values are ``float64``; exactness guarantees apply to the integer tables
-only.
+Stirling and Bell numbers are exact Python integers of any order,
+computed on first use and cached. Matrix values are ``float64``;
+exactness guarantees apply to the integers only.
 
 Clock conventions
 -----------------
@@ -44,11 +43,9 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import CapacityError
 from .linalg import _readonly
 
 __all__ = [
-    "CombinatoricsTable",
     "TransformMatrices",
     "stirling_first",
     "stirling_second",
@@ -68,109 +65,57 @@ __all__ = [
 
 FloatArray = NDArray[np.float64]
 
-DEFAULT_MAX_ORDER = 20
-
-
-@dataclass(frozen=True)
-class CombinatoricsTable:
-    """Precomputed integer tables of Stirling and Bell numbers.
-
-    Attributes
-    ----------
-    max_order : int
-        Largest ``n`` (and ``k``) the tables cover.
-    first_kind : tuple of tuple of int
-        ``first_kind[n][k]`` is the unsigned Stirling number of the first
-        kind ``[n, k]``, the number of permutations of ``n`` elements with
-        ``k`` cycles. Base cases ``[0, 0] = 1`` and ``[n, 0] = 0`` for
-        ``n >= 1``, so each row sums to ``n!``.
-    second_kind : tuple of tuple of int
-        ``second_kind[n][k]`` is the Stirling number of the second kind
-        ``{n, k}``, the number of partitions of ``n`` elements into ``k``
-        nonempty blocks.
-    bell : tuple of int
-        ``bell[n]`` is the Bell number, the row sum of ``second_kind[n]``.
-    """
-
-    max_order: int
-    first_kind: tuple[tuple[int, ...], ...]
-    second_kind: tuple[tuple[int, ...], ...]
-    bell: tuple[int, ...]
-
-    @classmethod
-    def build(cls, max_order: int = DEFAULT_MAX_ORDER) -> "CombinatoricsTable":
-        """Build tables for all ``0 <= k <= n <= max_order``.
-
-        Both kinds are filled by their defining recurrences,
-
-        ``[n+1, k] = n * [n, k] + [n, k-1]``
-        ``{n+1, k} = k * {n, k} + {n, k-1}``
-
-        using exact integer arithmetic.
-        """
-        if max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {max_order}")
-        first: list[list[int]] = [[1] + [0] * max_order]
-        second: list[list[int]] = [[1] + [0] * max_order]
-        for n in range(1, max_order + 1):
-            frow = [0] * (max_order + 1)
-            srow = [0] * (max_order + 1)
-            for k in range(1, n + 1):
-                frow[k] = (n - 1) * first[n - 1][k] + first[n - 1][k - 1]
-                srow[k] = k * second[n - 1][k] + second[n - 1][k - 1]
-            first.append(frow)
-            second.append(srow)
-        bell = tuple(sum(row) for row in second)
-        return cls(
-            max_order=max_order,
-            first_kind=tuple(tuple(r) for r in first),
-            second_kind=tuple(tuple(r) for r in second),
-            bell=bell,
-        )
-
-    def _check(self, n: int, k: int) -> None:
-        if n < 0 or k < 0:
-            raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
-        if n > self.max_order or k > self.max_order:
-            raise CapacityError(
-                f"order {max(n, k)} exceeds table capacity {self.max_order}; "
-                "build a larger CombinatoricsTable"
-            )
-
-    def stirling_first(self, n: int, k: int) -> int:
-        """Unsigned Stirling number of the first kind ``[n, k]``."""
-        self._check(n, k)
-        return self.first_kind[n][k]
-
-    def stirling_second(self, n: int, k: int) -> int:
-        """Stirling number of the second kind ``{n, k}``."""
-        self._check(n, k)
-        return self.second_kind[n][k]
-
-    def bell_number(self, n: int) -> int:
-        """Bell number, the number of partitions of an ``n``-element set."""
-        self._check(n, 0)
-        return self.bell[n]
-
 
 @lru_cache(maxsize=None)
-def _default_table(max_order: int = DEFAULT_MAX_ORDER) -> CombinatoricsTable:
-    return CombinatoricsTable.build(max_order)
+def _row(n: int, second: bool) -> tuple[int, ...]:
+    """Row ``n`` of the first- or second-kind triangle, ``k = 0 .. n``.
+
+    Starts from ``[0, 0] = {0, 0} = 1`` and applies the defining
+    recurrences
+
+    ``[m, k] = (m-1) * [m-1, k] + [m-1, k-1]``
+    ``{m, k} = k * {m-1, k} + {m-1, k-1}``
+
+    row by row in exact integer arithmetic, so ``[m, 0] = {m, 0} = 0`` for
+    ``m >= 1``.
+    """
+    row = (1,)
+    for m in range(1, n + 1):
+        prev = row + (0,)
+        row = (0,) + tuple(
+            (k if second else m - 1) * prev[k] + prev[k - 1] for k in range(1, m + 1)
+        )
+    return row
+
+
+def _entry(n: int, k: int, second: bool) -> int:
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
+    return _row(n, second)[k] if k <= n else 0
 
 
 def stirling_first(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind from the default table."""
-    return _default_table().stirling_first(n, k)
+    """Unsigned Stirling number of the first kind ``[n, k]``.
+
+    The number of permutations of ``n`` elements with ``k`` cycles; row
+    ``n`` sums to ``n!``.
+    """
+    return _entry(n, k, second=False)
 
 
 def stirling_second(n: int, k: int) -> int:
-    """Stirling number of the second kind from the default table."""
-    return _default_table().stirling_second(n, k)
+    """Stirling number of the second kind ``{n, k}``.
+
+    The number of partitions of ``n`` elements into ``k`` nonempty blocks.
+    """
+    return _entry(n, k, second=True)
 
 
 def bell_number(n: int) -> int:
-    """Bell number from the default table."""
-    return _default_table().bell_number(n)
+    """Bell number, the number of partitions of an ``n``-element set."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return sum(_row(n, True))
 
 
 def stirling_second_explicit(n: int, k: int) -> int:
@@ -178,7 +123,7 @@ def stirling_second_explicit(n: int, k: int) -> int:
 
     Evaluates ``{n, k} = (1/k!) * sum_{i=0}^{k} (-1)^i * C(k, i) * (k-i)^n``
     in exact integer arithmetic. This is an independent route from the
-    recurrence used by :class:`CombinatoricsTable`; the two must agree and
+    recurrence behind :func:`stirling_second`; the two must agree and
     that agreement is part of the verification suite.
     """
     if n < 0 or k < 0:
@@ -201,14 +146,14 @@ def _lower_triangular(n: int, entry: Callable[[int, int], float]) -> FloatArray:
     return _readonly(m)
 
 
-def first_kind_matrix(n: int, table: CombinatoricsTable | None = None) -> FloatArray:
+def first_kind_matrix(n: int) -> FloatArray:
     """Lower-triangular matrix with entries ``[i-1, j-1]`` (1-indexed)."""
-    return _lower_triangular(n, (table or _default_table()).stirling_first)
+    return _lower_triangular(n, stirling_first)
 
 
-def second_kind_matrix(n: int, table: CombinatoricsTable | None = None) -> FloatArray:
+def second_kind_matrix(n: int) -> FloatArray:
     """Lower-triangular matrix with entries ``{i-1, j-1}`` (1-indexed)."""
-    return _lower_triangular(n, (table or _default_table()).stirling_second)
+    return _lower_triangular(n, stirling_second)
 
 
 def alternating_toeplitz(n: int, alpha: float) -> FloatArray:
@@ -238,11 +183,12 @@ def _check_clock_args(alpha: float, tau: float) -> None:
 
 
 def mu_of_t(t: float, alpha: float, tau: float) -> float:
-    """Stretched clock ``mu(t) = tau * (1 - exp(-alpha t))``.
+    """Real time ``mu(t)`` at infinite-horizon instant ``t``.
 
-    Evaluated as ``-tau * expm1(-alpha t)``: for small ``alpha t`` the
-    difference ``1 - exp(-alpha t)`` cancels to few significant digits,
-    which ``kappa_of_mu`` (built on ``log1p``) would not round-trip.
+    ``mu(t) = tau * (1 - exp(-alpha t))``, evaluated as
+    ``-tau * expm1(-alpha t)``: for small ``alpha t`` the difference
+    ``1 - exp(-alpha t)`` cancels to few significant digits, which
+    ``kappa_of_mu`` (built on ``log1p``) would not round-trip.
     """
     _check_clock_args(alpha, tau)
     # "not >= 0" also refuses NaN, which fails every comparison.
@@ -367,14 +313,13 @@ def build_transform_matrices(
     alpha: float,
     tau: float,
     t: float,
-    table: CombinatoricsTable | None = None,
 ) -> TransformMatrices:
     """Evaluate all transform matrices consistently at the pair ``(t, mu(t))``.
 
     Parameters
     ----------
     n : int
-        State dimension, ``1 <= n <=`` table capacity.
+        State dimension, ``n >= 1``.
     alpha : float
         Time-scale rate, positive.
     tau : float
@@ -382,25 +327,14 @@ def build_transform_matrices(
     t : float
         Evaluation instant on the infinite-horizon clock; this function
         accepts ``0 <= t < tau`` only.
-    table : CombinatoricsTable, optional
-        Integer tables to draw Stirling numbers from; the shared default
-        table (capacity 20) is used when omitted.
 
     Raises
     ------
-    CapacityError
-        If ``n`` exceeds the table capacity.
     ValueError
         If any argument is out of range.
     """
-    tab = table or _default_table()
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > tab.max_order:
-        raise CapacityError(
-            f"n={n} exceeds table capacity {tab.max_order}; "
-            "build a larger CombinatoricsTable"
-        )
     _check_clock_args(alpha, tau)
     if not 0.0 <= t < tau:
         raise ValueError(f"t must lie in [0, tau), got t={t}, tau={tau}")
@@ -415,8 +349,8 @@ def build_transform_matrices(
         alpha=alpha,
         tau=tau,
         t=t,
-        s=first_kind_matrix(n, tab),
-        S=second_kind_matrix(n, tab),
+        s=first_kind_matrix(n),
+        S=second_kind_matrix(n),
         A=alternating_toeplitz(n, alpha),
         K=_readonly(K),
         M=_readonly(M),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .combinatorics import CombinatoricsTable, _default_table
+from .combinatorics import stirling_second
 from .errors import AssumptionViolationError, InfeasibleDesignError, SingularityError
 from .linalg import LyapunovSolution, solve_lyapunov
 
@@ -94,19 +94,18 @@ def structural_rows(n: int) -> tuple[GainRow, ...]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    tab = _default_table() if n <= 20 else CombinatoricsTable.build(n)
     rows = []
     for i in range(1, n + 1):
         terms = tuple(
             GainTerm(
                 j=j,
-                coefficient=(-1) ** (j - i) * tab.stirling_second(j - 1, i - 1),
+                coefficient=(-1) ** (j - i) * stirling_second(j - 1, i - 1),
                 alpha_power=n - j + 1,
             )
             for j in range(i, n + 1)
-            if tab.stirling_second(j - 1, i - 1) != 0
+            if stirling_second(j - 1, i - 1) != 0
         )
-        constant = (-1) ** (n - i) * tab.stirling_second(n, i - 1) if i >= 2 else 0
+        constant = (-1) ** (n - i) * stirling_second(n, i - 1) if i >= 2 else 0
         rows.append(GainRow(state=i, power=n - i + 1, c_terms=terms, constant=constant))
     return tuple(rows)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 __all__ = [
     "PtcLabError",
-    "CapacityError",
     "InfeasibleDesignError",
     "SingularityError",
     "AssumptionViolationError",
@@ -21,10 +20,6 @@ __all__ = [
 
 class PtcLabError(Exception):
     """Base class for all toolkit errors."""
-
-
-class CapacityError(PtcLabError):
-    """A combinatorial table was queried beyond its precomputed order."""
 
 
 class InfeasibleDesignError(PtcLabError):

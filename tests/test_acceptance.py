@@ -152,7 +152,6 @@ def test_acceptance_7_property_suites(capsys):
     with _criterion(capsys, 7, "five randomized property suites, 1000 cases each"):
         total_start = time.perf_counter()
         rng = np.random.Generator(np.random.PCG64(2026))
-        table = pl.CombinatoricsTable.build(20)
 
         for _ in range(1000):
             n = int(rng.integers(1, 8))
@@ -167,7 +166,7 @@ def test_acceptance_7_property_suites(capsys):
             alpha = float(np.exp(rng.uniform(np.log(0.01), np.log(2.0))))
             tau = float(rng.uniform(1.0, 20.0))
             t = float(rng.uniform(0.0, 0.9 * tau))
-            mats = pl.build_transform_matrices(n, alpha, tau, t, table=table)
+            mats = pl.build_transform_matrices(n, alpha, tau, t)
             root_n = math.sqrt(n)
             assert np.linalg.norm(mats.s, 2) <= root_n * math.factorial(n - 1) + 1e-9
             assert np.linalg.norm(mats.S, 2) <= root_n * pl.bell_number(n - 1) + 1e-9
@@ -184,7 +183,7 @@ def test_acceptance_7_property_suites(capsys):
             alpha = float(rng.uniform(0.01, 0.3))
             tau = float(rng.uniform(1.0, 20.0))
             t = float(rng.uniform(0.0, 0.7 * tau))
-            mats = pl.build_transform_matrices(n, alpha, tau, t, table=table)
+            mats = pl.build_transform_matrices(n, alpha, tau, t)
             fwd = mats.forward_map()
             inv = mats.inverse_map()
             eye = np.eye(n)

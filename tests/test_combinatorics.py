@@ -42,32 +42,46 @@ def test_first_kind_base_cases():
 def test_bell_numbers():
     for n, expected in enumerate(BELL):
         assert pl.bell_number(n) == expected
+    for n in range(41):
+        assert pl.bell_number(n) == sum(pl.stirling_second(n, k) for k in range(n + 1))
 
 
-@given(n=st.integers(0, 20), k=st.integers(0, 20))
+@given(n=st.integers(0, 40), k=st.integers(0, 40))
 @settings(max_examples=200, deadline=None)
 def test_second_kind_recurrence_vs_explicit(n, k):
     assert pl.stirling_second_explicit(n, k) == pl.stirling_second(n, k)
 
 
-@given(n=st.integers(1, 14))
+@given(n=st.integers(1, 40))
 @settings(max_examples=50, deadline=None)
 def test_first_kind_row_sum_is_factorial(n):
     assert sum(pl.stirling_first(n, k) for k in range(n + 1)) == math.factorial(n)
 
 
-def test_capacity_error():
-    with pytest.raises(pl.CapacityError):
-        pl.stirling_second(21, 3)
-    with pytest.raises(pl.CapacityError):
-        pl.bell_number(25)
-    bigger = pl.CombinatoricsTable.build(25)
-    assert bigger.stirling_second(21, 3) > 0
+def test_orders_past_twenty():
+    # Stirling numbers have no capacity: k > n is an empty count, and an
+    # order-21 transform carries the exact integers of rows 0..20.
+    assert pl.stirling_second(3, 25) == 0
+    assert pl.stirling_first(3, 25) == 0
+    mats = pl.build_transform_matrices(21, 0.1, 10.0, 0.0)
+    for i in range(21):
+        for j in range(i + 1):
+            assert mats.S[i, j] == pl.stirling_second_explicit(i, j)
+            assert mats.s[i, j] == float(pl.stirling_first(i, j))
+    # Independent closed forms: [n, 1] = (n-1)!, {n, 2} = 2^(n-1) - 1 and
+    # [n, n-1] = {n, n-1} = C(n, 2).
+    assert mats.s[20, 1] == float(math.factorial(19))
+    assert mats.S[20, 2] == 2 ** 19 - 1
+    assert mats.s[20, 19] == mats.S[20, 19] == math.comb(20, 2)
 
 
 def test_negative_indices_rejected():
     with pytest.raises(ValueError):
         pl.stirling_first(-1, 0)
+    with pytest.raises(ValueError):
+        pl.stirling_second(3, -1)
+    with pytest.raises(ValueError):
+        pl.bell_number(-1)
     with pytest.raises(ValueError):
         pl.stirling_second_explicit(3, -2)
 
@@ -203,9 +217,7 @@ def test_transform_norm_bounds():
     # ||A_n|| <= sqrt(n)*sum(alpha**i, i=0..n-1).
     for n in range(1, 9):
         for alpha in (0.05, 0.5, 1.0, 2.0):
-            mats = pl.build_transform_matrices(
-                n, alpha, 10.0, 1.0, table=pl.CombinatoricsTable.build(20)
-            )
+            mats = pl.build_transform_matrices(n, alpha, 10.0, 1.0)
             root_n = math.sqrt(n)
             assert np.linalg.norm(mats.s, 2) <= root_n * math.factorial(n - 1) + 1e-9
             assert np.linalg.norm(mats.S, 2) <= root_n * pl.bell_number(n - 1) + 1e-9
@@ -231,8 +243,6 @@ def test_unsigned_toeplitz_is_absolute_value_of_signed():
 
 
 def test_build_transform_matrices_validation():
-    with pytest.raises(pl.CapacityError):
-        pl.build_transform_matrices(21, 0.1, 10.0, 0.0)
     with pytest.raises(ValueError):
         pl.build_transform_matrices(3, 0.1, 10.0, 10.0)
     with pytest.raises(ValueError):

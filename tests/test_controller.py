@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import ptc_lab as pl
-from ptc_lab.combinatorics import CombinatoricsTable, _default_table
 from ptc_lab.controller import GainRow, GainTerm
 from test_nominal_reference import stirling_first
 
@@ -29,7 +28,6 @@ def pi_double_sum(
     tau: float,
     x: Sequence[float],
     t: float,
-    table: CombinatoricsTable | None = None,
 ) -> float:
     """Reference evaluation of ``pi`` as the literal double sum.
 
@@ -40,20 +38,19 @@ def pi_double_sum(
     n = len(c)
     if len(x) != n:
         raise ValueError(f"state has length {len(x)}, expected {n}")
-    tab = table or (_default_table() if n <= 20 else CombinatoricsTable.build(n))
     d = tau - t
     acc = 0.0
     for j in range(1, n + 1):
         for i in range(1, j + 1):
             acc += (
-                tab.stirling_second(j - 1, i - 1)
+                pl.stirling_second(j - 1, i - 1)
                 * (c[j - 1] / alpha ** (n - j + 1))
                 * ((-1) ** (j - i) / d ** (n - i + 1))
                 * float(x[i - 1])
             )
     for j in range(2, n + 1):
         acc -= (
-            tab.stirling_second(n, j - 1)
+            pl.stirling_second(n, j - 1)
             * ((-1) ** (n - j + 1) / d ** (n - j + 1))
             * float(x[j - 1])
         )
